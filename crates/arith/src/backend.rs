@@ -8,94 +8,59 @@
 //! code keeps importing `apx_metrics::EvalBackend`.
 
 use std::fmt;
-use std::str::FromStr;
 
 /// Which simulation engine a `CircuitEvaluator` runs on.
 ///
 /// All backends produce **bit-identical** results at the widths they
 /// share — every per-block error sum is an exact integer and the
 /// floating-point accumulation order is shared — so the backend is
-/// purely a speed/reach trade-off:
+/// purely a speed/reach trade-off, and the operand width decides it
+/// ([`crate::Operator::backend`]):
 ///
-/// * [`EvalBackend::BitParallel`] (the default) levelizes the netlist into
-///   an ASAP schedule and simulates 64 operand pairs per gate operation on
-///   bit-sliced `u64` words, with bit-sliced error summation;
+/// * [`EvalBackend::BitParallel`] runs every exhaustively enumerable
+///   width. It levelizes the netlist into an ASAP schedule and simulates
+///   64 operand pairs per gate operation on bit-sliced `u64` words, with
+///   bit-sliced error summation;
+/// * [`EvalBackend::Symbolic`] runs every width beyond that. It never
+///   enumerates operand pairs: it builds reduced ordered BDDs of the
+///   approximate-vs-exact output difference per weighted operand value
+///   and model-counts them, which makes wide operands (12×12/16×16
+///   multipliers, 8-bit MACs) evaluable at all — the enumeration
+///   backends' `2^(2w)` state space is unreachable there;
 /// * [`EvalBackend::Scalar`] interprets the netlist one operand pair at a
 ///   time. It is orders of magnitude slower and exists as the independent
-///   reference implementation that property tests (and the CI smoke run)
-///   cross-check the fast engine against;
-/// * [`EvalBackend::Symbolic`] never enumerates operand pairs: it builds
-///   reduced ordered BDDs of the approximate-vs-exact output difference
-///   per weighted operand value and model-counts them, which makes wide
-///   operands (12×12/16×16 multipliers, 8-bit MACs) evaluable at all —
-///   the enumeration backends' `2^(2w)` state space is unreachable there.
+///   reference implementation that property tests cross-check the fast
+///   engines against.
 ///
 /// # Examples
 ///
-/// Selecting a backend via the `APX_EVAL_BACKEND` environment variable
-/// (each doctest runs in its own process, so mutating the environment
-/// here is safe):
-///
 /// ```
-/// use apx_arith::EvalBackend;
+/// use apx_arith::{EvalBackend, Operator};
 ///
-/// std::env::remove_var("APX_EVAL_BACKEND");
-/// assert_eq!(EvalBackend::from_env(), EvalBackend::BitParallel);
-/// std::env::set_var("APX_EVAL_BACKEND", "symbolic");
-/// assert_eq!(EvalBackend::from_env(), EvalBackend::Symbolic);
+/// assert_eq!(Operator::Mul.backend(8), EvalBackend::BitParallel);
+/// assert_eq!(Operator::Mul.backend(12), EvalBackend::Symbolic);
+/// assert!(!EvalBackend::Symbolic.is_exhaustive());
+/// assert_eq!(EvalBackend::BitParallel.to_string(), "bitpar");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EvalBackend {
     /// One operand pair per netlist interpretation (reference path).
     Scalar,
-    /// 64 operand pairs per gate op on bit-sliced words (default).
-    #[default]
+    /// 64 operand pairs per gate op on bit-sliced words.
     BitParallel,
     /// ROBDD model counting; no operand-pair enumeration (wide widths).
     Symbolic,
 }
 
 impl EvalBackend {
-    /// The environment variable consulted by [`EvalBackend::from_env`].
+    /// The retired environment variable that once selected the backend.
+    /// Nothing reads it: the operand width picks the backend
+    /// ([`crate::Operator::backend`]). The constant stays so callers that
+    /// still set the variable keep compiling.
     pub const ENV_VAR: &'static str = "APX_EVAL_BACKEND";
 
-    /// Every backend, in `name()` order.
-    pub const ALL: [EvalBackend; 3] =
-        [EvalBackend::Scalar, EvalBackend::BitParallel, EvalBackend::Symbolic];
-
-    /// Reads the backend from `APX_EVAL_BACKEND`.
-    ///
-    /// Unset, empty or whitespace-only values select the default
-    /// ([`EvalBackend::BitParallel`]). Like the other `APX_*` knobs this is
-    /// fail-loud: any other unrecognized value panics, naming the variable
-    /// and the offending value, instead of silently falling back (a silent
-    /// fallback could hide a perf regression behind the wrong backend).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a malformed non-empty value.
-    #[must_use]
-    pub fn from_env() -> Self {
-        match std::env::var(Self::ENV_VAR) {
-            Ok(raw) => {
-                let v = raw.trim();
-                if v.is_empty() {
-                    EvalBackend::default()
-                } else {
-                    v.parse().unwrap_or_else(|_| {
-                        panic!(
-                            "{} must be 'scalar', 'bitpar' or 'symbolic', got '{raw}'",
-                            Self::ENV_VAR
-                        )
-                    })
-                }
-            }
-            Err(_) => EvalBackend::default(),
-        }
-    }
-
     /// Canonical lowercase name (`"scalar"` / `"bitpar"` / `"symbolic"`),
-    /// the spelling `APX_EVAL_BACKEND` accepts and reports record.
+    /// the spelling reports record.
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
@@ -119,39 +84,5 @@ impl EvalBackend {
 impl fmt::Display for EvalBackend {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.name())
-    }
-}
-
-impl FromStr for EvalBackend {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "scalar" => Ok(EvalBackend::Scalar),
-            "bitpar" => Ok(EvalBackend::BitParallel),
-            "symbolic" => Ok(EvalBackend::Symbolic),
-            other => Err(format!("unknown evaluator backend '{other}'")),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn parse_round_trips() {
-        for b in EvalBackend::ALL {
-            assert_eq!(b.name().parse::<EvalBackend>().unwrap(), b);
-            assert_eq!(b.to_string(), b.name());
-        }
-        assert!("Bitpar".parse::<EvalBackend>().is_err());
-        assert!("Symbolic".parse::<EvalBackend>().is_err());
-        assert!("".parse::<EvalBackend>().is_err());
-    }
-
-    #[test]
-    fn default_is_bit_parallel() {
-        assert_eq!(EvalBackend::default(), EvalBackend::BitParallel);
     }
 }

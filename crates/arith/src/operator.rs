@@ -112,6 +112,20 @@ impl Operator {
         width >= 1 && self.num_inputs(width) <= MAX_INPUT_BITS as usize
     }
 
+    /// The backend a `width`-bit instance is evaluated on:
+    /// [`EvalBackend::BitParallel`] wherever exhaustive enumeration fits
+    /// ([`Operator::supports_exhaustive_width`]), [`EvalBackend::Symbolic`]
+    /// beyond it. The backends agree bit for bit where both run, and the
+    /// bit-parallel one is the faster there, so the width alone decides.
+    #[must_use]
+    pub fn backend(self, width: u32) -> EvalBackend {
+        if self.supports_exhaustive_width(width) {
+            EvalBackend::BitParallel
+        } else {
+            EvalBackend::Symbolic
+        }
+    }
+
     /// Whether `width` is evaluable for this operator *on the given
     /// backend*. The enumeration backends are capped by
     /// [`Operator::supports_exhaustive_width`]; the symbolic backend
@@ -277,6 +291,15 @@ mod tests {
         assert!(!Operator::Mac.supports_width(9, sym));
         assert_eq!(Operator::Mac.max_width(sym), 8);
         assert!(!Operator::Mul.supports_width(0, sym), "zero width is never evaluable");
+        // The width picks the backend: bit-parallel up to the exhaustive
+        // cap, symbolic past it.
+        for op in Operator::ALL {
+            let cap = op.max_width(EvalBackend::BitParallel);
+            for w in 1..=op.max_width(sym) {
+                let want = if w <= cap { EvalBackend::BitParallel } else { sym };
+                assert_eq!(op.backend(w), want, "{op} w={w}");
+            }
+        }
     }
 
     /// Every operator's seed circuit reproduces its reference function on

@@ -57,8 +57,9 @@ fn main() {
     let n_runs = env_usize("APX_RUNS", 1);
     let cores = std::thread::available_parallelism().map_or(1, usize::from);
     let multi = env_usize("APX_THREADS", cores);
-    let backend = apx_metrics::EvalBackend::from_env();
     let op = operator();
+    let width = 8;
+    let backend = op.backend(width);
     println!(
         "=== bench_sweep: Fig. 3 grid, {iters} iterations/run, {n_runs} run(s)/level, \
          {backend} backend, {op} operator ===\n"
@@ -74,7 +75,7 @@ fn main() {
         distributions: sweep_distributions(),
         flow: FlowConfig {
             operator: op,
-            width: 8,
+            width,
             signed: false,
             iterations: iters,
             runs_per_threshold: n_runs,

@@ -24,7 +24,7 @@
 //!
 //! Full `APX_*` knob reference: `crates/bench/README.md`.
 
-use apx_bench::{cache_dir, equiv_enabled, results_dir, verify_enabled};
+use apx_bench::{cache_dir, env_switch, results_dir};
 use apx_core::cache::{cache_dir_stats, SweepCache};
 use apx_core::report::TextTable;
 use std::collections::{BTreeMap, HashSet};
@@ -38,8 +38,6 @@ fn main() {
         .unwrap_or_else(|| results_dir().join("cache"));
     let stats = cache_dir_stats(&dir);
     println!("=== cache_stats: {} ===\n", dir.display());
-    // Library-mode re-scoring of these entries runs on this backend.
-    println!("evaluator backend: {}\n", apx_metrics::EvalBackend::from_env());
     if stats.files == 0 && stats.tmp_litter == 0 {
         println!("no .sweep entries (missing or empty directory)");
         return;
@@ -58,13 +56,13 @@ fn main() {
         ]);
     }
     println!("{}", table.to_text());
-    if verify_enabled() {
+    if env_switch("APX_VERIFY", false) {
         // Per-diagnostic counts over every intact entry, keyed by the
         // stable diagnostic names (`output-arity`, `stuck-output`, ...).
         let mut counts: BTreeMap<&'static str, usize> = BTreeMap::new();
         let mut dirty = 0usize;
         let mut audited = 0usize;
-        let census = equiv_enabled();
+        let census = env_switch("APX_EQUIV", true);
         let mut classes: HashSet<(apx_arith::Operator, u32, bool, u128)> = HashSet::new();
         let mut unbudgeted = 0usize;
         for entry in SweepCache::new(&dir).scan() {

@@ -37,7 +37,7 @@
 //! Full `APX_*` knob reference: `crates/bench/README.md`.
 
 use apx_arith::{EvalBackend, Operator};
-use apx_bench::{cache_dir, equiv_enabled, results_dir, seeds_max_width};
+use apx_bench::{cache_dir, env_switch, results_dir, seeds_max_width};
 use apx_core::cache::SweepCache;
 use apx_core::report::TextTable;
 use apx_verify::{functional_digest, prove_seed, Equiv, Severity};
@@ -131,7 +131,7 @@ fn main() {
         println!("=== netlist_lint: {} ===\n", dir.display());
     }
 
-    let census = equiv_enabled();
+    let census = env_switch("APX_EQUIV", true);
     let mut entries = 0usize;
     let mut errors = 0usize;
     let mut warnings = 0usize;

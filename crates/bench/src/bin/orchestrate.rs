@@ -33,7 +33,7 @@
 //! Full `APX_*` knob reference: `crates/bench/README.md`.
 
 use apx_bench::{
-    cache_dir, equiv_enabled, gc_mode, gc_tmp_ttl, orch_bin, orch_relaunches, orch_shards,
+    cache_dir, env_switch, gc_mode, gc_tmp_ttl, orch_bin, orch_relaunches, orch_shards,
     sweep_grid_of, GcMode,
 };
 use apx_core::cache::{gc_cache_dir, GcConfig};
@@ -145,7 +145,7 @@ fn main() -> ExitCode {
             // Right after our own grid every writer has exited; a
             // standalone pass grants foreign writers the configured TTL.
             tmp_ttl: if mode == GcMode::After { Duration::ZERO } else { gc_tmp_ttl() },
-            collapse_equiv: equiv_enabled(),
+            collapse_equiv: env_switch("APX_EQUIV", true),
         };
         match gc_cache_dir(&dir, &gc) {
             Ok(r) => println!(

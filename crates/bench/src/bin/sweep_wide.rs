@@ -6,9 +6,8 @@
 //! proves the *whole* sweep pipeline — seeded CGP evolution, bounded
 //! scoring, exact stats, activity-based power estimation, CSV mirroring —
 //! runs past the enumeration engines' 20-input cap. A width-12 multiplier
-//! has 24 netlist inputs, so running this under `bitpar` or `scalar`
-//! fails loud at config validation; CI runs it with
-//! `APX_EVAL_BACKEND=symbolic`.
+//! has 24 netlist inputs, so the width alone puts every evaluation of this
+//! grid on the symbolic backend.
 //!
 //! Two invariants are asserted, not just printed:
 //!
@@ -39,8 +38,7 @@ fn main() {
         cfg.flow.iterations
     );
 
-    let result =
-        run_sweep(&cfg).expect("width-12 sweep (requires APX_EVAL_BACKEND=symbolic to validate)");
+    let result = run_sweep(&cfg).expect("width-12 sweep");
     print_sweep_counters(&cfg, &result.stats);
 
     let mut csv =

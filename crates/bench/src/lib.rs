@@ -189,98 +189,50 @@ pub fn parse_library(spec: &str, cache_dir: Option<PathBuf>) -> Option<LibraryCo
 /// strictly opt-in — unlike the exact-replay cache, which is transparent.
 #[must_use]
 pub fn library_config() -> Option<LibraryConfig> {
-    parse_library(&std::env::var("APX_LIBRARY").unwrap_or_default(), cache_dir())
-        .map(|lc| LibraryConfig { prune: prune_enabled(), semantic_dedup: equiv_enabled(), ..lc })
+    parse_library(&std::env::var("APX_LIBRARY").unwrap_or_default(), cache_dir()).map(|lc| {
+        LibraryConfig {
+            prune: env_switch("APX_PRUNE", true),
+            semantic_dedup: env_switch("APX_EQUIV", true),
+            ..lc
+        }
+    })
 }
 
-/// Parses an `APX_PRUNE`-style switch: empty or `on` enables the
-/// bound-based library pruning (the default — it is provably invisible
-/// to sweep results), `off` disables it.
-///
-/// # Errors
-///
-/// Describes the accepted values on anything unrecognized.
-pub fn parse_prune(spec: &str) -> Result<bool, String> {
+/// Parses an on/off switch value: `on` or `off`, with an empty value
+/// selecting `default`. An unrecognized value is an error describing the
+/// accepted ones.
+fn parse_switch(spec: &str, default: bool) -> Result<bool, String> {
     match spec {
-        "" | "on" => Ok(true),
-        "off" => Ok(false),
-        other => Err(format!("`{other}`: expected `on` or `off`")),
-    }
-}
-
-/// Whether library re-scoring may skip provably hopeless candidates
-/// (`APX_PRUNE`, default on). The `off` escape hatch exists to measure
-/// the pruning itself and to rule it out when chasing a discrepancy.
-///
-/// # Panics
-///
-/// Panics on an unrecognized value (the strict-knob rationale of
-/// [`env_u64`]).
-#[must_use]
-pub fn prune_enabled() -> bool {
-    parse_prune(std::env::var("APX_PRUNE").unwrap_or_default().trim())
-        .unwrap_or_else(|e| panic!("APX_PRUNE {e}"))
-}
-
-/// Parses an `APX_VERIFY`-style switch: empty or `off` keeps
-/// `cache_stats` in its plain listing mode, `on` adds the static-lint
-/// audit pass.
-///
-/// # Errors
-///
-/// Describes the accepted values on anything unrecognized.
-pub fn parse_verify(spec: &str) -> Result<bool, String> {
-    match spec {
-        "" | "off" => Ok(false),
+        "" => Ok(default),
         "on" => Ok(true),
-        other => Err(format!("`{other}`: expected `on` or `off`")),
-    }
-}
-
-/// Whether `cache_stats` should run the `apx_verify` lint over every
-/// entry it lists (`APX_VERIFY`, default off — the audit re-decodes
-/// every netlist, which is not free on big caches).
-///
-/// # Panics
-///
-/// Panics on an unrecognized value — a typo silently skipping a
-/// requested audit would report a cache as unexamined-but-assumed-clean.
-#[must_use]
-pub fn verify_enabled() -> bool {
-    parse_verify(std::env::var("APX_VERIFY").unwrap_or_default().trim())
-        .unwrap_or_else(|e| panic!("APX_VERIFY {e}"))
-}
-
-/// Parses an `APX_EQUIV`-style switch: empty or `on` enables the
-/// BDD-backed semantic passes (the default — equivalence-class dedup is
-/// provably invisible to sweep results), `off` disables them.
-///
-/// # Errors
-///
-/// Describes the accepted values on anything unrecognized.
-pub fn parse_equiv(spec: &str) -> Result<bool, String> {
-    match spec {
-        "" | "on" => Ok(true),
         "off" => Ok(false),
         other => Err(format!("`{other}`: expected `on` or `off`")),
     }
 }
 
-/// Whether the semantic verification layer is active (`APX_EQUIV`,
-/// default on): equivalence-class dedup in library mode, GC
-/// equivalence-class collapse, and the equivalence summaries of
-/// `cache_stats`/`netlist_lint`. The `off` escape hatch exists to
-/// measure the passes themselves and to rule them out when chasing a
-/// discrepancy — sweep results are identical either way.
+/// Reads the on/off switch `name` from the environment, `default` when it
+/// is unset or empty. The switches and their defaults:
+///
+/// * `APX_PRUNE` (on) — library re-scoring may skip provably hopeless
+///   candidates. `off` exists to measure the pruning itself and to rule
+///   it out when chasing a discrepancy.
+/// * `APX_EQUIV` (on) — the BDD-backed semantic passes: equivalence-class
+///   dedup in library mode, GC equivalence-class collapse, and the
+///   equivalence summaries of `cache_stats`/`netlist_lint`. Sweep results
+///   are identical either way; `off` exists for the same reasons.
+/// * `APX_VERIFY` (off) — `cache_stats` runs the `apx_verify` lint over
+///   every entry it lists (the audit re-decodes every netlist, which is
+///   not free on big caches).
 ///
 /// # Panics
 ///
-/// Panics on an unrecognized value (the strict-knob rationale of
-/// [`env_u64`]).
+/// Panics on an unrecognized value, naming the knob and the value (the
+/// strict-knob rationale of [`env_u64`]: a typo silently skipping a
+/// requested audit would report a cache as unexamined-but-assumed-clean).
 #[must_use]
-pub fn equiv_enabled() -> bool {
-    parse_equiv(std::env::var("APX_EQUIV").unwrap_or_default().trim())
-        .unwrap_or_else(|e| panic!("APX_EQUIV {e}"))
+pub fn env_switch(name: &str, default: bool) -> bool {
+    let raw = std::env::var(name).unwrap_or_default();
+    parse_switch(raw.trim(), default).unwrap_or_else(|e| panic!("{name} {e}"))
 }
 
 /// Width ceiling for `netlist_lint --seeds` (`APX_SEEDS_MAX_WIDTH`,
@@ -453,12 +405,11 @@ pub fn smoke_sweep_grid() -> SweepConfig {
 /// The width-12 multiplier grid of the `sweep_wide` binary: one
 /// measured-lumpy distribution × 2 thresholds × 1 run at a width no
 /// enumeration backend can evaluate (24 netlist inputs, past the
-/// enumeration engines' 20-input cap). It exists so CI can prove the symbolic
-/// engine carries the *whole* sweep pipeline — seeded evolution, bounded
+/// enumeration engines' 20-input cap), so the width puts it on the
+/// symbolic backend. It exists so CI can prove the symbolic engine
+/// carries the *whole* sweep pipeline — seeded evolution, bounded
 /// scoring, activity-based power estimation — past the exhaustive-width
-/// wall, not just isolated WMED calls. Running it under an enumeration
-/// backend fails loud at config validation, which is the point: this
-/// grid is only executable with `APX_EVAL_BACKEND=symbolic`.
+/// wall, not just isolated WMED calls.
 #[must_use]
 pub fn wide_sweep_grid() -> SweepConfig {
     // A deterministic "measured" histogram: six spikes of random integer
@@ -540,7 +491,7 @@ pub fn json_metric(v: f64) -> String {
 /// figure binary (and the CI smoke greps) rely on — one line per enabled
 /// mechanism, nothing when the sweep ran without cache and library.
 pub fn print_sweep_counters(cfg: &apx_core::SweepConfig, stats: &SweepStats) {
-    println!("evaluator backend: {}", apx_metrics::EvalBackend::from_env());
+    println!("evaluator backend: {}", cfg.flow.operator.backend(cfg.flow.width));
     println!("operator: {}", cfg.flow.operator);
     if let Some(dir) = &cfg.cache_dir {
         println!(
@@ -885,45 +836,27 @@ mod tests {
 
     #[test]
     fn verify_and_prune_switches_parse_or_explain() {
-        assert_eq!(parse_verify(""), Ok(false));
-        assert_eq!(parse_verify("off"), Ok(false));
-        assert_eq!(parse_verify("on"), Ok(true));
-        let err = parse_verify("yes").unwrap_err();
-        assert!(err.contains("`yes`") && err.contains("off"), "{err}");
-
-        assert_eq!(parse_prune(""), Ok(true), "pruning is on by default");
-        assert_eq!(parse_prune("on"), Ok(true));
-        assert_eq!(parse_prune("off"), Ok(false));
-        assert!(parse_prune("maybe").is_err());
-
-        assert_eq!(parse_equiv(""), Ok(true), "the semantic layer is on by default");
-        assert_eq!(parse_equiv("on"), Ok(true));
-        assert_eq!(parse_equiv("off"), Ok(false));
-        let err = parse_equiv("sure").unwrap_err();
-        assert!(err.contains("`sure`") && err.contains("off"), "{err}");
-
         let _guard = env_lock();
-        std::env::set_var("APX_VERIFY", "sure");
-        let msg = panic_message_of(|| {
-            let _ = verify_enabled();
-        })
-        .expect("unknown APX_VERIFY value must panic, never fall back");
-        std::env::remove_var("APX_VERIFY");
-        assert!(msg.contains("APX_VERIFY"), "missing knob name: {msg}");
-        std::env::set_var("APX_PRUNE", "sometimes");
-        let msg = panic_message_of(|| {
-            let _ = prune_enabled();
-        })
-        .expect("unknown APX_PRUNE value must panic, never fall back");
-        std::env::remove_var("APX_PRUNE");
-        assert!(msg.contains("APX_PRUNE"), "missing knob name: {msg}");
-        std::env::set_var("APX_EQUIV", "maybe");
-        let msg = panic_message_of(|| {
-            let _ = equiv_enabled();
-        })
-        .expect("unknown APX_EQUIV value must panic, never fall back");
-        std::env::remove_var("APX_EQUIV");
-        assert!(msg.contains("APX_EQUIV"), "missing knob name: {msg}");
+        for (knob, default) in [("APX_PRUNE", true), ("APX_VERIFY", false), ("APX_EQUIV", true)] {
+            assert_eq!(parse_switch("", default), Ok(default), "{knob} default");
+            assert_eq!(parse_switch("on", default), Ok(true));
+            assert_eq!(parse_switch("off", default), Ok(false));
+            let err = parse_switch("sure", default).unwrap_err();
+            assert!(err.contains("`sure`") && err.contains("off"), "{err}");
+
+            std::env::remove_var(knob);
+            assert_eq!(env_switch(knob, default), default, "unset {knob}");
+            std::env::set_var(knob, " on ");
+            assert!(env_switch(knob, default), "surrounding whitespace is tolerated");
+            std::env::set_var(knob, "maybe");
+            let msg = panic_message_of(|| {
+                let _ = env_switch(knob, default);
+            })
+            .unwrap_or_else(|| panic!("unknown {knob} value must panic, never fall back"));
+            std::env::remove_var(knob);
+            assert!(msg.contains(knob), "missing knob name: {msg}");
+            assert!(msg.contains("maybe"), "missing offending value: {msg}");
+        }
     }
 
     #[test]

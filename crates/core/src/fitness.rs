@@ -307,12 +307,25 @@ mod tests {
         // The whole point of the FitnessFn implementation: an evolution
         // run scored through the incremental slot (rebase + delta +
         // neutral shortcut) must reproduce the stateless `of` trajectory
-        // bit for bit. Width 6 so the evaluator supports the protocol.
-        use apx_cgp::{evolve, EvolutionConfig};
+        // bit for bit — and so must the same run on the reference
+        // backends, which score every offspring statelessly. Width 6 so
+        // the bit-parallel evaluator supports the protocol; four weighted
+        // values keep the symbolic run cheap.
+        use apx_arith::Operator;
+        use apx_cgp::{evolve, EvolutionConfig, EvolutionResult};
+        use apx_metrics::EvalBackend;
         let nl = apx_arith::array_multiplier(6);
-        let pmf = Pmf::half_normal(6, 10.0);
-        let fit = Eq1Fitness::new(6, false, &pmf, TechLibrary::nangate45(), 0.01).unwrap();
-        assert!(fit.evaluator().supports_incremental());
+        let mut weights = vec![0.0; 64];
+        for (x, w) in [(3, 4.0), (17, 2.0), (40, 1.0), (63, 3.0)] {
+            weights[x] = w;
+        }
+        let pmf = Pmf::from_weights(6, weights).unwrap();
+        let fitness = |backend| {
+            let eval =
+                CircuitEvaluator::for_operator_with_backend(Operator::Mul, 6, false, &pmf, backend)
+                    .unwrap();
+            Eq1Fitness::with_evaluator(Arc::new(eval), TechLibrary::nangate45(), 0.01)
+        };
         let seed = chrom_of(&nl);
         let cfg = EvolutionConfig {
             max_iterations: 120,
@@ -320,14 +333,18 @@ mod tests {
             keep_history: true,
             ..EvolutionConfig::default()
         };
-        let stateless = fit.clone();
-        let a = evolve(&seed, fit, &cfg);
-        let b = evolve(&seed, move |c: &Chromosome| stateless.of(c), &cfg);
-        assert_eq!(a.best, b.best);
-        assert_eq!(a.best_fitness.to_bits(), b.best_fitness.to_bits());
-        assert_eq!(a.evaluations, b.evaluations);
-        let bits = |h: &[(u64, f64)]| h.iter().map(|&(i, f)| (i, f.to_bits())).collect::<Vec<_>>();
-        assert_eq!(bits(&a.history), bits(&b.history));
+        let stateless = fitness(EvalBackend::BitParallel);
+        let want = evolve(&seed, move |c: &Chromosome| stateless.of(c), &cfg);
+        let bits = |r: &EvolutionResult| {
+            let history: Vec<_> = r.history.iter().map(|&(i, f)| (i, f.to_bits())).collect();
+            (r.best.clone(), r.best_fitness.to_bits(), r.evaluations, history)
+        };
+        for backend in [EvalBackend::BitParallel, EvalBackend::Scalar, EvalBackend::Symbolic] {
+            let fit = fitness(backend);
+            assert_eq!(fit.evaluator().supports_incremental(), backend == EvalBackend::BitParallel);
+            let got = evolve(&seed, fit, &cfg);
+            assert_eq!(bits(&got), bits(&want), "{backend} trajectory differs");
+        }
     }
 
     #[test]
@@ -341,129 +358,6 @@ mod tests {
         assert!(clone.incr.lock().unwrap().is_none());
         // … and the clone still scores identically through the full path.
         assert_eq!(fit.eval(&parent).to_bits(), clone.of(&parent).to_bits());
-    }
-
-    #[test]
-    #[ignore = "manual perf probe"]
-    fn perf_breakdown() {
-        use apx_cgp::{mutate, FunctionSet};
-        use std::time::Instant;
-        let w = 8u32;
-        let nl = apx_arith::array_multiplier(w);
-        let pmf = Pmf::half_normal(w, 20.0);
-        let fit = Eq1Fitness::new(w, false, &pmf, TechLibrary::nangate45(), 1e-3).unwrap();
-        let seed =
-            Chromosome::from_netlist(&nl, &FunctionSet::extended(), nl.gate_count() + 60).unwrap();
-        let mut rng = apx_rng::Xoshiro256::from_seed(7);
-        let n = 2000usize;
-
-        let t = Instant::now();
-        for _ in 0..n {
-            std::hint::black_box(seed.decode_full());
-        }
-        println!("decode_full      {:>8.2} us", t.elapsed().as_secs_f64() * 1e6 / n as f64);
-
-        let t = Instant::now();
-        for _ in 0..n {
-            std::hint::black_box(seed.decode_active());
-        }
-        println!("decode_active    {:>8.2} us", t.elapsed().as_secs_f64() * 1e6 / n as f64);
-
-        let t = Instant::now();
-        fit.rebase(&seed);
-        println!("rebase (cold)    {:>8.2} us", t.elapsed().as_secs_f64() * 1e6);
-        let t = Instant::now();
-        fit.rebase(&seed);
-        println!("rebase (warm)    {:>8.2} us", t.elapsed().as_secs_f64() * 1e6);
-
-        // Typical offspring evals against the rebased parent.
-        let mut children = Vec::new();
-        for _ in 0..n {
-            let mut c = seed.clone();
-            mutate(&mut c, 5, &mut rng);
-            children.push(c);
-        }
-        for _ in 0..3 {
-            let (mut t_inf, mut t_feas) = (0.0f64, 0.0f64);
-            let (mut inf, mut feas) = (0usize, 0usize);
-            for c in &children {
-                let t = Instant::now();
-                let f = fit.eval(c);
-                let dt = t.elapsed().as_secs_f64();
-                if f.is_infinite() {
-                    inf += 1;
-                    t_inf += dt;
-                } else {
-                    feas += 1;
-                    t_feas += dt;
-                }
-            }
-            println!(
-                "eval (incr)      {:>8.2} us   [{inf} infeasible @ {:.2} us, {feas} feasible @ {:.2} us]",
-                (t_inf + t_feas) * 1e6 / n as f64,
-                t_inf * 1e6 / inf as f64,
-                t_feas * 1e6 / feas as f64,
-            );
-        }
-        let t = Instant::now();
-        for c in children.iter().take(200) {
-            std::hint::black_box(fit.of(c));
-        }
-        println!("eval (of)        {:>8.2} us", t.elapsed().as_secs_f64() * 1e6 / 200.0);
-
-        let active = seed.decode_active();
-        let t = Instant::now();
-        for _ in 0..20 {
-            std::hint::black_box(fit.evaluator().stats(&active));
-        }
-        println!("stats            {:>8.2} us", t.elapsed().as_secs_f64() * 1e6 / 20.0);
-
-        // Per-threshold evolution cost (one 200-iteration run each), then
-        // the eval mix against the *evolved* parent of that threshold.
-        use apx_cgp::{evolve, EvolutionConfig};
-        for thr in [5e-7, 1e-5, 1e-3, 2e-2, 2e-1] {
-            let f = Eq1Fitness::new(w, false, &pmf, TechLibrary::nangate45(), thr).unwrap();
-            let t = Instant::now();
-            let r = evolve(
-                &seed,
-                f,
-                &EvolutionConfig { max_iterations: 200, seed: 11, ..EvolutionConfig::default() },
-            );
-            let dt = t.elapsed().as_secs_f64();
-            println!(
-                "evolve thr={thr:<7} {:>7.1} ms  ({:.0} evals/s, best {:.1})",
-                dt * 1e3,
-                r.evaluations as f64 / dt,
-                r.best_fitness
-            );
-            let f = Eq1Fitness::new(w, false, &pmf, TechLibrary::nangate45(), thr).unwrap();
-            f.rebase(&r.best);
-            let base_fit = f.eval(&r.best);
-            let mut buckets = [(0usize, 0.0f64); 3]; // neutral, infeasible, feasible
-            for _ in 0..2000 {
-                let mut c = r.best.clone();
-                mutate(&mut c, 5, &mut rng);
-                let t = Instant::now();
-                let v = f.eval(&c);
-                let dt = t.elapsed().as_secs_f64();
-                let b = if v == base_fit {
-                    0
-                } else if v.is_infinite() {
-                    1
-                } else {
-                    2
-                };
-                buckets[b].0 += 1;
-                buckets[b].1 += dt;
-            }
-            for (name, (cnt, tt)) in ["same-fit", "infeas  ", "feasible"].iter().zip(buckets) {
-                println!(
-                    "    {name} {cnt:>5}  @ {:>7.2} us  (total {:.1} ms)",
-                    tt * 1e6 / cnt.max(1) as f64,
-                    tt * 1e3
-                );
-            }
-        }
     }
 
     #[test]

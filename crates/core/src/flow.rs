@@ -1,11 +1,11 @@
 //! The end-to-end approximation flow (paper §IV / §V-D).
 
-use crate::{CoreError, Eq1Fitness};
+use crate::{run_sweep, CoreError, Eq1Fitness, SweepConfig, SweepDist};
 use apx_arith::Operator;
 use apx_cgp::{evolve_seeded, Chromosome, EvolutionConfig, FunctionSet};
 use apx_dist::Pmf;
 use apx_gates::Netlist;
-use apx_metrics::{CircuitEvaluator, ErrorStats, EvalBackend};
+use apx_metrics::{CircuitEvaluator, ErrorStats};
 use apx_rng::Xoshiro256;
 use apx_techlib::{estimate_under_pmf, CircuitEstimate, TechLibrary, DEFAULT_CLOCK_MHZ};
 use std::sync::Arc;
@@ -114,23 +114,31 @@ impl FlowResult {
     /// The best (lowest-area) circuit per threshold, in threshold order.
     #[must_use]
     pub fn best_per_threshold(&self) -> Vec<&EvolvedCircuit> {
-        let mut best: Vec<&EvolvedCircuit> = Vec::new();
-        for m in &self.circuits {
-            match best.iter_mut().find(|b| b.threshold == m.threshold) {
-                Some(b) => {
-                    if m.estimate.area_um2 < b.estimate.area_um2 {
-                        *b = m;
-                    }
-                }
-                None => best.push(m),
-            }
-        }
-        best
+        best_per_threshold(&self.circuits)
     }
 }
 
-/// Validates the parts of a [`FlowConfig`] shared by [`evolve_circuits`]
-/// and [`crate::run_sweep`].
+/// The best (lowest-area) circuit per threshold among `circuits`, in the
+/// order thresholds first appear; an area tie keeps the earlier circuit.
+pub(crate) fn best_per_threshold<'a>(
+    circuits: impl IntoIterator<Item = &'a EvolvedCircuit>,
+) -> Vec<&'a EvolvedCircuit> {
+    let mut best: Vec<&EvolvedCircuit> = Vec::new();
+    for m in circuits {
+        match best.iter_mut().find(|b| b.threshold == m.threshold) {
+            Some(b) => {
+                if m.estimate.area_um2 < b.estimate.area_um2 {
+                    *b = m;
+                }
+            }
+            None => best.push(m),
+        }
+    }
+    best
+}
+
+/// Validates `cfg` against one distribution's `pmf`; [`crate::run_sweep`]
+/// calls it once per distribution.
 pub(crate) fn validate_config(pmf: &Pmf, cfg: &FlowConfig) -> Result<(), CoreError> {
     if cfg.thresholds.is_empty() {
         return Err(CoreError::BadConfig("no thresholds given".into()));
@@ -138,10 +146,10 @@ pub(crate) fn validate_config(pmf: &Pmf, cfg: &FlowConfig) -> Result<(), CoreErr
     if cfg.iterations == 0 {
         return Err(CoreError::BadConfig("iterations must be positive".into()));
     }
-    // Width validation is backend-aware: the evaluator the flow is about
-    // to construct honours `APX_EVAL_BACKEND`, and the symbolic backend
-    // evaluates widths the enumeration backends cannot reach.
-    let backend = EvalBackend::from_env();
+    // The evaluator runs on the backend the width picks — the symbolic
+    // one past the exhaustive cap — so any width that backend reaches is
+    // valid.
+    let backend = cfg.operator.backend(cfg.width);
     if !cfg.operator.supports_width(cfg.width, backend) {
         return Err(CoreError::BadConfig(format!(
             "operand width {} outside the {} operator's evaluable range on the {} backend",
@@ -289,10 +297,9 @@ where
 /// `WMED_D ≤ E_i` (Eq. 1), then measure
 /// its exhaustive error statistics and physical cost under `pmf`.
 ///
-/// Work items run on a shared [`apx_pool`] worker pool with per-slot
-/// result writes; results are fully deterministic in `cfg.seed` regardless
-/// of thread count, and the WMED evaluator is built once and shared by
-/// every task.
+/// This is a one-distribution [`crate::run_sweep`] without cache or
+/// library, so results are fully deterministic in `cfg.seed` regardless
+/// of thread count. Circuits are named `t<threshold index>_r<run>`.
 ///
 /// # Errors
 ///
@@ -300,50 +307,27 @@ where
 /// thresholds, PMF/width mismatch, …) and [`CoreError::WorkerPanic`] if a
 /// task panicked.
 pub fn evolve_circuits(pmf: &Pmf, cfg: &FlowConfig) -> Result<FlowResult, CoreError> {
-    validate_config(pmf, cfg)?;
-    let tech = TechLibrary::nangate45();
-    let (seed_netlist, seed_chrom) = seed_circuit(cfg)?;
-    let evaluator =
-        Arc::new(CircuitEvaluator::for_operator(cfg.operator, cfg.width, cfg.signed, pmf)?);
-
-    let tasks: Vec<(usize, usize)> = cfg
-        .thresholds
-        .iter()
-        .enumerate()
-        .flat_map(|(ti, _)| (0..cfg.runs_per_threshold).map(move |r| (ti, r)))
+    let sweep = run_sweep(&SweepConfig {
+        distributions: vec![SweepDist::new("", pmf.clone())],
+        flow: cfg.clone(),
+        ..SweepConfig::default()
+    })?;
+    let circuits = sweep
+        .entries
+        .into_iter()
+        .map(|e| {
+            // The unnamed distribution leaves the sweep's
+            // `<dist>_t<ti>_r<run>` names as `_t<ti>_r<run>`.
+            let mut m = e.circuit;
+            m.name.remove(0);
+            m
+        })
         .collect();
-
-    let circuits = run_tasks(
-        cfg.threads,
-        tasks,
-        |(ti, run)| format!("t{ti}_r{run}"),
-        |_, (ti, run)| {
-            evolve_one(
-                cfg,
-                pmf,
-                &tech,
-                &seed_chrom,
-                &evaluator,
-                ti,
-                run,
-                task_seed(cfg.seed, 0, ti, run),
-                format!("t{ti}_r{run}"),
-                &[],
-            )
-            .0
-        },
-    )?;
-
-    let mut est_rng = Xoshiro256::from_seed(cfg.seed ^ 0x5EED);
-    let seed_estimate = estimate_under_pmf(
-        &seed_netlist.compact(),
-        &tech,
-        pmf,
-        DEFAULT_CLOCK_MHZ,
-        cfg.activity_blocks,
-        &mut est_rng,
-    );
-    Ok(FlowResult { circuits, seed_estimate, seed_netlist })
+    Ok(FlowResult {
+        circuits,
+        seed_estimate: sweep.seed_estimates[0],
+        seed_netlist: sweep.seed_netlist,
+    })
 }
 
 #[cfg(test)]
@@ -367,7 +351,8 @@ mod tests {
     fn flow_produces_constrained_smaller_circuits() {
         let pmf = Pmf::half_normal(4, 3.0);
         let result = evolve_circuits(&pmf, &tiny_cfg()).unwrap();
-        assert_eq!(result.circuits.len(), 4);
+        let names: Vec<&str> = result.circuits.iter().map(|m| m.name.as_str()).collect();
+        assert_eq!(names, ["t0_r0", "t0_r1", "t1_r0", "t1_r1"]);
         let seed_area = result.seed_estimate.area_um2;
         for m in &result.circuits {
             assert!(
@@ -493,6 +478,19 @@ mod tests {
             }
         }
         assert_eq!(seen.len(), 3 * 5 * 52 * 10);
+    }
+
+    #[test]
+    fn validation_accepts_every_width_some_backend_reaches() {
+        // Past the exhaustive cap the width alone moves the evaluator to
+        // the symbolic backend; nothing else needs configuring.
+        let wide = FlowConfig { width: 12, ..Default::default() };
+        assert!(validate_config(&Pmf::uniform(12), &wide).is_ok());
+        let mac = FlowConfig { operator: Operator::Mac, width: 8, ..Default::default() };
+        assert!(validate_config(&Pmf::uniform(8), &mac).is_ok());
+        let too_wide = FlowConfig { operator: Operator::Mac, width: 9, ..Default::default() };
+        let err = validate_config(&Pmf::uniform(9), &too_wide).unwrap_err();
+        assert!(matches!(err, CoreError::BadConfig(ref m) if m.contains("symbolic")), "{err}");
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //!   seed CGP with the configured operator's exact design (multiplier,
 //!   adder or MAC — [`apx_arith::Operator`]), sweep the 14 target error
 //!   levels, repeat runs, and return every evolved circuit with its error
-//!   statistics and physical estimate (Fig. 3 / Fig. 6 data);
+//!   statistics and physical estimate (Fig. 3 / Fig. 6 data) — a
+//!   one-distribution [`run_sweep`];
 //! * [`run_sweep`] / [`SweepConfig`] — the Pareto sweep driver: the full
 //!   `(distribution × threshold × run)` grid on one persistent
 //!   [`apx_pool`] worker pool, with each WMED evaluator built once per

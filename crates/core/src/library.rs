@@ -45,13 +45,14 @@ use crate::pareto_indices;
 use apx_approxlib::{Family, MultiplierLibrary};
 use apx_arith::{lower_or_adder, ripple_carry_adder, truncated_adder, Operator};
 use apx_cgp::{Chromosome, FunctionSet};
-use apx_dist::{fnv1a64, FNV1A64_OFFSET};
 use apx_gates::Netlist;
 use apx_metrics::{CircuitEvaluator, ErrorStats};
 use apx_techlib::{area_of, TechLibrary};
-use apx_verify::{functional_digest, has_errors, lint_component, wmed_bounds_weighted, Diagnostic};
+use apx_verify::{
+    functional_digest, has_errors, lint_component, structural_hash, wmed_bounds_weighted,
+    Diagnostic,
+};
 use std::collections::HashMap;
-use std::fmt::Write as _;
 use std::path::Path;
 
 /// Which exploration produced a library candidate.
@@ -94,29 +95,11 @@ pub struct LibraryEntry {
     pub width: u32,
     /// Two's-complement operand encoding.
     pub signed: bool,
-    /// Structural digest of the compacted netlist (dedup identity).
+    /// [`structural_hash`] of the netlist (dedup identity; dead nodes do
+    /// not count).
     pub digest: u128,
     /// Where the candidate came from.
     pub provenance: Provenance,
-}
-
-/// 128-bit structural digest of a netlist's *compacted* form: dead nodes
-/// do not change identity, so a chromosome re-encoded on a wider grid
-/// deduplicates against its original.
-#[must_use]
-pub fn netlist_digest(netlist: &Netlist) -> u128 {
-    let compact = netlist.compact();
-    let mut canonical = String::new();
-    let _ = write!(canonical, "nl {} {}", compact.num_inputs(), compact.num_outputs());
-    for node in compact.nodes() {
-        let _ = write!(canonical, " {}:{}:{}", node.kind.name(), node.a.0, node.b.0);
-    }
-    for out in compact.outputs() {
-        let _ = write!(canonical, " o{}", out.0);
-    }
-    let hi = fnv1a64(canonical.as_bytes(), FNV1A64_OFFSET);
-    let lo = fnv1a64(canonical.as_bytes(), FNV1A64_OFFSET ^ 0x9E37_79B9_7F4A_7C15);
-    (u128::from(hi) << 64) | u128::from(lo)
 }
 
 /// A deduplicated, `(operator, width, signedness)`-indexed collection of
@@ -238,7 +221,7 @@ impl ComponentLibrary {
         let name = format!("evo_{}", &scanned.key.hex()[..12]);
         let entry = LibraryEntry {
             name,
-            digest: netlist_digest(&scanned.circuit.netlist),
+            digest: structural_hash(&scanned.circuit.netlist),
             chromosome: scanned.circuit.chromosome.clone(),
             netlist: scanned.circuit.netlist.clone(),
             op: scanned.op,
@@ -272,7 +255,7 @@ impl ComponentLibrary {
             let netlist = chromosome.decode_active();
             let entry = LibraryEntry {
                 name: e.name.clone(),
-                digest: netlist_digest(&netlist),
+                digest: structural_hash(&netlist),
                 chromosome,
                 netlist,
                 op: Operator::Mul,
@@ -317,7 +300,7 @@ impl ComponentLibrary {
             let netlist = chromosome.decode_active();
             let entry = LibraryEntry {
                 name,
-                digest: netlist_digest(&netlist),
+                digest: structural_hash(&netlist),
                 chromosome,
                 netlist,
                 op: Operator::Add,
@@ -631,7 +614,7 @@ mod tests {
         for e in lib.entries() {
             assert!(matches!(e.provenance, Provenance::Conventional { .. }));
             // The chromosome and phenotype agree by construction.
-            assert_eq!(netlist_digest(&e.chromosome.decode_active()), e.digest);
+            assert_eq!(structural_hash(&e.chromosome.decode_active()), e.digest);
         }
     }
 
@@ -677,8 +660,8 @@ mod tests {
         let chrom =
             Chromosome::from_netlist(&nl, &FunctionSet::extended(), nl.gate_count() + 30).unwrap();
         // Same circuit on a padded grid: digest unchanged.
-        assert_eq!(netlist_digest(&nl), netlist_digest(&chrom.decode_active()));
-        assert_ne!(netlist_digest(&nl), netlist_digest(&apx_arith::truncated_multiplier(3, 1)));
+        assert_eq!(structural_hash(&nl), structural_hash(&chrom.decode_active()));
+        assert_ne!(structural_hash(&nl), structural_hash(&apx_arith::truncated_multiplier(3, 1)));
     }
 
     #[test]
@@ -844,24 +827,6 @@ mod tests {
         assert_eq!(lib.len(), 1);
         assert!(lib.exact_match(good_key, Operator::Mul, 3, false).is_some());
         assert_eq!(lib.rejected().len(), 1, "accepting an entry does not grow the reject log");
-    }
-
-    #[test]
-    fn structural_hash_matches_the_library_digest() {
-        // The verify crate's canonical hash and the library's dedup
-        // digest must agree bit for bit — otherwise an audit and the
-        // dedup would disagree about circuit identity.
-        let mut rng = apx_rng::Xoshiro256::from_seed(77);
-        let samples = [
-            apx_arith::array_multiplier(4),
-            apx_arith::truncated_multiplier(4, 2),
-            ripple_carry_adder(5),
-            lower_or_adder(4, 2),
-            Chromosome::random(6, 4, 25, &FunctionSet::extended(), &mut rng).decode_active(),
-        ];
-        for nl in &samples {
-            assert_eq!(apx_verify::structural_hash(nl), netlist_digest(nl));
-        }
     }
 
     #[test]

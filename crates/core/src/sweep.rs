@@ -2,13 +2,9 @@
 //! `(distribution × threshold × run)` grid.
 //!
 //! Every figure of the paper is some slice of this grid — Fig. 3 alone is
-//! 3 distributions × 14 WMED targets × `runs` independent CGP runs.
-//! Before this module each figure binary looped over distributions and
-//! called [`evolve_circuits`](crate::evolve_circuits) once per
-//! distribution, which meant one pool tear-down per distribution and, far
-//! worse, one freshly built [`CircuitEvaluator`] per *task* (the evaluator's
-//! exhaustive enumeration dwarfs the cost of small CGP runs).
-//! [`run_sweep`] instead:
+//! 3 distributions × 14 WMED targets × `runs` independent CGP runs, and
+//! the single-distribution flow ([`evolve_circuits`](crate::evolve_circuits))
+//! is a one-distribution sweep. [`run_sweep`]:
 //!
 //! * builds each [`CircuitEvaluator`] **once** per `(width, signed, pmf)` and
 //!   shares it across every threshold and run of that distribution via
@@ -26,7 +22,8 @@
 
 use crate::cache::{task_key, CacheKey, SweepCache};
 use crate::flow::{
-    evolve_one, run_tasks, seed_circuit, task_seed, validate_config, EvolvedCircuit, FlowConfig,
+    best_per_threshold, evolve_one, run_tasks, seed_circuit, task_seed, validate_config,
+    EvolvedCircuit, FlowConfig,
 };
 use crate::library::{ComponentLibrary, PrunePolicy, RescoredLibrary};
 use crate::CoreError;
@@ -256,19 +253,7 @@ impl SweepResult {
     /// distribution, in threshold order.
     #[must_use]
     pub fn best_per_threshold(&self, dist_index: usize) -> Vec<&EvolvedCircuit> {
-        let mut best: Vec<&EvolvedCircuit> = Vec::new();
-        for e in self.entries_for(dist_index) {
-            let m = &e.circuit;
-            match best.iter_mut().find(|b| b.threshold == m.threshold) {
-                Some(b) => {
-                    if m.estimate.area_um2 < b.estimate.area_um2 {
-                        *b = m;
-                    }
-                }
-                None => best.push(m),
-            }
-        }
-        best
+        best_per_threshold(self.entries_for(dist_index).map(|e| &e.circuit))
     }
 }
 
@@ -602,9 +587,8 @@ pub fn run_sweep(cfg: &SweepConfig) -> Result<SweepResult, CoreError> {
         .iter()
         .enumerate()
         .map(|(di, d)| {
-            // Distribution 0 uses exactly the flow's seed-estimate stream
-            // (`seed ^ 0x5EED`), so the same config reports the same
-            // reference estimate whichever driver ran it.
+            // One estimate stream per distribution; distribution 0's is
+            // `seed ^ 0x5EED` itself.
             let mut est_rng =
                 Xoshiro256::from_seed((flow.seed ^ 0x5EED).wrapping_add((di as u64) << 48));
             estimate_under_pmf(
@@ -1195,7 +1179,7 @@ mod tests {
 
     #[test]
     fn library_rescore_is_bit_identical_to_sweep_reported_wmed() {
-        use crate::library::{netlist_digest, ComponentLibrary};
+        use crate::library::ComponentLibrary;
         // Satellite contract: re-scoring a harvested chromosome under a
         // Pmf must reproduce the WMED the sweep itself reports for that
         // chromosome — threads 1 vs 4, cold run vs warm replay.
@@ -1214,7 +1198,7 @@ mod tests {
             for threads in [1, 4] {
                 let rescored = lib.rescore(evaluator, &tech, threads);
                 for source in cold.entries_for(di).chain(warm.entries_for(di)) {
-                    let digest = netlist_digest(&source.circuit.netlist);
+                    let digest = apx_verify::structural_hash(&source.circuit.netlist);
                     let candidate = rescored
                         .candidates()
                         .iter()
@@ -1321,36 +1305,6 @@ mod tests {
                 assert_eq!(b.circuit.estimate, a.circuit.estimate);
             }
         }
-    }
-
-    #[test]
-    fn single_distribution_sweep_matches_the_flow() {
-        // The sweep generalizes `evolve_circuits`: with one distribution
-        // the task seeds and estimate streams coincide, so results must be
-        // bit-for-bit identical (only the task names differ).
-        let pmf = Pmf::uniform(4);
-        let cfg = SweepConfig {
-            distributions: vec![SweepDist::new("Du", pmf.clone())],
-            flow: FlowConfig {
-                width: 4,
-                thresholds: vec![0.0, 0.02],
-                iterations: 150,
-                threads: 1,
-                activity_blocks: 8,
-                cols_slack: 20,
-                ..FlowConfig::default()
-            },
-            ..SweepConfig::default()
-        };
-        let sweep = run_sweep(&cfg).unwrap();
-        let flow = crate::evolve_circuits(&pmf, &cfg.flow).unwrap();
-        assert_eq!(sweep.entries.len(), flow.circuits.len());
-        for (e, m) in sweep.entries.iter().zip(&flow.circuits) {
-            assert_eq!(e.circuit.chromosome, m.chromosome);
-            assert_eq!(e.circuit.stats, m.stats);
-            assert_eq!(e.circuit.estimate, m.estimate);
-        }
-        assert_eq!(sweep.seed_estimates[0], flow.seed_estimate);
     }
 
     /// Stores a donor entry whose netlist pins every output to a bit of

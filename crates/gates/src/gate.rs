@@ -98,6 +98,16 @@ impl GateKind {
         self.eval_words(to(a), to(b)) & 1 == 1
     }
 
+    /// The gate's 4-bit truth table: bit `(a << 1) | b` is the output for
+    /// inputs `(a, b)` — the opcode form a BDD `apply` takes, so every
+    /// kind (constants and unary gates included) compiles the same way.
+    #[inline]
+    #[must_use]
+    pub fn truth_table(self) -> u8 {
+        // Lane `(a << 1) | b` of these two words carries the inputs `(a, b)`.
+        (self.eval_words(0b1100, 0b1010) & 0xF) as u8
+    }
+
     /// Number of operands the gate actually reads (0, 1 or 2).
     #[must_use]
     pub fn arity(self) -> usize {
@@ -202,6 +212,8 @@ mod tests {
             for (a, b) in [(false, false), (true, false), (false, true), (true, true)] {
                 let w = kind.eval_words(if a { !0 } else { 0 }, if b { !0 } else { 0 }) & 1 == 1;
                 assert_eq!(kind.eval_bool(a, b), w, "{kind} mismatch at ({a},{b})");
+                let bit = (u8::from(a) << 1) | u8::from(b);
+                assert_eq!(kind.truth_table() >> bit & 1 == 1, w, "{kind} truth table");
             }
         }
     }

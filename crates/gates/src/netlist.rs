@@ -212,6 +212,33 @@ impl Netlist {
         Netlist { num_inputs: self.num_inputs, nodes, outputs }
     }
 
+    /// Pushes one value per primary input through every gate in
+    /// topological order and returns the values at the outputs — the one
+    /// traversal behind Boolean evaluation and BDD compilation.
+    ///
+    /// `gate` computes a node's value from its kind and its two operand
+    /// values (unary and constant gates receive their ignored operand
+    /// too). Returning `None` stops the traversal, and `propagate` then
+    /// returns `None` (a budgeted compiler gives up this way).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `inputs.len() != self.num_inputs()`.
+    pub fn propagate<T: Copy>(
+        &self,
+        inputs: &[T],
+        mut gate: impl FnMut(GateKind, T, T) -> Option<T>,
+    ) -> Option<Vec<T>> {
+        assert_eq!(inputs.len(), self.num_inputs, "input arity mismatch");
+        let mut values = Vec::with_capacity(self.num_signals());
+        values.extend_from_slice(inputs);
+        for node in &self.nodes {
+            let v = gate(node.kind, values[node.a.index()], values[node.b.index()])?;
+            values.push(v);
+        }
+        Some(self.outputs.iter().map(|o| values[o.index()]).collect())
+    }
+
     /// Evaluates the netlist on a single Boolean input vector.
     ///
     /// Intended for cross-checking the bit-parallel simulator and for tiny
@@ -223,15 +250,8 @@ impl Netlist {
     /// Panics if `inputs.len() != self.num_inputs()`.
     #[must_use]
     pub fn eval_bool(&self, inputs: &[bool]) -> Vec<bool> {
-        assert_eq!(inputs.len(), self.num_inputs, "input arity mismatch");
-        let mut values = Vec::with_capacity(self.num_signals());
-        values.extend_from_slice(inputs);
-        for node in &self.nodes {
-            let a = values[node.a.index()];
-            let b = values[node.b.index()];
-            values.push(node.kind.eval_bool(a, b));
-        }
-        self.outputs.iter().map(|o| values[o.index()]).collect()
+        self.propagate(inputs, |kind, a, b| Some(kind.eval_bool(a, b)))
+            .expect("Boolean evaluation never stops early")
     }
 
     /// Per-signal logic depth (primary inputs are depth 0).
@@ -461,6 +481,22 @@ mod tests {
             let got = out[0] as u32 + ((out[1] as u32) << 1);
             assert_eq!(got, expect, "popcount mismatch for {v:03b}");
         }
+    }
+
+    #[test]
+    fn propagate_stops_when_the_gate_step_does() {
+        let nl = full_adder_netlist();
+        // Gate depth per signal: the outputs see their logic depth.
+        let depth = nl.propagate(&[0u32; 3], |_, a, b| Some(a.max(b) + 1)).unwrap();
+        assert_eq!(depth, vec![2, 3]);
+        // A step that gives up after three gates ends the traversal there.
+        let mut applied = 0;
+        let stopped = nl.propagate(&[false; 3], |kind, a, b| {
+            applied += 1;
+            (applied <= 3).then(|| kind.eval_bool(a, b))
+        });
+        assert_eq!(stopped, None);
+        assert_eq!(applied, 4);
     }
 
     #[test]

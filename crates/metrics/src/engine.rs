@@ -17,14 +17,14 @@
 //!   nodes, reading everything else from the cache.
 //!
 //! The scalar reference interpreter ([`ScalarSim`]) evaluates one operand
-//! pair at a time and exists so property tests and the CI smoke run can
-//! cross-check the fast paths against an independent implementation.
+//! pair at a time and exists so property tests can cross-check the fast
+//! paths against an independent implementation.
 
 use apx_arith::{EvalBackend, Operator};
 use apx_gates::{fanout_cone, unpack_lanes, BlockSim, Exhaustive, Netlist};
 use apx_gates::{GateKind, SignalId};
 
-use crate::symbolic::monolithic_planes;
+use crate::symbolic::compile;
 
 /// Simulation blocks processed per tile in the bounded-WMED hot path.
 ///
@@ -988,7 +988,13 @@ impl LaneReader {
             backend,
             sim: BlockSim::new(nl),
             scalar: ScalarSim::default(),
-            sym: (backend == EvalBackend::Symbolic).then(|| monolithic_planes(nl)),
+            sym: (backend == EvalBackend::Symbolic).then(|| {
+                // One BDD variable per netlist input, in input order.
+                let mut bdd = apx_bdd::Bdd::new(nl.num_inputs() as u32);
+                let vars: Vec<_> = (0..nl.num_inputs() as u32).map(|i| bdd.var(i)).collect();
+                let planes = compile(&mut bdd, nl, &vars);
+                (bdd, planes)
+            }),
             inputs: vec![0u64; nl.num_inputs()],
         }
     }

@@ -81,15 +81,16 @@ impl std::error::Error for EvaluatorError {}
 ///   simulation block (`free >= 6` — `width >= 6` for multipliers) each
 ///   block has a single `x` value and a single weight `D(x)`;
 /// * pre-sorts blocks by decreasing weight and skips zero-weight blocks;
-/// * simulates on one of three [`EvalBackend`]s — the default bit-parallel
-///   engine (tiled 64-lane simulation plus a bit-sliced error kernel that
-///   never unpacks lanes), the scalar reference interpreter, or the
-///   symbolic ROBDD model counter, which skips enumeration entirely and
-///   therefore also accepts operand widths the exhaustive backends reject
-///   (12×12/16×16 multipliers, 8-bit MACs) — chosen via
-///   [`CircuitEvaluator::with_backend`] or the `APX_EVAL_BACKEND` environment
-///   variable (see [`EvalBackend::from_env`]). All produce bit-identical
-///   results at the widths they share;
+/// * simulates on one of three [`EvalBackend`]s — the bit-parallel engine
+///   (tiled 64-lane simulation plus a bit-sliced error kernel that never
+///   unpacks lanes), the scalar reference interpreter, or the symbolic
+///   ROBDD model counter, which skips enumeration entirely and therefore
+///   also accepts operand widths the exhaustive backends reject
+///   (12×12/16×16 multipliers, 8-bit MACs). The operand width picks the
+///   backend ([`Operator::backend`]: bit-parallel wherever enumeration
+///   fits, symbolic beyond); [`CircuitEvaluator::with_backend`] forces one
+///   for cross-checks. All produce bit-identical results at the widths
+///   they share;
 /// * offers [`CircuitEvaluator::wmed_bounded`], which abandons a candidate as
 ///   soon as its running weighted error exceeds the fitness threshold
 ///   (Eq. 1 only needs the comparison, not the exact value), and an
@@ -181,36 +182,26 @@ pub struct CircuitEvaluator {
 
 impl CircuitEvaluator {
     /// Creates an evaluator for `width`-bit (optionally signed) multipliers
-    /// weighted by `pmf` on the first operand.
-    ///
-    /// The backend is read from the `APX_EVAL_BACKEND` environment variable
-    /// ([`EvalBackend::from_env`]); this is the single choke point through
-    /// which the sweep, library and orchestrator flows inherit the knob.
+    /// weighted by `pmf` on the first operand, on the backend the width
+    /// picks ([`Operator::backend`]).
     ///
     /// # Errors
     ///
     /// Returns [`EvaluatorError`] on unsupported widths or a PMF of the
     /// wrong width.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `APX_EVAL_BACKEND` is set to a malformed value.
     pub fn new(width: u32, signed: bool, pmf: &Pmf) -> Result<Self, EvaluatorError> {
-        Self::with_backend(width, signed, pmf, EvalBackend::from_env())
+        Self::for_operator(Operator::Mul, width, signed, pmf)
     }
 
     /// Creates an evaluator for `width`-bit circuits of an arbitrary
-    /// [`Operator`], backend read from `APX_EVAL_BACKEND` like
-    /// [`CircuitEvaluator::new`].
+    /// [`Operator`], on the backend the width picks
+    /// ([`Operator::backend`]). This is the constructor the sweep, library
+    /// and orchestrator flows share.
     ///
     /// # Errors
     ///
     /// Returns [`EvaluatorError`] on a width outside the operator's
     /// evaluable range or a PMF of the wrong width.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `APX_EVAL_BACKEND` is set to a malformed value.
     ///
     /// # Examples
     ///
@@ -231,10 +222,13 @@ impl CircuitEvaluator {
         signed: bool,
         pmf: &Pmf,
     ) -> Result<Self, EvaluatorError> {
-        Self::for_operator_with_backend(op, width, signed, pmf, EvalBackend::from_env())
+        Self::for_operator_with_backend(op, width, signed, pmf, op.backend(width))
     }
 
-    /// Creates an evaluator on an explicitly chosen [`EvalBackend`].
+    /// Creates a multiplier evaluator on an explicitly chosen
+    /// [`EvalBackend`] instead of the one the width picks. This is how
+    /// tests reach the reference backends (`scalar`, and `symbolic` at
+    /// exhaustive widths) to compare them with the bit-parallel one.
     ///
     /// # Errors
     ///
@@ -267,7 +261,7 @@ impl CircuitEvaluator {
     }
 
     /// Creates an operator-aware evaluator on an explicitly chosen
-    /// [`EvalBackend`].
+    /// [`EvalBackend`] (see [`CircuitEvaluator::with_backend`]).
     ///
     /// # Errors
     ///
@@ -915,7 +909,13 @@ mod tests {
             Err(EvaluatorError::BadWidth { op: Operator::Mul, width: 0, .. })
         ));
         assert!(matches!(
-            CircuitEvaluator::for_operator(Operator::Mac, 5, false, &Pmf::uniform(5)),
+            CircuitEvaluator::for_operator_with_backend(
+                Operator::Mac,
+                5,
+                false,
+                &Pmf::uniform(5),
+                EvalBackend::BitParallel
+            ),
             Err(EvaluatorError::BadWidth {
                 op: Operator::Mac,
                 width: 5,
@@ -951,6 +951,33 @@ mod tests {
         let err = CircuitEvaluator::new(8, false, &Pmf::uniform(4)).unwrap_err();
         assert!(matches!(err, EvaluatorError::PmfWidthMismatch { .. }));
         assert!(!err.to_string().is_empty());
+    }
+
+    #[test]
+    fn for_operator_picks_the_backend_by_width() {
+        // Bit-parallel up to the exhaustive cap, symbolic past it. A point
+        // mass keeps the widest bit-parallel evaluators cheap to build.
+        let point = |w: u32| {
+            let mut weights = vec![0.0; 1 << w];
+            weights[1] = 1.0;
+            Pmf::from_weights(w, weights).unwrap()
+        };
+        for (op, widths) in [
+            (Operator::Mul, [1u32, 10, 11, 16]),
+            (Operator::Add, [1, 10, 11, 16]),
+            (Operator::Mac, [1, 4, 5, 8]),
+        ] {
+            let cap = widths[1];
+            for w in widths {
+                let eval = CircuitEvaluator::for_operator(op, w, false, &point(w)).unwrap();
+                let want = if w <= cap { EvalBackend::BitParallel } else { EvalBackend::Symbolic };
+                assert_eq!(eval.backend(), want, "{op} w={w}");
+            }
+        }
+        assert_eq!(
+            CircuitEvaluator::new(12, false, &point(12)).unwrap().backend(),
+            EvalBackend::Symbolic
+        );
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //!   as a WMED budget is exceeded ([`CircuitEvaluator::wmed_bounded`]).
 //!
 //! The evaluator runs on one of three interchangeable [`EvalBackend`]s:
-//! the default **bit-parallel** engine (tiled 64-lane simulation plus a
+//! the **bit-parallel** engine (tiled 64-lane simulation plus a
 //! bit-sliced error kernel; supports incremental re-evaluation of mutated
 //! netlists via [`WmedState`]), a **scalar** one-pair-at-a-time reference
 //! interpreter, and a **symbolic** ROBDD model-counting engine (built on
@@ -36,9 +36,10 @@
 //! multipliers, 8-bit MACs). All are bit-identical by construction at the
 //! widths they share — the per-block error sums are exact integers and the
 //! floating-point accumulation order is shared — so the slower paths serve
-//! as independent oracles for property tests and CI cross-checks. Select a
-//! backend with [`CircuitEvaluator::with_backend`] or the `APX_EVAL_BACKEND`
-//! environment variable.
+//! as independent oracles for property tests. The operand width picks the
+//! backend (`apx_arith::Operator::backend`: bit-parallel wherever
+//! enumeration fits, symbolic beyond); [`CircuitEvaluator::with_backend`]
+//! forces one for cross-checks.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -38,7 +38,7 @@
 
 use crate::stats::ErrorStats;
 use apx_bdd::{opcode, Bdd, NodeId, FALSE};
-use apx_gates::{GateKind, Netlist};
+use apx_gates::Netlist;
 
 /// Borrowed evaluator shape for one symbolic call (the symbolic twin of
 /// `EngineCtx`).
@@ -88,24 +88,18 @@ impl SymbolicCtx<'_> {
     /// and `block_vars + e` for `e < 6` (lane bits, bottom).
     fn circuit_planes(&self, bdd: &mut Bdd, nl: &Netlist, x: u64) -> Vec<NodeId> {
         let w = self.width as usize;
-        let ni = nl.num_inputs();
         let t_vars = self.block_vars();
-        let mut vals: Vec<NodeId> = Vec::with_capacity(nl.num_signals());
-        for i in 0..ni {
-            if i < w {
-                vals.push(Bdd::constant((x >> i) & 1 == 1));
-            } else {
-                let e = (i - w) as u32;
-                let var = if e < 6 { t_vars + e } else { e - 6 };
-                vals.push(bdd.var(var));
-            }
-        }
-        for node in nl.nodes() {
-            let a = vals[node.a.index()];
-            let b = vals[node.b.index()];
-            vals.push(apply_gate(bdd, node.kind, a, b));
-        }
-        let mut planes: Vec<NodeId> = nl.outputs().iter().map(|o| vals[o.index()]).collect();
+        let inputs: Vec<NodeId> = (0..nl.num_inputs())
+            .map(|i| {
+                if i < w {
+                    Bdd::constant((x >> i) & 1 == 1)
+                } else {
+                    let e = (i - w) as u32;
+                    bdd.var(if e < 6 { t_vars + e } else { e - 6 })
+                }
+            })
+            .collect();
+        let mut planes = compile(bdd, nl, &inputs);
         let sign = if self.signed { planes[self.out_bits as usize - 1] } else { FALSE };
         planes.push(sign);
         debug_assert_eq!(planes.len(), self.planes);
@@ -256,44 +250,18 @@ impl SymbolicCtx<'_> {
     }
 }
 
-/// Monolithic output planes of `nl` over *all* of its inputs (BDD
-/// variable `i` = netlist input `i`), without a sign-extension plane —
-/// the symbolic backend's lane oracle for the exhaustive statistics
-/// paths (`LaneReader`).
-pub(crate) fn monolithic_planes(nl: &Netlist) -> (Bdd, Vec<NodeId>) {
-    let ni = nl.num_inputs();
-    let mut bdd = Bdd::new(ni as u32);
-    let mut vals: Vec<NodeId> = Vec::with_capacity(nl.num_signals());
-    for i in 0..ni {
-        vals.push(bdd.var(i as u32));
-    }
-    for node in nl.nodes() {
-        let a = vals[node.a.index()];
-        let b = vals[node.b.index()];
-        vals.push(apply_gate(&mut bdd, node.kind, a, b));
-    }
-    let planes = nl.outputs().iter().map(|o| vals[o.index()]).collect();
-    (bdd, planes)
-}
-
-/// One gate as a BDD apply: the 4-bit truth table comes straight from
-/// the gate's boolean semantics, so all 14 [`GateKind`]s (constants and
-/// unary gates included — they ignore the irrelevant operand) share one
-/// code path, exactly like the scalar interpreter.
-fn apply_gate(bdd: &mut Bdd, kind: GateKind, a: NodeId, b: NodeId) -> NodeId {
-    let mut tt = 0u8;
-    for (bit, (va, vb)) in
-        [(false, false), (false, true), (true, false), (true, true)].into_iter().enumerate()
-    {
-        tt |= u8::from(kind.eval_bool(va, vb)) << bit;
-    }
-    bdd.apply(a, b, tt)
+/// `nl`'s output planes given one BDD function per primary input. Each
+/// gate is one `apply` of its [`apx_gates::GateKind::truth_table`]; no
+/// node budget is checked, because an evaluation needs every plane.
+pub(crate) fn compile(bdd: &mut Bdd, nl: &Netlist, inputs: &[NodeId]) -> Vec<NodeId> {
+    nl.propagate(inputs, |kind, a, b| Some(bdd.apply(a, b, kind.truth_table())))
+        .expect("an unbudgeted compile never stops early")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use apx_gates::NetlistBuilder;
+    use apx_gates::{GateKind, NetlistBuilder};
 
     #[test]
     fn gate_truth_tables_match_eval_bool() {
@@ -301,7 +269,7 @@ mod tests {
         let a = bdd.var(0);
         let b = bdd.var(1);
         for kind in GateKind::ALL {
-            let f = apply_gate(&mut bdd, kind, a, b);
+            let f = bdd.apply(a, b, kind.truth_table());
             for (va, vb) in [(false, false), (false, true), (true, false), (true, true)] {
                 let got = bdd.eval(f, |v| if v == 0 { va } else { vb });
                 assert_eq!(got, kind.eval_bool(va, vb), "{kind} ({va},{vb})");
@@ -310,7 +278,7 @@ mod tests {
     }
 
     #[test]
-    fn monolithic_planes_match_scalar_semantics() {
+    fn compiled_planes_match_scalar_semantics() {
         // A 2-bit ripple adder slice built by hand.
         let mut b = NetlistBuilder::new(4);
         let (a0, a1, b0, b1) = (0u32, 1, 2, 3);
@@ -320,7 +288,9 @@ mod tests {
         let s1 = b.xor(t, c0);
         b.outputs(&[s0, s1]);
         let nl = b.finish().unwrap();
-        let (bdd, planes) = monolithic_planes(&nl);
+        let mut bdd = Bdd::new(4);
+        let vars: Vec<NodeId> = (0..4).map(|i| bdd.var(i)).collect();
+        let planes = compile(&mut bdd, &nl, &vars);
         for v in 0..16u64 {
             let packed: u64 = planes
                 .iter()

@@ -17,8 +17,8 @@
 //! 2. **Dataflow** ([`propagate_constants`], [`constant_signals`]):
 //!    ternary constant propagation over the gate list, reporting
 //!    provably-constant (stuck-at) outputs and dead nodes as warnings,
-//!    plus [`structural_hash`] — the canonical digest identical to the
-//!    component library's dedup identity.
+//!    plus [`structural_hash`] — the canonical digest the component
+//!    library dedups by.
 //! 3. **Bound analysis** ([`wmed_bounds`]): per-output interval analysis
 //!    yielding a provable `[lo, hi]` bracket on the circuit's WMED
 //!    without exhaustive simulation of the candidate — sound enough to
@@ -422,9 +422,11 @@ pub fn constant_signals(netlist: &Netlist) -> Vec<Option<bool>> {
 }
 
 /// Canonical 128-bit structural hash of a netlist — dead nodes and
-/// unused operand slots do not change identity. Bit-identical to the
-/// component library's `netlist_digest`, so a verify-side audit and the
-/// library's dedup agree on which netlists are "the same circuit".
+/// unused operand slots do not change identity, so a chromosome
+/// re-encoded on a wider grid hashes like its original. The component
+/// library's dedup identity (`LibraryEntry::digest`) is this hash, so a
+/// verify-side audit and the library agree on which netlists are "the
+/// same circuit".
 #[must_use]
 pub fn structural_hash(netlist: &Netlist) -> u128 {
     let compact = netlist.compact();

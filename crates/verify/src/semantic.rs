@@ -46,7 +46,7 @@
 use crate::fnv_u128;
 use apx_arith::{EvalBackend, Operator};
 use apx_bdd::{Bdd, NodeId, FALSE};
-use apx_gates::{GateKind, Netlist};
+use apx_gates::Netlist;
 use std::fmt::Write as _;
 
 /// Default node budget for semantic analyses: comfortably admits every
@@ -73,43 +73,14 @@ pub enum Equiv {
     },
 }
 
-/// One gate as a BDD apply: the 4-bit truth table comes straight from
-/// the gate's boolean semantics (same derivation as the symbolic
-/// evaluator's interpreter).
-fn apply_gate(bdd: &mut Bdd, kind: GateKind, a: NodeId, b: NodeId) -> NodeId {
-    let mut tt = 0u8;
-    for (bit, (va, vb)) in
-        [(false, false), (false, true), (true, false), (true, true)].into_iter().enumerate()
-    {
-        tt |= u8::from(kind.eval_bool(va, vb)) << bit;
-    }
-    bdd.apply(a, b, tt)
-}
-
 /// Compiles `nl` to output planes given one BDD function per primary
-/// input, checking the node budget between gates. `None` = budget
-/// exhausted.
-fn netlist_planes(
-    bdd: &mut Bdd,
-    nl: &Netlist,
-    inputs: &[NodeId],
-    budget: usize,
-) -> Option<Vec<NodeId>> {
-    debug_assert_eq!(inputs.len(), nl.num_inputs());
-    let mut vals: Vec<NodeId> = Vec::with_capacity(nl.num_signals());
-    vals.extend_from_slice(inputs);
-    for node in nl.nodes() {
-        if bdd.num_nodes() > budget {
-            return None;
-        }
-        let a = vals[node.a.index()];
-        let b = vals[node.b.index()];
-        vals.push(apply_gate(bdd, node.kind, a, b));
-    }
-    if bdd.num_nodes() > budget {
-        return None;
-    }
-    Some(nl.outputs().iter().map(|o| vals[o.index()]).collect())
+/// input, checking the node budget before every gate and after the
+/// last. `None` = budget exhausted.
+fn compile(bdd: &mut Bdd, nl: &Netlist, inputs: &[NodeId], budget: usize) -> Option<Vec<NodeId>> {
+    let planes = nl.propagate(inputs, |kind, a, b| {
+        (bdd.num_nodes() <= budget).then(|| bdd.apply(a, b, kind.truth_table()))
+    })?;
+    (bdd.num_nodes() <= budget).then_some(planes)
 }
 
 /// Asserts the arity half of the component contract — the same
@@ -161,10 +132,10 @@ pub fn prove_equiv_with_budget(
     let ni = op.num_inputs(width);
     let mut bdd = Bdd::new(ni as u32);
     let vars: Vec<NodeId> = (0..ni).map(|i| bdd.var(i as u32)).collect();
-    let Some(pa) = netlist_planes(&mut bdd, a, &vars, budget) else {
+    let Some(pa) = compile(&mut bdd, a, &vars, budget) else {
         return Equiv::Unknown { budget };
     };
-    let Some(pb) = netlist_planes(&mut bdd, b, &vars, budget) else {
+    let Some(pb) = compile(&mut bdd, b, &vars, budget) else {
         return Equiv::Unknown { budget };
     };
     for (&fa, &fb) in pa.iter().zip(&pb) {
@@ -210,7 +181,7 @@ pub fn functional_digest_with_budget(nl: &Netlist, budget: usize) -> Option<u128
     }
     let mut bdd = Bdd::new(ni as u32);
     let vars: Vec<NodeId> = (0..ni).map(|i| bdd.var(i as u32)).collect();
-    let planes = netlist_planes(&mut bdd, nl, &vars, budget)?;
+    let planes = compile(&mut bdd, nl, &vars, budget)?;
     let (triples, roots) = bdd.export_planes(&planes);
     let mut canonical = String::new();
     let _ = write!(canonical, "fd {ni} {}", roots.len());
@@ -255,7 +226,7 @@ pub fn output_ranges(
     }
     let mut bdd = Bdd::new(ni as u32);
     let vars: Vec<NodeId> = (0..ni).map(|i| bdd.var(i as u32)).collect();
-    let mut planes = netlist_planes(&mut bdd, nl, &vars, budget)?;
+    let mut planes = compile(&mut bdd, nl, &vars, budget)?;
     if signed {
         // Bias the top plane: `raw ^ top_bit` complements the sign bit.
         let top = planes.len() - 1;
@@ -392,7 +363,7 @@ pub fn prove_seed_with_budget(op: Operator, width: u32, signed: bool, budget: us
         let inputs: Vec<NodeId> = (0..ni)
             .map(|i| if i < w { Bdd::constant((x >> i) & 1 == 1) } else { bdd.var((i - w) as u32) })
             .collect();
-        let Some(planes) = netlist_planes(&mut bdd, &seed, &inputs, budget) else {
+        let Some(planes) = compile(&mut bdd, &seed, &inputs, budget) else {
             return Equiv::Unknown { budget };
         };
         let reference = reference_planes(&mut bdd, op, width, signed, &inputs);
@@ -416,6 +387,7 @@ pub fn prove_seed_with_budget(op: Operator, width: u32, signed: bool, budget: us
 #[cfg(test)]
 mod tests {
     use super::*;
+    use apx_gates::GateKind;
 
     /// Rebuilds a netlist with its gate list re-derived through
     /// `compact()` plus `extra` dead XOR gates appended — same function,
