@@ -18,8 +18,8 @@ use std::fmt;
 /// ([`crate::Operator::backend`]):
 ///
 /// * [`EvalBackend::BitParallel`] runs every exhaustively enumerable
-///   width. It levelizes the netlist into an ASAP schedule and simulates
-///   64 operand pairs per gate operation on bit-sliced `u64` words, with
+///   width. It walks the nodes in netlist order and simulates 64
+///   operand pairs per gate operation on bit-sliced `u64` words, with
 ///   bit-sliced error summation;
 /// * [`EvalBackend::Symbolic`] runs every width beyond that. It never
 ///   enumerates operand pairs: it builds reduced ordered BDDs of the

@@ -17,123 +17,20 @@
 //!
 //! Full `APX_*` knob reference: `crates/bench/README.md`.
 
-use apx_bench::{
-    cache_dir, fig3_sweep_grid, iterations, library_config, print_sweep_counters, results_dir,
-    runs, shard,
-};
-use apx_core::report::TextTable;
-use apx_core::{pareto_indices, run_sweep};
-use apx_rng::Xoshiro256;
-use apx_techlib::{estimate_under_pmf, TechLibrary, DEFAULT_CLOCK_MHZ};
-
-struct Point {
-    series: String,
-    name: String,
-    wmed: Vec<f64>, // one entry per sweep distribution, in panel order
-    power_mw: f64,
-}
+use apx_arith::{broken_array_multiplier, truncated_multiplier};
+use apx_bench::{fig3_sweep_grid, pareto_figure};
 
 fn main() {
-    let iters = iterations();
-    let n_runs = runs(1);
-    println!("=== Fig. 3: Pareto fronts (iterations/run = {iters}, runs/level = {n_runs}) ===\n");
-
-    // Proposed: evolve under each distribution — one pool, one shared
-    // evaluator per distribution, for the whole 3 × 14 × runs grid. The
-    // grid itself is shared with the orchestrator (`fig3_sweep_grid`), so
-    // supervision and GC always agree on the live key set.
-    let mut sweep_cfg = fig3_sweep_grid();
-    sweep_cfg.cache_dir = cache_dir();
-    sweep_cfg.shard = shard();
-    sweep_cfg.library = library_config();
-    let result = run_sweep(&sweep_cfg).expect("sweep");
-    println!(
-        "swept {} tasks on {} threads in {:.2} s ({:.0} evaluations/s)",
-        result.stats.tasks,
-        result.stats.threads,
-        result.stats.wall_seconds,
-        result.stats.evaluations_per_second
-    );
-    print_sweep_counters(&sweep_cfg, &result.stats);
-    let dists = &sweep_cfg.distributions;
-    let evaluators = &result.evaluators;
-    let tech = TechLibrary::nangate45();
-    let mut points: Vec<Point> = Vec::new();
-
-    for (di, dist) in dists.iter().enumerate() {
-        for m in result.best_per_threshold(di) {
-            let wmed: Vec<f64> = evaluators.iter().map(|e| e.wmed(&m.netlist)).collect();
-            points.push(Point {
-                series: format!("proposed ({})", dist.name),
-                name: m.name.clone(),
-                wmed,
-                power_mw: m.estimate.power_mw(),
-            });
-        }
-        println!("evolved {} multipliers for {}", result.entries_for(di).count(), dist.name);
-    }
-
     // Baselines: truncated and broken-array multipliers.
-    let mut rng = Xoshiro256::from_seed(0xBA5E);
-    let uniform =
-        &dists.iter().find(|d| d.name == "Du").expect("sweep includes the uniform reference").pmf;
-    let mut add_baseline = |series: &str, name: String, netlist: &apx_gates::Netlist| {
-        let wmed: Vec<f64> = evaluators.iter().map(|e| e.wmed(netlist)).collect();
-        // Baseline power is reported under the uniform distribution, as in
-        // the paper's library comparisons.
-        let est = estimate_under_pmf(netlist, &tech, uniform, DEFAULT_CLOCK_MHZ, 32, &mut rng);
-        points.push(Point { series: series.to_owned(), name, wmed, power_mw: est.power_mw() });
-    };
+    let mut baselines = Vec::new();
     for k in 1..=12u32 {
-        add_baseline("truncated", format!("trunc_{k}"), &apx_arith::truncated_multiplier(8, k));
+        baselines.push(("truncated", format!("trunc_{k}"), truncated_multiplier(8, k)));
     }
     for (hbl, vbl) in
         [(8u32, 2u32), (8, 4), (8, 6), (8, 8), (8, 10), (7, 4), (7, 8), (6, 6), (6, 10), (5, 8)]
     {
-        add_baseline(
-            "broken-array",
-            format!("bam_h{hbl}_v{vbl}"),
-            &apx_arith::broken_array_multiplier(8, hbl, vbl),
-        );
+        let netlist = broken_array_multiplier(8, hbl, vbl);
+        baselines.push(("broken-array", format!("bam_h{hbl}_v{vbl}"), netlist));
     }
-
-    // One panel per metric.
-    let mut csv = TextTable::new(vec!["panel", "series", "name", "wmed_pct", "power_mw"]);
-    for (panel, dist) in dists.iter().enumerate() {
-        let dist_name = &dist.name;
-        println!("\n--- panel WMED_{dist_name} (power [mW] vs error) ---");
-        let mut table = TextTable::new(vec!["series", "name", "WMED %", "power mW", "pareto"]);
-        let panel_points: Vec<(f64, f64)> =
-            points.iter().map(|p| (p.wmed[panel], p.power_mw)).collect();
-        let front = pareto_indices(&panel_points);
-        for (i, p) in points.iter().enumerate() {
-            table.row(vec![
-                p.series.clone(),
-                p.name.clone(),
-                format!("{:.5}", p.wmed[panel] * 100.0),
-                format!("{:.4}", p.power_mw),
-                if front.contains(&i) { "*".to_owned() } else { String::new() },
-            ]);
-            csv.row(vec![
-                format!("WMED_{dist_name}"),
-                p.series.clone(),
-                p.name.clone(),
-                format!("{:.6}", p.wmed[panel] * 100.0),
-                format!("{:.5}", p.power_mw),
-            ]);
-        }
-        println!("{}", table.to_text());
-        // Headline check: who owns the front in this panel?
-        let proposed_on_front = front
-            .iter()
-            .filter(|&&i| points[i].series == format!("proposed ({dist_name})"))
-            .count();
-        println!(
-            "pareto points from `proposed ({dist_name})`: {proposed_on_front} of {}",
-            front.len()
-        );
-    }
-    let path = results_dir().join("fig3_pareto.csv");
-    csv.write_csv(&path).expect("write csv");
-    println!("\nCSV written to {}", path.display());
+    pareto_figure("Fig. 3", fig3_sweep_grid, "multipliers", &baselines, "fig3_pareto.csv");
 }

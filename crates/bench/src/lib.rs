@@ -4,8 +4,13 @@
 
 use apx_arith::Operator;
 use apx_core::nn_flow::{prepare_case, CaseConfig, CaseKind, CaseStudy};
+use apx_core::report::TextTable;
+use apx_core::{pareto_indices, run_sweep};
 use apx_core::{FlowConfig, LibraryConfig, Shard, SweepConfig, SweepStats};
 use apx_dist::Pmf;
+use apx_gates::Netlist;
+use apx_rng::Xoshiro256;
+use apx_techlib::{estimate_under_pmf, TechLibrary, DEFAULT_CLOCK_MHZ};
 use std::path::PathBuf;
 
 /// Reads an integer environment knob. Unset or empty (after trimming)
@@ -511,6 +516,132 @@ pub fn print_sweep_counters(cfg: &apx_core::SweepConfig, stats: &SweepStats) {
             stats.library_semantic_dups
         );
     }
+}
+
+/// One evolved or baseline circuit of a Pareto figure: its WMED under
+/// every sweep distribution (in panel order) and its power.
+struct ParetoPoint {
+    series: String,
+    name: String,
+    wmed: Vec<f64>,
+    power_mw: f64,
+}
+
+/// Runs one power-vs-WMED Pareto figure — the shared body of the
+/// `fig3_pareto` and `fig_adders` binaries.
+///
+/// Sweeps the whole (distribution × threshold × run) grid `grid` builds
+/// through one [`apx_core::run_sweep`] worker pool — the grid function is
+/// shared with the orchestrator ([`sweep_grid_of`]), so supervision and GC
+/// always agree on the live key set — with the cache, shard and library
+/// knobs applied. Every evolved circuit and every `(series, name,
+/// netlist)` baseline is then cross-evaluated under all sweep
+/// distributions (reusing the sweep's shared evaluators); baseline power
+/// is estimated under the uniform distribution. Prints one table per
+/// metric panel with its front census and writes the rows to
+/// `results/{csv_name}`. `noun` names the evolved circuits ("multipliers").
+///
+/// # Panics
+///
+/// Panics if the sweep fails, the grid lacks the uniform `Du`
+/// distribution, or the CSV cannot be written.
+pub fn pareto_figure(
+    title: &str,
+    grid: fn() -> SweepConfig,
+    noun: &str,
+    baselines: &[(&str, String, Netlist)],
+    csv_name: &str,
+) {
+    let iters = iterations();
+    let n_runs = runs(1);
+    println!("=== {title}: Pareto fronts (iterations/run = {iters}, runs/level = {n_runs}) ===\n");
+
+    let mut sweep_cfg = grid();
+    sweep_cfg.cache_dir = cache_dir();
+    sweep_cfg.shard = shard();
+    sweep_cfg.library = library_config();
+    let result = run_sweep(&sweep_cfg).expect("sweep");
+    println!(
+        "swept {} tasks on {} threads in {:.2} s ({:.0} evaluations/s)",
+        result.stats.tasks,
+        result.stats.threads,
+        result.stats.wall_seconds,
+        result.stats.evaluations_per_second
+    );
+    print_sweep_counters(&sweep_cfg, &result.stats);
+    let dists = &sweep_cfg.distributions;
+    let evaluators = &result.evaluators;
+    let tech = TechLibrary::nangate45();
+    let mut points: Vec<ParetoPoint> = Vec::new();
+
+    for (di, dist) in dists.iter().enumerate() {
+        for m in result.best_per_threshold(di) {
+            let wmed: Vec<f64> = evaluators.iter().map(|e| e.wmed(&m.netlist)).collect();
+            points.push(ParetoPoint {
+                series: format!("proposed ({})", dist.name),
+                name: m.name.clone(),
+                wmed,
+                power_mw: m.estimate.power_mw(),
+            });
+        }
+        println!("evolved {} {noun} for {}", result.entries_for(di).count(), dist.name);
+    }
+
+    let mut rng = Xoshiro256::from_seed(0xBA5E);
+    let uniform =
+        &dists.iter().find(|d| d.name == "Du").expect("sweep includes the uniform reference").pmf;
+    for (series, name, netlist) in baselines {
+        let wmed: Vec<f64> = evaluators.iter().map(|e| e.wmed(netlist)).collect();
+        // Baseline power is reported under the uniform distribution, as in
+        // the paper's library comparisons.
+        let est = estimate_under_pmf(netlist, &tech, uniform, DEFAULT_CLOCK_MHZ, 32, &mut rng);
+        points.push(ParetoPoint {
+            series: (*series).to_owned(),
+            name: name.clone(),
+            wmed,
+            power_mw: est.power_mw(),
+        });
+    }
+
+    // One panel per metric.
+    let mut csv = TextTable::new(vec!["panel", "series", "name", "wmed_pct", "power_mw"]);
+    for (panel, dist) in dists.iter().enumerate() {
+        let dist_name = &dist.name;
+        println!("\n--- panel WMED_{dist_name} (power [mW] vs error) ---");
+        let mut table = TextTable::new(vec!["series", "name", "WMED %", "power mW", "pareto"]);
+        let panel_points: Vec<(f64, f64)> =
+            points.iter().map(|p| (p.wmed[panel], p.power_mw)).collect();
+        let front = pareto_indices(&panel_points);
+        for (i, p) in points.iter().enumerate() {
+            table.row(vec![
+                p.series.clone(),
+                p.name.clone(),
+                format!("{:.5}", p.wmed[panel] * 100.0),
+                format!("{:.4}", p.power_mw),
+                if front.contains(&i) { "*".to_owned() } else { String::new() },
+            ]);
+            csv.row(vec![
+                format!("WMED_{dist_name}"),
+                p.series.clone(),
+                p.name.clone(),
+                format!("{:.6}", p.wmed[panel] * 100.0),
+                format!("{:.5}", p.power_mw),
+            ]);
+        }
+        println!("{}", table.to_text());
+        // Headline check: who owns the front in this panel?
+        let proposed_on_front = front
+            .iter()
+            .filter(|&&i| points[i].series == format!("proposed ({dist_name})"))
+            .count();
+        println!(
+            "pareto points from `proposed ({dist_name})`: {proposed_on_front} of {}",
+            front.len()
+        );
+    }
+    let path = results_dir().join(csv_name);
+    csv.write_csv(&path).expect("write csv");
+    println!("\nCSV written to {}", path.display());
 }
 
 /// Renders one [`SweepStats`] as a JSON object for `BENCH_sweep.json`.

@@ -304,21 +304,7 @@ impl SweepCache {
     /// scans as empty.
     #[must_use]
     pub fn scan(&self) -> Vec<ScannedEntry> {
-        let Ok(read) = std::fs::read_dir(&self.dir) else {
-            return Vec::new();
-        };
-        let mut entries: Vec<ScannedEntry> = read
-            .filter_map(Result::ok)
-            .filter_map(|f| {
-                let path = f.path();
-                let stem = path.file_name()?.to_str()?.strip_suffix(".sweep")?;
-                let key = CacheKey::from_hex(stem)?;
-                let text = std::fs::read_to_string(&path).ok()?;
-                entry_from_text(&text, key)
-            })
-            .collect();
-        entries.sort_by_key(|e| (e.key.hi, e.key.lo));
-        entries
+        walk_dir(&self.dir).map(|walk| walk.entries).unwrap_or_default()
     }
 }
 
@@ -366,37 +352,79 @@ pub struct CacheDirStats {
 /// entry counts. A missing directory reports all zeros.
 #[must_use]
 pub fn cache_dir_stats(dir: &Path) -> CacheDirStats {
-    let mut stats = CacheDirStats::default();
-    let Ok(read) = std::fs::read_dir(dir) else {
-        return stats;
+    let Ok(walk) = walk_dir(dir) else {
+        return CacheDirStats::default();
     };
+    let mut per_op = std::collections::BTreeMap::new();
+    for e in &walk.entries {
+        *per_op.entry((e.op, e.width, e.signed)).or_insert(0) += 1;
+    }
+    CacheDirStats {
+        files: walk.entries.len() + walk.corrupt.len(),
+        entries: walk.entries.len(),
+        corrupt: walk.corrupt.len(),
+        total_bytes: walk.sweep_bytes,
+        tmp_litter: walk.litter.len(),
+        per_op,
+    }
+}
+
+/// One pass over a cache directory, every file sorted into what the
+/// cache owns. Foreign files (no `.sweep` suffix, not writer litter) are
+/// left out.
+struct DirWalk {
+    /// Intact `*.sweep` entries in key order, regardless of filesystem
+    /// enumeration order.
+    entries: Vec<ScannedEntry>,
+    /// `*.sweep` files the strict loader rejects (torn, foreign, stale
+    /// format).
+    corrupt: Vec<PathBuf>,
+    /// Writer temp files with their age by mtime (`None` when unknown).
+    litter: Vec<(PathBuf, Option<Duration>)>,
+    /// Total size of all `*.sweep` files in bytes.
+    sweep_bytes: u64,
+}
+
+/// Walks `dir` once for [`SweepCache::scan`], [`cache_dir_stats`] and
+/// [`gc_cache_dir`].
+///
+/// # Errors
+///
+/// The `read_dir` error, a missing directory included.
+fn walk_dir(dir: &Path) -> io::Result<DirWalk> {
+    let read = std::fs::read_dir(dir)?;
+    let now = SystemTime::now();
+    let mut walk =
+        DirWalk { entries: Vec::new(), corrupt: Vec::new(), litter: Vec::new(), sweep_bytes: 0 };
     for f in read.filter_map(Result::ok) {
         let path = f.path();
         let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
             continue;
         };
         if is_tmp_litter(name) {
-            stats.tmp_litter += 1;
+            let age = f
+                .metadata()
+                .and_then(|m| m.modified())
+                .ok()
+                .and_then(|t| now.duration_since(t).ok());
+            walk.litter.push((path, age));
             continue;
         }
         let Some(stem) = name.strip_suffix(".sweep") else {
             continue;
         };
-        stats.files += 1;
-        stats.total_bytes += f.metadata().map_or(0, |m| m.len());
+        walk.sweep_bytes += f.metadata().map_or(0, |m| m.len());
         let parsed = CacheKey::from_hex(stem).and_then(|key| {
             let text = std::fs::read_to_string(&path).ok()?;
             entry_from_text(&text, key)
         });
         match parsed {
-            Some(e) => {
-                stats.entries += 1;
-                *stats.per_op.entry((e.op, e.width, e.signed)).or_insert(0) += 1;
-            }
-            None => stats.corrupt += 1,
+            Some(e) => walk.entries.push(e),
+            None => walk.corrupt.push(path),
         }
     }
-    stats
+    walk.entries.sort_by_key(|e| (e.key.hi, e.key.lo));
+    Ok(walk)
 }
 
 /// Whether `name` matches the `.{key}.tmp.{pid}` pattern of
@@ -532,50 +560,14 @@ fn remove_counted(path: &Path, bytes_freed: &mut u64) -> io::Result<bool> {
 /// vanishing between scan and delete is tolerated).
 pub fn gc_cache_dir(dir: &Path, cfg: &GcConfig) -> io::Result<GcReport> {
     let mut report = GcReport::default();
-    let read = match std::fs::read_dir(dir) {
-        Ok(read) => read,
+    let walk = match walk_dir(dir) {
+        Ok(walk) => walk,
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(report),
         Err(e) => return Err(e),
     };
-
-    // One walk classifies everything; foreign files (no `.sweep` suffix,
-    // not writer litter) are never touched.
-    let now = SystemTime::now();
-    let mut scanned: Vec<ScannedEntry> = Vec::new();
-    let mut corrupt: Vec<PathBuf> = Vec::new();
-    let mut stale_tmp: Vec<PathBuf> = Vec::new();
-    for f in read.filter_map(Result::ok) {
-        let path = f.path();
-        let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
-            continue;
-        };
-        if is_tmp_litter(name) {
-            let stale = f
-                .metadata()
-                .and_then(|m| m.modified())
-                .ok()
-                .and_then(|t| now.duration_since(t).ok())
-                .is_some_and(|age| age >= cfg.tmp_ttl);
-            if stale {
-                stale_tmp.push(path);
-            }
-            continue;
-        }
-        let Some(stem) = name.strip_suffix(".sweep") else {
-            continue;
-        };
-        let parsed = CacheKey::from_hex(stem).and_then(|key| {
-            let text = std::fs::read_to_string(&path).ok()?;
-            entry_from_text(&text, key)
-        });
-        match parsed {
-            Some(e) => scanned.push(e),
-            None => corrupt.push(path),
-        }
-    }
-    // Key order, like `SweepCache::scan`: survivor selection (and dedup
+    // The walk yields entries in key order: survivor selection (and dedup
     // provenance) must not depend on filesystem enumeration order.
-    scanned.sort_by_key(|e| (e.key.hi, e.key.lo));
+    let scanned = walk.entries;
     report.entries_before = scanned.len();
 
     let mut survivors: HashSet<CacheKey> = HashSet::new();
@@ -684,13 +676,16 @@ pub fn gc_cache_dir(dir: &Path, cfg: &GcConfig) -> io::Result<GcReport> {
             report.evicted += 1;
         }
     }
-    for path in &corrupt {
+    for path in &walk.corrupt {
         if remove_counted(path, &mut report.bytes_freed)? {
             report.corrupt_removed += 1;
         }
     }
-    for path in &stale_tmp {
-        if remove_counted(path, &mut report.bytes_freed)? {
+    // Litter younger than the grace period may belong to a live writer.
+    for (path, age) in &walk.litter {
+        if age.is_some_and(|age| age >= cfg.tmp_ttl)
+            && remove_counted(path, &mut report.bytes_freed)?
+        {
             report.tmp_removed += 1;
         }
     }

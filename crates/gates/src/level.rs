@@ -1,109 +1,14 @@
-//! ASAP levelization and fanout-cone extraction.
+//! Fanout-cone extraction.
 //!
-//! A [`Netlist`] stores its gates in topological order, which is enough to
-//! simulate it, but the evaluation engine in `apx_metrics` wants two more
-//! structural views:
-//!
-//! * an **ASAP schedule** — nodes grouped by the earliest level at which
-//!   they can fire (all primary inputs are level 0, a gate's level is one
-//!   past its deepest operand). Iterating the schedule level by level is a
-//!   valid topological order with the extra property that every node of a
-//!   level only reads strictly earlier levels, which is what lets the
-//!   bit-parallel engine batch gate operations over tiles of simulation
-//!   blocks without any intra-level hazards;
-//! * a **fanout cone** — given a set of changed nodes, the set of nodes
-//!   whose value can differ because of the change. This is the incremental
-//!   re-evaluation primitive: a CGP mutation touches a handful of nodes,
-//!   and only their forward closure has to be re-simulated against cached
-//!   level outputs.
+//! A [`Netlist`] stores its gates in topological order, which is all the
+//! evaluation engine in `apx_metrics` needs to simulate it: it walks the
+//! nodes in netlist order. Incremental re-evaluation needs one more
+//! structural view, the **fanout cone**: given a set of changed nodes, the
+//! set of nodes whose value can differ because of the change. A CGP
+//! mutation touches a handful of nodes, and only their forward closure has
+//! to be re-simulated against the cached signal rows.
 
 use crate::Netlist;
-
-/// ASAP (as-soon-as-possible) schedule of a netlist.
-///
-/// Nodes are grouped by logic level; level `l` contains every node whose
-/// deepest operand sits at level `l - 1` (primary inputs are level 0).
-/// Within a level nodes are kept in netlist order, so iterating the
-/// schedule level by level visits nodes in a deterministic topological
-/// order.
-///
-/// # Examples
-///
-/// ```
-/// use apx_gates::{AsapSchedule, NetlistBuilder};
-///
-/// let mut b = NetlistBuilder::new(2);
-/// let (x, y) = (b.input(0), b.input(1));
-/// let n = b.nand(x, y);      // level 1
-/// let s = b.xor(n, y);       // level 2
-/// b.outputs(&[s]);
-/// let nl = b.finish().unwrap();
-///
-/// let sched = AsapSchedule::of(&nl);
-/// assert_eq!(sched.num_levels(), 2);
-/// assert_eq!(sched.level(0), &[0]); // the nand
-/// assert_eq!(sched.level(1), &[1]); // the xor
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AsapSchedule {
-    /// Node indices (not signal ids) grouped by level; `levels[0]` holds
-    /// the nodes of logic level 1 (level 0 is the primary inputs).
-    levels: Vec<Vec<u32>>,
-    /// Per-node ASAP level (`1..`), indexed by node index.
-    level_of: Vec<u32>,
-}
-
-impl AsapSchedule {
-    /// Levelizes `netlist`.
-    #[must_use]
-    pub fn of(netlist: &Netlist) -> Self {
-        let ni = netlist.num_inputs();
-        // Signal level: inputs are 0, node output = 1 + max(operand levels)
-        // over the operands the gate actually reads (constants sit at 1).
-        let mut sig_level = vec![0u32; netlist.num_signals()];
-        let mut level_of = Vec::with_capacity(netlist.gate_count());
-        let mut levels: Vec<Vec<u32>> = Vec::new();
-        for (k, node) in netlist.nodes().iter().enumerate() {
-            let lvl = match node.kind.arity() {
-                0 => 1,
-                1 => sig_level[node.a.index()] + 1,
-                _ => sig_level[node.a.index()].max(sig_level[node.b.index()]) + 1,
-            };
-            sig_level[ni + k] = lvl;
-            level_of.push(lvl);
-            let slot = (lvl - 1) as usize;
-            if slot >= levels.len() {
-                levels.resize_with(slot + 1, Vec::new);
-            }
-            levels[slot].push(k as u32);
-        }
-        AsapSchedule { levels, level_of }
-    }
-
-    /// Number of levels (the netlist's logic depth over *all* nodes).
-    #[must_use]
-    pub fn num_levels(&self) -> usize {
-        self.levels.len()
-    }
-
-    /// Node indices of level `l + 1` (level 0 is the primary inputs and
-    /// holds no nodes, so `level(0)` returns the first gate level).
-    #[must_use]
-    pub fn level(&self, l: usize) -> &[u32] {
-        &self.levels[l]
-    }
-
-    /// ASAP level of node `k` (always `>= 1`).
-    #[must_use]
-    pub fn level_of(&self, k: usize) -> u32 {
-        self.level_of[k]
-    }
-
-    /// Iterates all node indices level by level (a topological order).
-    pub fn iter_nodes(&self) -> impl Iterator<Item = u32> + '_ {
-        self.levels.iter().flat_map(|l| l.iter().copied())
-    }
-}
 
 /// Forward closure of a set of changed nodes.
 ///
@@ -186,69 +91,6 @@ mod tests {
         let outs: Vec<SignalId> = (0..4).map(|_| SignalId(rng.gen_range(total) as u32)).collect();
         b.outputs(&outs);
         b.finish().unwrap()
-    }
-
-    #[test]
-    fn schedule_covers_every_node_once_in_topological_order() {
-        let mut rng = Xoshiro256::from_seed(11);
-        for _ in 0..20 {
-            let nl = random_netlist(&mut rng, 4, 40);
-            let sched = AsapSchedule::of(&nl);
-            let order: Vec<u32> = sched.iter_nodes().collect();
-            assert_eq!(order.len(), nl.gate_count());
-            let mut seen = vec![false; nl.gate_count()];
-            for &k in &order {
-                let node = &nl.nodes()[k as usize];
-                // Operands must already be available: a primary input or a
-                // node scheduled at a strictly earlier level.
-                for (slot, op) in [node.a, node.b].into_iter().enumerate() {
-                    if slot >= node.kind.arity() {
-                        continue;
-                    }
-                    if op.index() >= nl.num_inputs() {
-                        let src = op.index() - nl.num_inputs();
-                        assert!(seen[src], "node {k} fired before operand {src}");
-                        assert!(sched.level_of(src) < sched.level_of(k as usize));
-                    }
-                }
-                seen[k as usize] = true;
-            }
-            assert!(seen.iter().all(|&s| s));
-        }
-    }
-
-    #[test]
-    fn schedule_levels_match_netlist_depths() {
-        // `depths()` assigns constants depth 0 (they cost no gate delay);
-        // the schedule still fires them at level 1. Restrict the comparison
-        // to constant-free netlists, where the two notions coincide.
-        let mut rng = Xoshiro256::from_seed(12);
-        let kinds: Vec<GateKind> = GateKind::ALL.into_iter().filter(|k| k.arity() > 0).collect();
-        for _ in 0..10 {
-            let nl = {
-                let mut b = NetlistBuilder::new(5);
-                for k in 0..30 {
-                    let limit = 5 + k;
-                    let kind = *rng.choose(&kinds).unwrap();
-                    let a = SignalId(rng.gen_range(limit) as u32);
-                    let bb = SignalId(rng.gen_range(limit) as u32);
-                    b.push(kind, a, bb);
-                }
-                let outs: Vec<SignalId> =
-                    (0..4).map(|_| SignalId(rng.gen_range(35) as u32)).collect();
-                b.outputs(&outs);
-                b.finish().unwrap()
-            };
-            let sched = AsapSchedule::of(&nl);
-            let depths = nl.depths();
-            for k in 0..nl.gate_count() {
-                assert_eq!(sched.level_of(k), depths[nl.num_inputs() + k], "node {k}");
-            }
-            assert_eq!(
-                sched.num_levels() as u32,
-                (0..nl.gate_count()).map(|k| sched.level_of(k)).max().unwrap_or(0)
-            );
-        }
     }
 
     #[test]

@@ -51,6 +51,6 @@ pub use blif::to_blif;
 pub use dot::to_dot;
 pub use error::NetlistError;
 pub use gate::GateKind;
-pub use level::{fanout_cone, AsapSchedule};
+pub use level::fanout_cone;
 pub use netlist::{Netlist, NetlistBuilder, Node, SignalId};
 pub use sim::{unpack_lanes, BlockSim, Exhaustive};

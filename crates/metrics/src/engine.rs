@@ -7,14 +7,15 @@
 //! * **tile evaluation** — the netlist is walked node-major over a tile of
 //!   [`TILE`] simulation blocks at once, so each gate dispatches once and
 //!   then runs a tight, auto-vectorizable loop of word ops;
-//! * a **bit-sliced error kernel** ([`abs_err_sum`]) — instead of unpacking
-//!   64 lanes and subtracting per lane, the per-block `Σ|exact − got|` is
-//!   computed directly on the output bit-planes with a ripple-borrow
-//!   subtract and per-plane popcounts;
+//! * a **bit-sliced error kernel** ([`abs_err_sum`] per block,
+//!   [`tile_terms`] per tile) — instead of unpacking 64 lanes and
+//!   subtracting per lane, the per-block `Σ|exact − got|` is computed
+//!   directly on the output bit-planes with a ripple-borrow subtract and
+//!   per-plane popcounts;
 //! * **incremental re-evaluation** ([`WmedState`]) — a full grid of cached
 //!   signal rows (every signal × every weighted block) lets a mutated
 //!   netlist be re-scored by simulating only the fanout cone of the changed
-//!   nodes, reading everything else from the cache.
+//!   nodes, chunk by chunk, reading everything else from the cache.
 //!
 //! The scalar reference interpreter ([`ScalarSim`]) evaluates one operand
 //! pair at a time and exists so property tests can cross-check the fast
@@ -33,16 +34,27 @@ use crate::symbolic::compile;
 /// that the per-gate dispatch amortizes and the inner word loops vectorize.
 pub(crate) const TILE: usize = 16;
 
-/// Tiles the incremental path simulates tile-by-tile before switching to
-/// node-major bulk simulation of the remaining positions.
+/// One-tile chunks the incremental path walks before its chunks start to
+/// grow (see [`chunk_tiles`]).
 ///
 /// Infeasible offspring overwhelmingly bust the error budget within the
-/// first few (highest-weight) tiles, where per-tile simulation keeps the
-/// wasted work small; offspring that survive this prefix almost always run
-/// to completion, and for them one gate dispatch per node over the whole
-/// remaining row is far cheaper than re-dispatching every node in every
-/// tile.
+/// first few (highest-weight) tiles, where one-tile chunks keep the wasted
+/// work small; offspring that survive this prefix almost always run to
+/// completion, and for them one gate dispatch per node over a long row is
+/// far cheaper than re-dispatching every node in every tile.
 const BULK_AFTER: usize = 4;
+
+/// Tiles in chunk `i` of the incremental walk: [`BULK_AFTER`] one-tile
+/// chunks, then `2·BULK_AFTER` tiles, doubling from there (8, 16, 32…).
+/// Growing chunks keep the wasted simulation small when a mid-grid abort
+/// does happen.
+fn chunk_tiles(i: usize) -> usize {
+    if i < BULK_AFTER {
+        1
+    } else {
+        (2 * BULK_AFTER) << (i - BULK_AFTER)
+    }
+}
 
 /// Upper bound on error-kernel planes: `2·width + 1` at the maximum
 /// supported operand width of 10.
@@ -172,133 +184,61 @@ pub(crate) fn abs_err_sum(exact: &[u64], got: &[u64], planes: usize) -> u64 {
     sum
 }
 
-/// Per-tile error terms with a compile-time plane count.
+/// Per-tile error terms: `weight · Σ|exact − got|` for each column of one
+/// tile, with the arithmetic of [`abs_err_sum`].
 ///
-/// `got_tile` holds the tile's output bit-planes plane-major
-/// (`got_tile[k · TILE + t]`, sign-extension plane included); `exact` is the
-/// evaluator's block-major exact-product planes. Writes
-/// `weight · Σ|exact − got|` for each column into `terms` — exactly the
-/// `f64` the scalar-indexed path computes, just with the plane loops
-/// unrolled and the gather branch-free.
-#[inline]
-fn tile_terms<const P: usize>(
-    exact_planes: &[u64],
-    got_tile: &[u64; MAX_PLANES * TILE],
-    ordered_tile: &[(u32, f64)],
-    terms: &mut [f64; TILE],
-) {
-    for (t, &(block, weight)) in ordered_tile.iter().enumerate() {
-        let exact = &exact_planes[block as usize * P..][..P];
-        let mut d = [0u64; P];
-        let mut borrow = 0u64;
-        for k in 0..P {
-            let e = exact[k];
-            let g = got_tile[k * TILE + t];
-            let x = e ^ g;
-            d[k] = x ^ borrow;
-            borrow = (!e & g) | (!x & borrow);
-        }
-        let s = d[P - 1];
-        let mut sum = u64::from(s.count_ones());
-        for (k, &dk) in d.iter().enumerate() {
-            sum += u64::from((dk ^ s).count_ones()) << k;
-        }
-        terms[t] = weight * sum as f64;
-    }
-}
-
-/// Column-major variant of [`tile_terms`] for full tiles.
+/// Column-major: the tile is processed plane by plane with the [`TILE`]
+/// columns side by side, so the independent ripple-borrow chains pipeline
+/// (and auto-vectorize) instead of serializing one column at a time.
+/// `exact_tile` is the evaluator's tile-major exact-plane copy for this
+/// tile (`exact_tile[k · TILE + t]`); `srcs[k]` is plane `k`'s [`TILE`]
+/// output words, referenced straight from wherever they live (cached rows,
+/// the delta walk's chunk grid), so nothing is staged into a contiguous
+/// buffer first.
 ///
-/// Processes the tile plane-by-plane with the 16 columns side by side, so
-/// the 16 independent ripple-borrow chains pipeline (and auto-vectorize)
-/// instead of serializing one column at a time. `exact_tile` is the
-/// evaluator's tile-major exact-plane copy for this tile; `srcs[k]` is
-/// plane `k`'s 16 output words, referenced straight from wherever they
-/// live (cached rows, scratch, bulk grid) — the kernel reads every word
-/// exactly once, so staging them into a contiguous buffer first would be
-/// pure overhead. The arithmetic per column is identical to
-/// [`tile_terms`], so every term is the same exact `f64`.
+/// The plane count is a run-time value and no difference planes are
+/// stored: the first pass runs the borrow chain up to the sign plane `s`,
+/// the second re-runs it and folds each difference plane into
+/// `pc(s) + Σ_k 2^k·pc(d_k ⊕ s)` as it appears. Every column's integer sum
+/// is [`abs_err_sum`]'s, so every term is the same exact `f64`. Writes the
+/// first `ordered_tile.len()` terms.
 #[inline]
-fn tile_terms_colmajor<const P: usize>(
+fn tile_terms(
+    planes: usize,
     exact_tile: &[u64],
     srcs: &[&[u64]; MAX_PLANES],
     ordered_tile: &[(u32, f64)],
     terms: &mut [f64; TILE],
 ) {
-    let mut d = [[0u64; TILE]; P];
+    debug_assert!((1..=MAX_PLANES).contains(&planes));
     let mut borrow = [0u64; TILE];
-    for k in 0..P {
+    let mut s = [0u64; TILE];
+    for k in 0..planes {
         let e = &exact_tile[k * TILE..][..TILE];
         let g = &srcs[k][..TILE];
-        let dk = &mut d[k];
         for t in 0..TILE {
             let x = e[t] ^ g[t];
-            dk[t] = x ^ borrow[t];
+            s[t] = x ^ borrow[t];
             borrow[t] = (!e[t] & g[t]) | (!x & borrow[t]);
         }
     }
-    let s = d[P - 1];
     let mut sum = [0u64; TILE];
     for t in 0..TILE {
         sum[t] = u64::from(s[t].count_ones());
     }
-    for (k, dk) in d.iter().enumerate() {
+    let mut borrow = [0u64; TILE];
+    for k in 0..planes {
+        let e = &exact_tile[k * TILE..][..TILE];
+        let g = &srcs[k][..TILE];
         for t in 0..TILE {
-            sum[t] += u64::from((dk[t] ^ s[t]).count_ones()) << k;
+            let x = e[t] ^ g[t];
+            let d = x ^ borrow[t];
+            borrow[t] = (!e[t] & g[t]) | (!x & borrow[t]);
+            sum[t] += u64::from((d ^ s[t]).count_ones()) << k;
         }
     }
     for (t, &(_, weight)) in ordered_tile.iter().enumerate() {
         terms[t] = weight * sum[t] as f64;
-    }
-}
-
-/// [`tile_terms_colmajor`] dispatched over the supported plane counts;
-/// callers fall back to [`tile_terms_dyn`] for partial tail tiles and
-/// unsupported counts.
-fn tile_terms_colmajor_dyn(
-    planes: usize,
-    exact_tile: &[u64],
-    srcs: &[&[u64]; MAX_PLANES],
-    ordered_tile: &[(u32, f64)],
-    terms: &mut [f64; TILE],
-) -> bool {
-    match planes {
-        13 => tile_terms_colmajor::<13>(exact_tile, srcs, ordered_tile, terms),
-        15 => tile_terms_colmajor::<15>(exact_tile, srcs, ordered_tile, terms),
-        17 => tile_terms_colmajor::<17>(exact_tile, srcs, ordered_tile, terms),
-        19 => tile_terms_colmajor::<19>(exact_tile, srcs, ordered_tile, terms),
-        21 => tile_terms_colmajor::<21>(exact_tile, srcs, ordered_tile, terms),
-        _ => return false,
-    }
-    true
-}
-
-/// [`tile_terms`] dispatched over the supported plane counts
-/// (`2·width + 1` for widths 6–10); the generic fallback covers any other
-/// count with identical arithmetic.
-fn tile_terms_dyn(
-    planes: usize,
-    exact_planes: &[u64],
-    got_tile: &[u64; MAX_PLANES * TILE],
-    ordered_tile: &[(u32, f64)],
-    terms: &mut [f64; TILE],
-) {
-    match planes {
-        13 => tile_terms::<13>(exact_planes, got_tile, ordered_tile, terms),
-        15 => tile_terms::<15>(exact_planes, got_tile, ordered_tile, terms),
-        17 => tile_terms::<17>(exact_planes, got_tile, ordered_tile, terms),
-        19 => tile_terms::<19>(exact_planes, got_tile, ordered_tile, terms),
-        21 => tile_terms::<21>(exact_planes, got_tile, ordered_tile, terms),
-        _ => {
-            for (t, &(block, weight)) in ordered_tile.iter().enumerate() {
-                let exact = &exact_planes[block as usize * planes..][..planes];
-                let mut got = [0u64; MAX_PLANES];
-                for k in 0..planes {
-                    got[k] = got_tile[k * TILE + t];
-                }
-                terms[t] = weight * abs_err_sum(exact, &got, planes) as f64;
-            }
-        }
     }
 }
 
@@ -367,8 +307,10 @@ impl EngineCtx<'_> {
         srcs
     }
 
-    /// Error terms for a dense tile at `pos`: the column-major kernel for
-    /// full tiles, the column-at-a-time fallback for the tail.
+    /// Error terms for the dense tile of `tcount` columns at `pos` (a
+    /// multiple of [`TILE`]). A tail tile is copied into a zeroed full tile
+    /// first; the exact tiles are zero-padded too, so the padding columns
+    /// score zero and their terms are never written.
     #[inline]
     fn dense_tile_terms(
         &self,
@@ -377,32 +319,18 @@ impl EngineCtx<'_> {
         srcs: &[&[u64]; MAX_PLANES],
         terms: &mut [f64; TILE],
     ) {
+        let exact_tile =
+            &self.exact_tiles[(pos / TILE) * self.planes * TILE..][..self.planes * TILE];
+        let ordered_tile = &self.ordered[pos..pos + tcount];
         if tcount == TILE {
-            let exact_tile =
-                &self.exact_tiles[(pos / TILE) * self.planes * TILE..][..self.planes * TILE];
-            if tile_terms_colmajor_dyn(
-                self.planes,
-                exact_tile,
-                srcs,
-                &self.ordered[pos..pos + TILE],
-                terms,
-            ) {
-                return;
-            }
+            return tile_terms(self.planes, exact_tile, srcs, ordered_tile, terms);
         }
-        // Tail tiles and unsupported plane counts: stage into a plane-major
-        // buffer for the column-at-a-time fallback.
-        let mut got_tile = [0u64; MAX_PLANES * TILE];
-        for k in 0..self.planes {
-            got_tile[k * TILE..][..tcount].copy_from_slice(&srcs[k][..tcount]);
+        let mut padded = [[0u64; TILE]; MAX_PLANES];
+        for (p, src) in padded.iter_mut().zip(srcs).take(self.planes) {
+            p[..tcount].copy_from_slice(&src[..tcount]);
         }
-        tile_terms_dyn(
-            self.planes,
-            self.exact_planes,
-            &got_tile,
-            &self.ordered[pos..pos + tcount],
-            terms,
-        );
+        let padded_srcs = padded.each_ref().map(<[u64; TILE]>::as_slice);
+        tile_terms(self.planes, exact_tile, &padded_srcs, ordered_tile, terms);
     }
 
     /// Bit-parallel bounded WMED: raw weighted error over `ordered`, or
@@ -475,7 +403,6 @@ impl EngineCtx<'_> {
             num_signals,
             ni,
             gate_count: base.gate_count(),
-            scratch: vec![0u64; num_signals * TILE],
             bulk: vec![0u64; num_signals * n_pos],
             dirty: vec![false; num_signals],
             needed: vec![false; num_signals],
@@ -515,14 +442,16 @@ impl EngineCtx<'_> {
     /// `changed` lists the nodes whose definition differs from the state's
     /// base netlist (an empty list re-scores the base itself from cache).
     /// Only the needed part of the changed nodes' fanout cone is simulated,
-    /// into scratch rows; the cached rows are left untouched, so the state
-    /// still describes the base afterwards.
+    /// into the chunk grid; the cached rows are left untouched, so the
+    /// state still describes the base afterwards.
     ///
-    /// The walk is hybrid: the first [`BULK_AFTER`] (highest-weight) tiles
-    /// are simulated tile-by-tile so an early abort wastes little work,
-    /// then the survivors switch to one node-major pass over all remaining
-    /// positions (one gate dispatch per node instead of one per node per
-    /// tile) before accumulating the remaining tiles in order.
+    /// The positions are walked in chunks ([`chunk_tiles`]): the first
+    /// [`BULK_AFTER`] (highest-weight) chunks are one tile each so an early
+    /// abort wastes little work, after which chunks double in size so the
+    /// survivors amortize gate dispatch over long rows. Each chunk is
+    /// simulated node-major, then its tiles are accumulated in position
+    /// order, so every `f64` term and the abort decision match the full
+    /// pass.
     ///
     /// Two prunings keep near-neutral offspring cheap without perturbing a
     /// single bit of the result:
@@ -577,180 +506,72 @@ impl EngineCtx<'_> {
         let mut terms = [0.0f64; TILE];
         let mut total = 0.0f64;
         let mut pos = 0;
-        let bulk_start = (BULK_AFTER * TILE).min(n_pos);
-        while pos < bulk_start {
-            let tcount = TILE.min(bulk_start - pos);
+        let mut chunk = 0;
+        while pos < n_pos {
+            let chunk_start = pos;
+            let chunk_end = (chunk_start + chunk_tiles(chunk) * TILE).min(n_pos);
+            let rest = chunk_end - chunk_start;
+            chunk += 1;
             for &k in &sim_nodes {
                 let k = k as usize;
                 let node = &child.nodes()[k];
                 let (a_sig, b_sig) = (node.a.index(), node.b.index());
                 // Only re-simulate where the child can actually differ in
-                // this tile: a changed definition or a dirty operand.
+                // this chunk: a changed definition or a dirty operand.
                 if !(state.def_changed[k] || state.dirty[a_sig] || state.dirty[b_sig]) {
                     continue;
                 }
-                let (pre, rest) = state.scratch.split_at_mut((ni + k) * TILE);
-                // A dirty operand's fresh row is in scratch (it is earlier
-                // in `sim_nodes`, so already computed); clean operands read
-                // the cached base rows.
+                let (pre, tail) = state.bulk.split_at_mut((ni + k) * rest);
+                // A dirty operand's fresh row is in the chunk grid (it is
+                // earlier in `sim_nodes`, so already computed); clean
+                // operands read the cached base rows.
                 let a = if state.dirty[a_sig] {
-                    &pre[a_sig * TILE..][..tcount]
-                } else {
-                    &state.rows[a_sig * n_pos + pos..][..tcount]
-                };
-                let b = if state.dirty[b_sig] {
-                    &pre[b_sig * TILE..][..tcount]
-                } else {
-                    &state.rows[b_sig * n_pos + pos..][..tcount]
-                };
-                eval_row(node.kind, a, b, &mut rest[..tcount]);
-                // Equality pruning: a row identical to the cached one need
-                // not (must not, for speed) propagate dirtiness.
-                if rest[..tcount] != state.rows[(ni + k) * n_pos + pos..][..tcount] {
-                    state.dirty[ni + k] = true;
-                    state.touched.push((ni + k) as u32);
-                }
-            }
-            // Columns whose outputs are all bit-identical to the base can
-            // accumulate the cached term (the same `f64` the kernel would
-            // recompute); only genuinely differing columns pay for the
-            // gather + error kernel.
-            let mut col_diff: u32 = if terms_valid { 0 } else { !0 };
-            if terms_valid {
-                for o in outs {
-                    let sig = o.index();
-                    if state.dirty[sig] {
-                        let fresh = &state.scratch[sig * TILE..][..tcount];
-                        let cached = &state.rows[sig * n_pos + pos..][..tcount];
-                        for t in 0..tcount {
-                            col_diff |= u32::from(fresh[t] != cached[t]) << t;
-                        }
-                        // Past the sparse cutoff the exact mask no longer
-                        // matters — the dense branch kernels every column.
-                        if col_diff.count_ones() > 4 {
-                            break;
-                        }
-                    }
-                }
-            }
-            if col_diff == 0 {
-                // Fully clean tile: cached terms only.
-                for t in 0..tcount {
-                    total += state.block_err[pos + t];
-                    if total > raw_limit {
-                        return None;
-                    }
-                }
-            } else if col_diff.count_ones() <= 4 {
-                // A few differing columns: kernel just those, cached terms
-                // for the rest.
-                for t in 0..tcount {
-                    if col_diff & (1 << t) == 0 {
-                        total += state.block_err[pos + t];
-                    } else {
-                        let (block, weight) = self.ordered[pos + t];
-                        self.gather_got(
-                            &mut got,
-                            |sig| {
-                                if state.dirty[sig] {
-                                    state.scratch[sig * TILE + t]
-                                } else {
-                                    state.rows[sig * n_pos + pos + t]
-                                }
-                            },
-                            outs,
-                        );
-                        let exact =
-                            &self.exact_planes[block as usize * self.planes..][..self.planes];
-                        let err = abs_err_sum(exact, &got, self.planes);
-                        total += weight * err as f64;
-                    }
-                    if total > raw_limit {
-                        return None;
-                    }
-                }
-            } else {
-                // Dense tile: unrolled kernel over in-place sources. Clean
-                // columns recompute to exactly their cached term, so no
-                // masking is needed.
-                let srcs = self.dense_srcs(outs, |sig| {
-                    if state.dirty[sig] {
-                        &state.scratch[sig * TILE..][..tcount]
-                    } else {
-                        &state.rows[sig * n_pos + pos..][..tcount]
-                    }
-                });
-                self.dense_tile_terms(pos, tcount, &srcs, &mut terms);
-                for &term in &terms[..tcount] {
-                    total += term;
-                    if total > raw_limit {
-                        return None;
-                    }
-                }
-            }
-            // Dirtiness is per tile; clear only what this tile set.
-            for &s in &state.touched {
-                state.dirty[s as usize] = false;
-            }
-            state.touched.clear();
-            pos += tcount;
-        }
-        if pos == n_pos {
-            return Some(total);
-        }
-        // Bulk phase: node-major passes over geometrically growing chunks
-        // of the remaining positions. Fresh rows go into the bulk grid
-        // (same `sig · n_pos + pos` indexing as the cached rows, valid only
-        // where `dirty` is set); each chunk's tiles are then accumulated in
-        // the same order with the same three branches, so every `f64` term
-        // — and therefore the abort decision — is identical to the
-        // tile-by-tile path's. Growing chunks keep the wasted simulation
-        // small when a mid-grid abort does happen while letting survivors
-        // amortize gate dispatch over long rows.
-        let mut chunk_tiles = 2 * BULK_AFTER;
-        while pos < n_pos {
-            let chunk_start = pos;
-            let chunk_end = (chunk_start + chunk_tiles * TILE).min(n_pos);
-            let rest = chunk_end - chunk_start;
-            for &k in &sim_nodes {
-                let k = k as usize;
-                let node = &child.nodes()[k];
-                let (a_sig, b_sig) = (node.a.index(), node.b.index());
-                if !(state.def_changed[k] || state.dirty[a_sig] || state.dirty[b_sig]) {
-                    continue;
-                }
-                let (pre, tail) = state.bulk.split_at_mut((ni + k) * n_pos);
-                let a = if state.dirty[a_sig] {
-                    &pre[a_sig * n_pos + chunk_start..][..rest]
+                    &pre[a_sig * rest..][..rest]
                 } else {
                     &state.rows[a_sig * n_pos + chunk_start..][..rest]
                 };
                 let b = if state.dirty[b_sig] {
-                    &pre[b_sig * n_pos + chunk_start..][..rest]
+                    &pre[b_sig * rest..][..rest]
                 } else {
                     &state.rows[b_sig * n_pos + chunk_start..][..rest]
                 };
-                eval_row(node.kind, a, b, &mut tail[chunk_start..chunk_end]);
-                if !state.dirty[ni + k]
-                    && tail[chunk_start..chunk_end]
-                        != state.rows[(ni + k) * n_pos + chunk_start..][..rest]
-                {
+                let fresh = &mut tail[..rest];
+                eval_row(node.kind, a, b, fresh);
+                // Equality pruning: a row identical to the cached one need
+                // not (must not, for speed) propagate dirtiness.
+                if *fresh != state.rows[(ni + k) * n_pos + chunk_start..][..rest] {
                     state.dirty[ni + k] = true;
                     state.touched.push((ni + k) as u32);
                 }
             }
             while pos < chunk_end {
                 let tcount = TILE.min(chunk_end - pos);
+                let off = pos - chunk_start;
+                // Signal `sig`'s words over this tile: fresh if dirty,
+                // cached otherwise.
+                let src = |sig: usize| {
+                    if state.dirty[sig] {
+                        &state.bulk[sig * rest + off..][..tcount]
+                    } else {
+                        &state.rows[sig * n_pos + pos..][..tcount]
+                    }
+                };
+                // Columns whose outputs are all bit-identical to the base
+                // can accumulate the cached term (the same `f64` the kernel
+                // would recompute); only genuinely differing columns pay
+                // for the gather + error kernel.
                 let mut col_diff: u32 = if terms_valid { 0 } else { !0 };
                 if terms_valid {
                     for o in outs {
                         let sig = o.index();
                         if state.dirty[sig] {
-                            let fresh = &state.bulk[sig * n_pos + pos..][..tcount];
                             let cached = &state.rows[sig * n_pos + pos..][..tcount];
-                            for t in 0..tcount {
-                                col_diff |= u32::from(fresh[t] != cached[t]) << t;
+                            for (t, (f, c)) in src(sig).iter().zip(cached).enumerate() {
+                                col_diff |= u32::from(f != c) << t;
                             }
+                            // Past the sparse cutoff the exact mask no
+                            // longer matters — the dense branch kernels
+                            // every column.
                             if col_diff.count_ones() > 4 {
                                 break;
                             }
@@ -758,6 +579,7 @@ impl EngineCtx<'_> {
                     }
                 }
                 if col_diff == 0 {
+                    // Fully clean tile: cached terms only.
                     for t in 0..tcount {
                         total += state.block_err[pos + t];
                         if total > raw_limit {
@@ -765,22 +587,14 @@ impl EngineCtx<'_> {
                         }
                     }
                 } else if col_diff.count_ones() <= 4 {
+                    // A few differing columns: kernel just those, cached
+                    // terms for the rest.
                     for t in 0..tcount {
                         if col_diff & (1 << t) == 0 {
                             total += state.block_err[pos + t];
                         } else {
                             let (block, weight) = self.ordered[pos + t];
-                            self.gather_got(
-                                &mut got,
-                                |sig| {
-                                    if state.dirty[sig] {
-                                        state.bulk[sig * n_pos + pos + t]
-                                    } else {
-                                        state.rows[sig * n_pos + pos + t]
-                                    }
-                                },
-                                outs,
-                            );
+                            self.gather_got(&mut got, |sig| src(sig)[t], outs);
                             let exact =
                                 &self.exact_planes[block as usize * self.planes..][..self.planes];
                             let err = abs_err_sum(exact, &got, self.planes);
@@ -791,13 +605,10 @@ impl EngineCtx<'_> {
                         }
                     }
                 } else {
-                    let srcs = self.dense_srcs(outs, |sig| {
-                        if state.dirty[sig] {
-                            &state.bulk[sig * n_pos + pos..][..tcount]
-                        } else {
-                            &state.rows[sig * n_pos + pos..][..tcount]
-                        }
-                    });
+                    // Dense tile: the kernel over in-place sources. Clean
+                    // columns recompute to exactly their cached term, so no
+                    // masking is needed.
+                    let srcs = self.dense_srcs(outs, src);
                     self.dense_tile_terms(pos, tcount, &srcs, &mut terms);
                     for &term in &terms[..tcount] {
                         total += term;
@@ -808,12 +619,12 @@ impl EngineCtx<'_> {
                 }
                 pos += tcount;
             }
-            chunk_tiles *= 2;
+            // Dirtiness is per chunk; clear only what this chunk set.
+            for &s in &state.touched {
+                state.dirty[s as usize] = false;
+            }
+            state.touched.clear();
         }
-        for &s in &state.touched {
-            state.dirty[s as usize] = false;
-        }
-        state.touched.clear();
         Some(total)
     }
 
@@ -887,16 +698,15 @@ pub struct WmedState {
     num_signals: usize,
     ni: usize,
     gate_count: usize,
-    /// Per-tile scratch rows for dirty signals (`scratch[sig · TILE + t]`).
-    scratch: Vec<u64>,
-    /// Full-row scratch grid for the delta path's bulk phase
-    /// (`bulk[sig · n_pos + pos]`, valid only where `dirty` is set).
+    /// Chunk grid for the delta path: `bulk[sig · rest + off]` is dirty
+    /// signal `sig`'s fresh word at offset `off` of the current chunk of
+    /// `rest` positions (valid only where `dirty` is set).
     bulk: Vec<u64>,
     dirty: Vec<bool>,
     needed: Vec<bool>,
     /// Per-node scratch flag: definition differs from the base.
     def_changed: Vec<bool>,
-    /// Signals marked dirty in the current tile (for cheap clearing).
+    /// Signals marked dirty in the current chunk (for cheap clearing).
     touched: Vec<u32>,
     /// `weight · err` of the base at each block position — the exact `f64`
     /// terms the accumulation loop adds, so clean tiles skip the kernel.
@@ -915,10 +725,16 @@ impl WmedState {
     /// Approximate heap footprint in bytes (dominated by the cached rows).
     #[must_use]
     pub fn bytes(&self) -> usize {
-        (self.rows.len() + self.bulk.len() + self.scratch.len() + self.block_err.len()) * 8
-            + self.dirty.len()
-            + self.needed.len()
-            + self.def_changed.len()
+        Self::footprint(self.num_signals, self.gate_count, self.n_pos)
+    }
+
+    /// Heap footprint of a state over `num_signals` signals, `gate_count`
+    /// gates and `n_pos` weighted block positions: the cached rows, the
+    /// chunk grid and the per-position error terms (8 bytes per word), plus
+    /// one flag byte per signal (`dirty`, `needed`) and per gate
+    /// (`def_changed`).
+    pub(crate) fn footprint(num_signals: usize, gate_count: usize, n_pos: usize) -> usize {
+        (2 * num_signals * n_pos + n_pos) * 8 + 2 * num_signals + gate_count
     }
 }
 
@@ -1073,6 +889,55 @@ mod tests {
                 }
             }
             assert_eq!(abs_err_sum(&exact, &got, planes), expect, "planes={planes}");
+        }
+    }
+
+    #[test]
+    fn tile_terms_match_abs_err_sum_per_column() {
+        // Every plane count and every tail length, through the dense-tile
+        // entry point (so tail tiles take the zero-padding copy): each
+        // column's term must be exactly the per-column kernel's.
+        let mut rng = apx_rng::Xoshiro256::from_seed(7);
+        for planes in 2..=MAX_PLANES {
+            for tcount in 1..=TILE {
+                let ordered: Vec<(u32, f64)> =
+                    (0..tcount as u32).map(|block| (block, 1.0 + rng.f64())).collect();
+                let exact_planes: Vec<u64> = (0..tcount * planes).map(|_| rng.next_u64()).collect();
+                let mut exact_tiles = vec![0u64; planes * TILE];
+                for t in 0..tcount {
+                    for k in 0..planes {
+                        exact_tiles[k * TILE + t] = exact_planes[t * planes + k];
+                    }
+                }
+                let got: Vec<Vec<u64>> =
+                    (0..planes).map(|_| (0..tcount).map(|_| rng.next_u64()).collect()).collect();
+                let mut srcs: [&[u64]; MAX_PLANES] = [&ZERO_TILE; MAX_PLANES];
+                for (s, g) in srcs.iter_mut().zip(&got) {
+                    *s = g;
+                }
+                let ctx = EngineCtx {
+                    op: Operator::Mul,
+                    width: 1,
+                    signed: false,
+                    out_bits: planes as u32 - 1,
+                    ordered: &ordered,
+                    exact_planes: &exact_planes,
+                    exact_tiles: &exact_tiles,
+                    input_rows: &[],
+                    planes,
+                };
+                let mut terms = [0.0f64; TILE];
+                ctx.dense_tile_terms(0, tcount, &srcs, &mut terms);
+                for (t, &(_, weight)) in ordered.iter().enumerate() {
+                    let column: Vec<u64> = got.iter().map(|g| g[t]).collect();
+                    let err = abs_err_sum(&exact_planes[t * planes..][..planes], &column, planes);
+                    assert_eq!(
+                        terms[t].to_bits(),
+                        (weight * err as f64).to_bits(),
+                        "planes={planes} tail={tcount} column={t}"
+                    );
+                }
+            }
         }
     }
 

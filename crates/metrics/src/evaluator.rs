@@ -2,11 +2,12 @@
 //! (multipliers, adders, MACs — any [`Operator`]).
 //!
 //! Evaluation is organized around the engines in [`crate::engine`]: a
-//! levelized bit-parallel simulator that processes 64 operand pairs per gate
-//! op (tiled over blocks so gate dispatch amortizes), a bit-sliced error
-//! kernel that sums `|exact − got|` directly on output bit-planes, and an
-//! incremental mode that re-simulates only the fanout cone of a mutation
-//! against cached signal rows. A scalar one-pair-at-a-time reference
+//! bit-parallel simulator that walks the nodes in netlist order and
+//! processes 64 operand pairs per gate op (tiled over blocks so gate
+//! dispatch amortizes), a bit-sliced error kernel that sums
+//! `|exact − got|` directly on output bit-planes, and an incremental mode
+//! that re-simulates only the fanout cone of a mutation against cached
+//! signal rows. A scalar one-pair-at-a-time reference
 //! interpreter sits behind the same API as [`EvalBackend::Scalar`], and a
 //! symbolic ROBDD model-counting engine ([`crate::symbolic`]) behind
 //! [`EvalBackend::Symbolic`]; all backends are bit-identical by
@@ -567,9 +568,7 @@ impl CircuitEvaluator {
     /// block).
     #[must_use]
     pub fn state_bytes(&self, netlist: &Netlist) -> usize {
-        (netlist.num_signals() * (2 * self.ordered_blocks.len() + crate::engine::TILE)
-            + 2 * self.ordered_blocks.len())
-            * 8
+        WmedState::footprint(netlist.num_signals(), netlist.gate_count(), self.ordered_blocks.len())
     }
 
     /// Builds the cached full-grid simulation state for `base`.
@@ -1016,8 +1015,9 @@ mod tests {
         let eval = CircuitEvaluator::new(6, false, &pmf).unwrap();
         assert!(eval.supports_incremental());
         let base = broken_array_multiplier(6, 4, 3);
-        assert!(eval.state_bytes(&base) > 0);
         let mut state = eval.new_state(&base);
+        // The memory cap's estimate is the state's own footprint.
+        assert_eq!(eval.state_bytes(&base), state.bytes());
         let full = eval.wmed(&base);
         let cached = eval.wmed_bounded_delta(&mut state, &base, &[], f64::INFINITY).unwrap();
         assert_eq!(cached.to_bits(), full.to_bits());

@@ -211,26 +211,52 @@ proptest! {
             slow.wmed_bounded(&nl, limit).map(f64::to_bits)
         );
     }
+}
+
+proptest! {
+    // The wide shapes walk up to 2048 positions per step; fewer cases
+    // keep the suite fast in debug builds.
+    #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// The incremental protocol's core contract: a delta evaluation against
     /// a cached parent state — through arbitrary chains of single-node
     /// mutations and commits — returns exactly what a from-scratch bounded
     /// evaluation of the child returns, abort decision included.
+    ///
+    /// The shapes cover the whole chunk walk: `mul` at width 6 fits in the
+    /// one-tile chunks (13 error planes), while `mul` and `add` at width 8
+    /// (17 and 10 planes) and `mac` at width 4 (10 planes) also run the
+    /// growing chunks and a truncated last chunk. Holes in the PMF drop
+    /// weighted positions, which leaves tail tiles; every step is also
+    /// scored without a limit, so every chunk is walked.
     #[test]
     fn delta_matches_full_over_mutation_chains(
+        shape in 0usize..4,
         trunc in 0u32..8,
         signed in any::<bool>(),
+        holes in any::<bool>(),
         seed in any::<u64>(),
         limit_scale in 0.0f64..2.0,
     ) {
-        let w = 6u32;
-        let ni = 2 * w as usize;
-        let pmf = Pmf::half_normal(w, 16.0);
-        let eval =
-            CircuitEvaluator::with_backend(w, signed, &pmf, EvalBackend::BitParallel).unwrap();
-        let mut base = apx_arith::truncated_multiplier(w, trunc);
-        let mut state = eval.new_state(&base);
+        let (op, w) =
+            [(Operator::Mul, 6u32), (Operator::Mul, 8), (Operator::Add, 8), (Operator::Mac, 4)]
+                [shape];
+        let ni = op.num_inputs(w);
         let mut rng = Xoshiro256::from_seed(seed);
+        let weights: Vec<f64> = Pmf::half_normal(w, 16.0)
+            .iter()
+            .map(|p| if holes && rng.bernoulli(0.25) { 0.0 } else { p })
+            .collect();
+        prop_assume!(weights.iter().any(|&p| p > 0.0));
+        let pmf = Pmf::from_weights(w, weights).unwrap();
+        let eval =
+            CircuitEvaluator::for_operator_with_backend(op, w, signed, &pmf, EvalBackend::BitParallel)
+                .unwrap();
+        let mut base = match op {
+            Operator::Mul => apx_arith::truncated_multiplier(w, trunc),
+            _ => mutated_seed(op, w, signed, trunc as usize, seed),
+        };
+        let mut state = eval.new_state(&base);
         let limit = limit_scale * (eval.wmed(&base) + 1e-4);
         for _ in 0..12 {
             let k = rng.gen_range(base.gate_count());
@@ -243,9 +269,11 @@ proptest! {
             if rng.bernoulli(0.3) {
                 changed.push(rng.gen_range(base.gate_count()) as u32);
             }
-            let got = eval.wmed_bounded_delta(&mut state, &child, &changed, limit);
-            let want = eval.wmed_bounded(&child, limit);
-            prop_assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits));
+            for limit in [limit, f64::INFINITY] {
+                let got = eval.wmed_bounded_delta(&mut state, &child, &changed, limit);
+                let want = eval.wmed_bounded(&child, limit);
+                prop_assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits), "{op} w{w}");
+            }
             if rng.bernoulli(0.5) {
                 eval.commit_state(&mut state, &child, &changed);
                 base = child;
