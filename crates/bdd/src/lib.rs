@@ -16,6 +16,16 @@
 //!   as a 4-bit opcode, so every binary gate in `apx_gates` maps onto
 //!   a single code path (mirroring how the bit-parallel engine drives
 //!   one word-wise kernel per gate kind).
+//! - `apply` answers its terminal cases before the cache lookup: both
+//!   operands terminals, `f == g`, or one operand a terminal, whenever
+//!   the result is `FALSE`, `TRUE` or the other operand (`XOR(FALSE, g)
+//!   = g`, `AND(FALSE, g) = FALSE`, `XOR(g, g) = FALSE`). The recursion
+//!   it skips would only rebuild an existing diagram or collapse to a
+//!   terminal, so it creates no node: node creation order, every
+//!   [`NodeId`] and [`Bdd::num_nodes`] are the same as with the full
+//!   recursion (node-budget verdicts built on them cannot move). The
+//!   complement cases (`NOT g`) still recurse, because they build
+//!   nodes.
 //! - Model counting is memoized per node and answers "how many
 //!   assignments of variables `from..nvars` satisfy this subfunction"
 //!   — the primitive the symbolic engine uses both for whole rows and
@@ -266,8 +276,8 @@ impl Bdd {
     /// input values `(a, b)`.
     pub fn apply(&mut self, f: NodeId, g: NodeId, tt: u8) -> NodeId {
         debug_assert!(tt < 16);
-        if f <= 1 && g <= 1 {
-            return NodeId::from(tt >> ((f << 1) | g) & 1);
+        if let Some(r) = Self::terminal_case(f, g, tt) {
+            return r;
         }
         let key = (u64::from(f) << 33) | (u64::from(g) << 4) | u64::from(tt);
         if let Some(id) = self.cache.get(key) {
@@ -284,6 +294,37 @@ impl Bdd {
         let r = self.mk(m, lo, hi);
         self.cache.insert(key, r);
         r
+    }
+
+    /// `apply(f, g, tt)` when the opcode alone decides it: both operands
+    /// terminals, or one operand `h` left free (`f == g`, or the other
+    /// operand a terminal) and the connective restricted to `h` constant
+    /// or the identity. `None` when both operands are distinct decision
+    /// nodes, and for the complement `NOT h`, which has to be built.
+    ///
+    /// The recursion these cases skip would only rebuild `h` or collapse
+    /// to a terminal, so every `mk` it made would find an existing node:
+    /// skipping it creates no node and changes no node id.
+    #[inline]
+    fn terminal_case(f: NodeId, g: NodeId, tt: u8) -> Option<NodeId> {
+        if f <= 1 && g <= 1 {
+            return Some(NodeId::from((tt >> ((f << 1) | g)) & 1));
+        }
+        // `(h, on0, on1)`: the free operand and the output for h = 0, 1.
+        let (h, on0, on1) = if f == g {
+            (f, tt & 1, (tt >> 3) & 1)
+        } else if f <= 1 {
+            (g, (tt >> (f << 1)) & 1, (tt >> ((f << 1) | 1)) & 1)
+        } else if g <= 1 {
+            (f, (tt >> g) & 1, (tt >> (2 | g)) & 1)
+        } else {
+            return None;
+        };
+        match (on0, on1) {
+            (0, 1) => Some(h),
+            (1, 0) => None,
+            _ => Some(NodeId::from(on0)),
+        }
     }
 
     /// `f AND g`.
@@ -504,6 +545,108 @@ mod tests {
             funcs.push((id, table));
         }
         funcs.pop().unwrap()
+    }
+
+    /// `apply` without its terminal cases: every call past the
+    /// both-terminals base case goes through `cache` and recurses. The
+    /// reference the terminal cases are held to.
+    fn reference_apply(bdd: &mut Bdd, cache: &mut U64Map, f: NodeId, g: NodeId, tt: u8) -> NodeId {
+        if f <= 1 && g <= 1 {
+            return NodeId::from((tt >> ((f << 1) | g)) & 1);
+        }
+        let key = (u64::from(f) << 33) | (u64::from(g) << 4) | u64::from(tt);
+        if let Some(id) = cache.get(key) {
+            return id;
+        }
+        let m = bdd.var_of(f).min(bdd.var_of(g));
+        let split = |n: NodeId| {
+            let node = bdd.nodes[n as usize];
+            if node.var == m {
+                (node.lo, node.hi)
+            } else {
+                (n, n)
+            }
+        };
+        let ((f0, f1), (g0, g1)) = (split(f), split(g));
+        let lo = reference_apply(bdd, cache, f0, g0, tt);
+        let hi = reference_apply(bdd, cache, f1, g1, tt);
+        let r = bdd.mk(m, lo, hi);
+        cache.insert(key, r);
+        r
+    }
+
+    #[test]
+    fn terminal_cases_create_no_node() {
+        // `apply` and the reference recursion side by side in two
+        // managers, over random streams of all 16 opcodes with terminal
+        // and repeated operands mixed in: after every op both return the
+        // same id and hold the same nodes, so node ids and node counts
+        // (and any node budget checked against them) cannot tell the
+        // two apart. Operands favour recent results, which keeps the
+        // diagrams growing; many ops create several nodes, so a changed
+        // creation order would show as a changed id.
+        let nvars = 8;
+        for seed in 0..20 {
+            let mut fast = Bdd::new(nvars);
+            let mut slow = Bdd::new(nvars);
+            let mut cache = U64Map::with_capacity(64);
+            let mut pool: Vec<NodeId> = (0..nvars).map(|v| fast.var(v)).collect();
+            assert_eq!(pool, (0..nvars).map(|v| slow.var(v)).collect::<Vec<_>>());
+            let mut rng = Xoshiro256::from_seed(0x7E4A + seed);
+            for step in 0..400 {
+                let pick = |rng: &mut Xoshiro256| {
+                    let back = if rng.gen_range(2) == 0 { pool.len() } else { pool.len().min(8) };
+                    pool[pool.len() - 1 - rng.gen_range(back)]
+                };
+                let (a, b) = match rng.gen_range(4) {
+                    0 => (rng.gen_range(2) as NodeId, pick(&mut rng)),
+                    1 => (pick(&mut rng), rng.gen_range(2) as NodeId),
+                    2 => {
+                        let h = pick(&mut rng);
+                        (h, h)
+                    }
+                    _ => (pick(&mut rng), pick(&mut rng)),
+                };
+                let tt = rng.gen_range(16) as u8;
+                let got = fast.apply(a, b, tt);
+                let want = reference_apply(&mut slow, &mut cache, a, b, tt);
+                assert_eq!(got, want, "seed {seed} step {step}: apply({a}, {b}, {tt:#06b})");
+                assert_eq!(fast.num_nodes(), slow.num_nodes(), "seed {seed} step {step}");
+                if got > TRUE {
+                    pool.push(got);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn terminal_shapes_match_truth_tables() {
+        // Every opcode on every operand shape the terminal cases answer.
+        // Each result matches the truth table; unless it is the
+        // complement of `g` (which still recurses), it is `FALSE`, `TRUE`
+        // or `g` itself and no node was created.
+        let mut bdd = Bdd::new(4);
+        let x: Vec<NodeId> = (0..4).map(|v| bdd.var(v)).collect();
+        let (x01, x23) = (bdd.and(x[0], x[1]), bdd.or(x[2], x[3]));
+        let g = bdd.xor(x01, x23);
+        let value = |bdd: &Bdd, f: NodeId, a: u32| bdd.eval(f, |v| (a >> v) & 1 == 1);
+        for tt in 0..16u8 {
+            for (f, h) in [(FALSE, g), (TRUE, g), (g, FALSE), (g, TRUE), (g, g)] {
+                let before = bdd.num_nodes();
+                let r = bdd.apply(f, h, tt);
+                let mut complement = true;
+                for a in 0..16 {
+                    let bit = (u32::from(value(&bdd, f, a)) << 1) | u32::from(value(&bdd, h, a));
+                    let want = (tt >> bit) & 1 == 1;
+                    assert_eq!(value(&bdd, r, a), want, "apply({f}, {h}, {tt:#06b}) at {a}");
+                    complement &= want != value(&bdd, g, a);
+                }
+                if !complement {
+                    assert!([FALSE, TRUE, g].contains(&r), "apply({f}, {h}, {tt:#06b})");
+                    assert_eq!(bdd.num_nodes(), before, "apply({f}, {h}, {tt:#06b})");
+                }
+            }
+        }
     }
 
     #[test]

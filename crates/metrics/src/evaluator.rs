@@ -777,10 +777,12 @@ impl CircuitEvaluator {
 mod tests {
     use super::*;
     use crate::table_stats;
+    use apx_arith::mac::mac_unit;
     use apx_arith::{
         array_multiplier, baugh_wooley_broken, baugh_wooley_multiplier, broken_array_multiplier,
-        truncated_multiplier, OpTable,
+        lower_or_adder, truncated_multiplier, OpTable,
     };
+    use apx_gates::{GateKind, Node, SignalId};
 
     #[test]
     fn evaluator_matches_table_stats_unsigned() {
@@ -1077,6 +1079,79 @@ mod tests {
         let nl = broken_array_multiplier(4, 3, 2);
         assert_eq!(fast.wmed(&nl).to_bits(), sym.wmed(&nl).to_bits());
         assert_eq!(fast.stats(&nl), sym.stats(&nl));
+    }
+
+    /// `op`'s exact circuit with `rewrites` random node rewrites (random
+    /// gate kind, operands drawn from earlier signals).
+    fn rewritten_seed(op: Operator, width: u32, signed: bool, rewrites: usize) -> Netlist {
+        let mut rng = apx_rng::Xoshiro256::from_seed(0x3E3 ^ u64::from(width));
+        let base = op.seed_circuit(width, signed);
+        let ni = base.num_inputs();
+        let mut nodes = base.nodes().to_vec();
+        for _ in 0..rewrites {
+            let k = rng.gen_range(nodes.len());
+            let kind = GateKind::ALL[rng.gen_range(GateKind::ALL.len())];
+            let a = SignalId(rng.gen_range(ni + k) as u32);
+            let b = SignalId(rng.gen_range(ni + k) as u32);
+            nodes[k] = Node { kind, a, b };
+        }
+        Netlist::new(ni, nodes, base.outputs().to_vec()).expect("rewrites preserve topology")
+    }
+
+    #[test]
+    fn wide_path_matches_enumeration() {
+        // The per-row accumulation, greedy worst case and any-plane error
+        // rate the symbolic engine uses past the exhaustive cap, forced at
+        // exhaustive widths and held to the enumeration backends. Uniform
+        // weights are dyadic, so both accumulation orders are exact and
+        // must agree to the last bit.
+        for (op, width) in
+            [(Operator::Mul, 6), (Operator::Mul, 7), (Operator::Add, 8), (Operator::Mac, 4)]
+        {
+            for signed in [false, true] {
+                let pmf = Pmf::uniform(width);
+                let build = |backend| {
+                    CircuitEvaluator::for_operator_with_backend(op, width, signed, &pmf, backend)
+                        .unwrap()
+                };
+                let (fast, sym) = (build(EvalBackend::BitParallel), build(EvalBackend::Symbolic));
+                let block = sym.sym_ctx();
+                assert!(block.block_exact);
+                let wide = SymbolicCtx { block_exact: false, ..sym.sym_ctx() };
+                let broken = if signed {
+                    baugh_wooley_broken(width, width - 2, 3)
+                } else {
+                    broken_array_multiplier(width, width - 2, 3)
+                };
+                let conventional = match op {
+                    Operator::Mul => broken,
+                    Operator::Add => lower_or_adder(width, 3),
+                    Operator::Mac => mac_unit(&broken, width, op.acc_width(width), signed),
+                };
+                let candidates = [
+                    op.seed_circuit(width, signed),
+                    conventional,
+                    rewritten_seed(op, width, signed, 3),
+                ];
+                for (i, nl) in candidates.iter().enumerate() {
+                    let at = format!("{op} w{width} signed={signed} candidate {i}");
+                    let want = fast.stats(nl);
+                    let got = wide.wide_stats(nl);
+                    assert!(i == 0 || want.max_abs_error > 1, "{at}: trivial candidate");
+                    assert_eq!(got.med.to_bits(), want.med.to_bits(), "{at}: med");
+                    assert_eq!(got.wmed.to_bits(), want.wmed.to_bits(), "{at}: wmed");
+                    assert_eq!(got.wce.to_bits(), want.wce.to_bits(), "{at}: wce");
+                    assert_eq!(got.error_rate.to_bits(), want.error_rate.to_bits(), "{at}: er");
+                    assert_eq!(got.max_abs_error, want.max_abs_error, "{at}: max_abs_error");
+                    assert!(got.mred.is_nan(), "{at}: mred is NaN on the wide path");
+                    assert_eq!(
+                        wide.wmed_raw(nl, f64::INFINITY).map(f64::to_bits),
+                        block.wmed_raw(nl, f64::INFINITY).map(f64::to_bits),
+                        "{at}: wmed_raw"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

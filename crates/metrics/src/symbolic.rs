@@ -19,11 +19,16 @@
 //!
 //! # Bit-identity with the enumeration backends
 //!
-//! The BDD variable order puts the high `free − 6` bits (the per-`x`
-//! block index) above the low 6 (the 64 lanes of a block), so
-//! [`apx_bdd::Bdd::descend`] restricted to one block followed by
-//! [`apx_bdd::Bdd::count_from`] yields exactly the per-block integer
-//! error sum the bit-parallel kernel produces. The accumulation then
+//! There is one BDD variable order at every width: the free bits most
+//! significant first (free bit `e` is variable `free − 1 − e`). That
+//! puts the high `free − 6` bits (the per-`x` block index) above the
+//! low 6 (the 64 lanes of a block), so [`apx_bdd::Bdd::descend`]
+//! restricted to one block followed by [`apx_bdd::Bdd::count_from`]
+//! yields exactly the per-block integer error sum the bit-parallel
+//! kernel produces. A count is a number of satisfying assignments, so
+//! neither the order of the block bits among themselves (the walk pins
+//! each one where it sits) nor that of the lane bits can change it;
+//! only "block bits above lane bits" matters. The accumulation then
 //! replays the engine's contract verbatim: blocks of one `x` in
 //! ascending order, `x` values in stable decreasing-weight order
 //! (flattening to precisely the enumeration backends' `ordered_blocks`
@@ -83,19 +88,19 @@ impl SymbolicCtx<'_> {
     /// weighted operand fixed to `x`, plus the sign-extension plane —
     /// the symbolic analogue of `EngineCtx::gather_got`.
     ///
-    /// Variable order: enumeration free bit `e` maps to BDD variable
-    /// `e − 6` for `e ≥ 6` (block bits, root-most, block-index order)
-    /// and `block_vars + e` for `e < 6` (lane bits, bottom).
+    /// Variable order, most significant first at every width: free bit
+    /// `e` maps to BDD variable `free − 1 − e`. The block bits (`e ≥ 6`)
+    /// take variables `0..block_vars` and the lane bits the rest, so
+    /// the block-exact walk pins block bit `j` at variable
+    /// `block_vars − 1 − j`.
     fn circuit_planes(&self, bdd: &mut Bdd, nl: &Netlist, x: u64) -> Vec<NodeId> {
         let w = self.width as usize;
-        let t_vars = self.block_vars();
         let inputs: Vec<NodeId> = (0..nl.num_inputs())
             .map(|i| {
                 if i < w {
                     Bdd::constant((x >> i) & 1 == 1)
                 } else {
-                    let e = (i - w) as u32;
-                    bdd.var(if e < 6 { t_vars + e } else { e - 6 })
+                    bdd.var(self.free - 1 - (i - w) as u32)
                 }
             })
             .collect();
@@ -145,7 +150,7 @@ impl SymbolicCtx<'_> {
             let (terms, s) = self.abs_terms(&mut bdd, nl, u64::from(x_raw));
             if self.block_exact {
                 for block in 0..1u64 << t_vars {
-                    let pin = |t: u32| (block >> t) & 1 == 1;
+                    let pin = |v: u32| (block >> (t_vars - 1 - v)) & 1 == 1;
                     let mut sum = 0u64;
                     for (k, &f) in terms.iter().enumerate() {
                         let node = bdd.descend(f, t_vars, pin);

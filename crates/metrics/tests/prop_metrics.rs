@@ -382,7 +382,11 @@ fn symbolic_wide_multiplier_matches_closed_form() {
 /// release only — a debug build spends minutes rebuilding the 12×12
 /// multiplier's BDDs 4096 times over.
 #[test]
-#[cfg_attr(debug_assertions, ignore = "slow without optimizations; release CI covers it")]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "slow without optimizations; CI runs it in the step \
+              `cargo test --release -p apx_metrics --test prop_metrics symbolic_wide`"
+)]
 fn symbolic_wide_multiplier_uniform_full_pass() {
     let pmf = Pmf::uniform(12);
     let eval = CircuitEvaluator::with_backend(12, false, &pmf, EvalBackend::Symbolic).unwrap();
