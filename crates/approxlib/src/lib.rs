@@ -3,10 +3,10 @@
 //! The paper compares its evolved circuits against three kinds of
 //! pre-existing designs (§IV, §V-C):
 //!
-//! * **truncated array multipliers** (Jiang et al. [1]),
-//! * **broken-array multipliers** (Mahdiani et al. [13]),
-//! * the **EvoApprox8b** library [3] and the zero-exact multipliers of
-//!   Mrazek et al. [6].
+//! * **truncated array multipliers** (Jiang et al. \[1\]),
+//! * **broken-array multipliers** (Mahdiani et al. \[13\]),
+//! * the **EvoApprox8b** library \[3\] and the zero-exact multipliers of
+//!   Mrazek et al. \[6\].
 //!
 //! EvoApprox8b itself is a published artifact we cannot download in this
 //! offline reproduction; [`MultiplierLibrary::evoapprox_like`] plays its
@@ -56,7 +56,7 @@ pub enum Family {
         trunc_cols: u32,
     },
     /// Lower-OR approximate adder: the `k` least significant columns are
-    /// replaced by a carry-free bitwise OR (Mahdiani et al. [13]).
+    /// replaced by a carry-free bitwise OR (Mahdiani et al. \[13\]).
     LowerOr {
         /// Number of OR-approximated LSB columns.
         k: u32,
@@ -215,7 +215,7 @@ impl MultiplierLibrary {
     }
 
     /// Zero-guarded signed family: broken Baugh-Wooley multipliers wrapped
-    /// so multiplication by zero is exact (Mrazek et al. [6] — crucial for
+    /// so multiplication by zero is exact (Mrazek et al. \[6\] — crucial for
     /// NNs whose weight distributions have a heavy spike at 0).
     #[must_use]
     pub fn zero_guard_family_signed(width: u32) -> Self {
@@ -273,7 +273,7 @@ impl MultiplierLibrary {
 }
 
 /// Wraps a multiplier so that multiplication by zero is exact: the output
-/// is forced to 0 whenever either operand is 0 (Mrazek et al. [6]).
+/// is forced to 0 whenever either operand is 0 (Mrazek et al. \[6\]).
 ///
 /// Adds an OR-reduction tree per operand plus one masking AND per output
 /// bit — a small, fixed overhead.

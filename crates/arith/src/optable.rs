@@ -201,7 +201,7 @@ impl OpTable {
 
     /// Returns a copy of the table that multiplies by zero *exactly*
     /// (returns 0 whenever either operand is 0), the key property of the
-    /// NN-oriented multipliers of Mrazek et al. [6].
+    /// NN-oriented multipliers of Mrazek et al. \[6\].
     #[must_use]
     pub fn with_zero_guard(&self) -> Self {
         let mut out = self.clone();

@@ -494,7 +494,7 @@ impl Bdd {
     /// false terminal.
     ///
     /// Reduction guarantees every decision node has a non-FALSE child
-    /// (`lo == hi` collapses in [`Bdd::mk`]), so greedily following the
+    /// (`lo == hi` collapses when a node is made), so greedily following the
     /// first non-FALSE child always reaches TRUE.
     #[must_use]
     pub fn some_model(&self, f: NodeId) -> Option<Vec<bool>> {

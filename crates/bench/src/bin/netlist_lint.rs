@@ -13,15 +13,17 @@
 //! otherwise (warnings — stuck outputs, dead nodes — are reported but
 //! do not fail the audit: they are legal, if wasteful, circuits).
 //!
+//! Every run also takes the semantic equivalence-class census:
+//! `equivalence_classes` counts the distinct functions among the intact
+//! entries, by `apx_verify::class_representatives` — the rule the
+//! library's semantic dedup and the GC's equivalence collapse use — and
+//! `semantic_duplicates` is entries minus classes. The human mode prints
+//! it as an `equivalence:` line.
+//!
 //! `--json` swaps the human tables for one machine-readable JSON
 //! document: a `diagnostics` array (one object per finding), the
-//! per-diagnostic `counts`, and a summary (`entries`, `errors`,
-//! `warnings`). Unless `APX_EQUIV=off`, the document also carries the
-//! semantic equivalence-class census: `equivalence_classes` (distinct
-//! functions among the intact entries, by canonical BDD digest; entries
-//! past the node budget count as their own class) and
-//! `semantic_duplicates` (entries minus classes). The same census is
-//! printed as an `equivalence:` line in the human mode.
+//! per-diagnostic `counts`, a summary (`entries`, `errors`, `warnings`)
+//! and the census fields.
 //!
 //! `netlist_lint --seeds` ignores the directory and instead proves —
 //! by BDD equivalence checking, not sampling — that every
@@ -37,11 +39,12 @@
 //! Full `APX_*` knob reference: `crates/bench/README.md`.
 
 use apx_arith::{EvalBackend, Operator};
-use apx_bench::{cache_dir, env_switch, results_dir, seeds_max_width};
+use apx_bench::{cache_dir, results_dir, seeds_max_width};
 use apx_core::cache::SweepCache;
 use apx_core::report::TextTable;
-use apx_verify::{functional_digest, prove_seed, Equiv, Severity};
-use std::collections::{BTreeMap, HashSet};
+use apx_verify::{class_representatives, prove_seed, Equiv, Severity};
+use std::cmp::Ordering;
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
@@ -131,26 +134,13 @@ fn main() {
         println!("=== netlist_lint: {} ===\n", dir.display());
     }
 
-    let census = env_switch("APX_EQUIV", true);
-    let mut entries = 0usize;
+    let scanned = SweepCache::new(&dir).scan();
+    let entries = scanned.len();
     let mut errors = 0usize;
     let mut warnings = 0usize;
     let mut counts: BTreeMap<&'static str, usize> = BTreeMap::new();
     let mut findings: Vec<Finding> = Vec::new();
-    // Distinct functions among the intact entries: canonical digests per
-    // component class, with budget-capped entries as singleton classes.
-    let mut classes: HashSet<(Operator, u32, bool, u128)> = HashSet::new();
-    let mut unbudgeted = 0usize;
-    for entry in SweepCache::new(&dir).scan() {
-        entries += 1;
-        if census {
-            match functional_digest(&entry.circuit.netlist) {
-                Some(d) => {
-                    classes.insert((entry.op, entry.width, entry.signed, d));
-                }
-                None => unbudgeted += 1,
-            }
-        }
+    for entry in &scanned {
         for d in apx_verify::lint_component(&entry.circuit.netlist, entry.op, entry.width) {
             match d.severity() {
                 Severity::Error => errors += 1,
@@ -168,7 +158,14 @@ fn main() {
             });
         }
     }
-    let equivalence_classes = classes.len() + unbudgeted;
+    // Distinct functions: the members that represent their own class.
+    let members: Vec<_> =
+        scanned.iter().map(|e| (e.op, e.width, e.signed, &e.circuit.netlist)).collect();
+    let equivalence_classes = class_representatives(&members, |_, _| Ordering::Equal)
+        .into_iter()
+        .enumerate()
+        .filter(|&(i, rep)| rep == i)
+        .count();
 
     if json {
         let rows: Vec<String> = findings
@@ -189,22 +186,15 @@ fn main() {
             .collect();
         let count_rows: Vec<String> =
             counts.iter().map(|(name, n)| format!("\"{name}\": {n}")).collect();
-        let equiv_fields = if census {
-            format!(
-                ",\n  \"equivalence_classes\": {equivalence_classes},\n  \
-                 \"semantic_duplicates\": {}",
-                entries - equivalence_classes
-            )
-        } else {
-            String::new()
-        };
         println!(
             "{{\n  \"dir\": \"{}\",\n  \"entries\": {entries},\n  \"errors\": {errors},\n  \
              \"warnings\": {warnings},\n  \"counts\": {{{}}},\n  \"diagnostics\": \
-             [\n{}\n  ]{equiv_fields}\n}}",
+             [\n{}\n  ],\n  \"equivalence_classes\": {equivalence_classes},\n  \
+             \"semantic_duplicates\": {}\n}}",
             json_escape(&dir.display().to_string()),
             count_rows.join(", "),
             rows.join(",\n"),
+            entries - equivalence_classes,
         );
     } else {
         if !findings.is_empty() {
@@ -230,13 +220,11 @@ fn main() {
             println!("{}", table.to_text());
         }
         println!("lint: {errors} errors, {warnings} warnings across {entries} entries");
-        if census {
-            println!(
-                "equivalence: {equivalence_classes} classes across {entries} entries, {} \
-                 semantic duplicates",
-                entries - equivalence_classes
-            );
-        }
+        println!(
+            "equivalence: {equivalence_classes} classes across {entries} entries, {} semantic \
+             duplicates",
+            entries - equivalence_classes
+        );
     }
     if errors > 0 {
         std::process::exit(1);

@@ -194,50 +194,7 @@ pub fn parse_library(spec: &str, cache_dir: Option<PathBuf>) -> Option<LibraryCo
 /// strictly opt-in — unlike the exact-replay cache, which is transparent.
 #[must_use]
 pub fn library_config() -> Option<LibraryConfig> {
-    parse_library(&std::env::var("APX_LIBRARY").unwrap_or_default(), cache_dir()).map(|lc| {
-        LibraryConfig {
-            prune: env_switch("APX_PRUNE", true),
-            semantic_dedup: env_switch("APX_EQUIV", true),
-            ..lc
-        }
-    })
-}
-
-/// Parses an on/off switch value: `on` or `off`, with an empty value
-/// selecting `default`. An unrecognized value is an error describing the
-/// accepted ones.
-fn parse_switch(spec: &str, default: bool) -> Result<bool, String> {
-    match spec {
-        "" => Ok(default),
-        "on" => Ok(true),
-        "off" => Ok(false),
-        other => Err(format!("`{other}`: expected `on` or `off`")),
-    }
-}
-
-/// Reads the on/off switch `name` from the environment, `default` when it
-/// is unset or empty. The switches and their defaults:
-///
-/// * `APX_PRUNE` (on) — library re-scoring may skip provably hopeless
-///   candidates. `off` exists to measure the pruning itself and to rule
-///   it out when chasing a discrepancy.
-/// * `APX_EQUIV` (on) — the BDD-backed semantic passes: equivalence-class
-///   dedup in library mode, GC equivalence-class collapse, and the
-///   equivalence summaries of `cache_stats`/`netlist_lint`. Sweep results
-///   are identical either way; `off` exists for the same reasons.
-/// * `APX_VERIFY` (off) — `cache_stats` runs the `apx_verify` lint over
-///   every entry it lists (the audit re-decodes every netlist, which is
-///   not free on big caches).
-///
-/// # Panics
-///
-/// Panics on an unrecognized value, naming the knob and the value (the
-/// strict-knob rationale of [`env_u64`]: a typo silently skipping a
-/// requested audit would report a cache as unexamined-but-assumed-clean).
-#[must_use]
-pub fn env_switch(name: &str, default: bool) -> bool {
-    let raw = std::env::var(name).unwrap_or_default();
-    parse_switch(raw.trim(), default).unwrap_or_else(|e| panic!("{name} {e}"))
+    parse_library(&std::env::var("APX_LIBRARY").unwrap_or_default(), cache_dir())
 }
 
 /// Width ceiling for `netlist_lint --seeds` (`APX_SEEDS_MAX_WIDTH`,
@@ -952,8 +909,8 @@ mod tests {
         assert_eq!(on.dir, cache);
         assert!(!on.conventional);
         assert!(on.take_hits);
-        assert!(on.prune, "bound pruning defaults on (it is provably invisible)");
-        assert!(on.semantic_dedup, "semantic dedup defaults on (equally invisible)");
+        assert!(on.prune, "bound pruning always runs (it is provably invisible)");
+        assert!(on.semantic_dedup, "semantic dedup always runs");
         let full = parse_library("full", cache.clone()).unwrap();
         assert_eq!(full.dir, cache);
         assert!(full.conventional);
@@ -963,31 +920,6 @@ mod tests {
         // `on` with caching disabled scans nothing (still a valid mode:
         // bit-identical to off, by the library-mode contract).
         assert_eq!(parse_library("on", None).unwrap().dir, None);
-    }
-
-    #[test]
-    fn verify_and_prune_switches_parse_or_explain() {
-        let _guard = env_lock();
-        for (knob, default) in [("APX_PRUNE", true), ("APX_VERIFY", false), ("APX_EQUIV", true)] {
-            assert_eq!(parse_switch("", default), Ok(default), "{knob} default");
-            assert_eq!(parse_switch("on", default), Ok(true));
-            assert_eq!(parse_switch("off", default), Ok(false));
-            let err = parse_switch("sure", default).unwrap_err();
-            assert!(err.contains("`sure`") && err.contains("off"), "{err}");
-
-            std::env::remove_var(knob);
-            assert_eq!(env_switch(knob, default), default, "unset {knob}");
-            std::env::set_var(knob, " on ");
-            assert!(env_switch(knob, default), "surrounding whitespace is tolerated");
-            std::env::set_var(knob, "maybe");
-            let msg = panic_message_of(|| {
-                let _ = env_switch(knob, default);
-            })
-            .unwrap_or_else(|| panic!("unknown {knob} value must panic, never fall back"));
-            std::env::remove_var(knob);
-            assert!(msg.contains(knob), "missing knob name: {msg}");
-            assert!(msg.contains("maybe"), "missing offending value: {msg}");
-        }
     }
 
     #[test]

@@ -138,6 +138,28 @@ mod tests {
     }
 
     #[test]
+    fn rejects_each_gene_at_its_bound() {
+        // Geometry: 2 inputs, 1 output, 2 columns, 4 functions.
+        let text = |genes: &[u32]| {
+            let genes: Vec<String> = genes.iter().map(u32::to_string).collect();
+            format!("cgp 2 1 2\nfuncs and or xor nand\ngenes {}", genes.join(" "))
+        };
+        let clean = [0, 1, 2, 2, 0, 3, 3];
+        let chrom = Chromosome::from_text(&text(&clean)).unwrap();
+
+        // An operand reading its own node, a function code naming no
+        // gate, an output past the grid: each gene set to its bound.
+        for (gene, bound) in [(3, 3), (5, 4), (6, 4)] {
+            assert_eq!(chrom.gene_bound(gene), bound);
+            let mut bad = clean;
+            bad[gene] = bound;
+            assert!(Chromosome::from_text(&text(&bad)).is_err(), "gene {gene} at {bound}");
+            bad[gene] = bound - 1;
+            assert!(Chromosome::from_text(&text(&bad)).is_ok(), "gene {gene} at {}", bound - 1);
+        }
+    }
+
+    #[test]
     fn accepts_valid_hand_written_text() {
         // 2 inputs, 1 output, 1 node: and(in0, in1) -> out = node.
         let c = Chromosome::from_text("cgp 2 1 1\nfuncs and\ngenes 0 1 0 2").unwrap();

@@ -446,7 +446,7 @@ pub mod collection {
         }
     }
 
-    /// See [`vec`].
+    /// See [`vec()`].
     #[derive(Debug, Clone)]
     pub struct VecStrategy<S> {
         elem: S,

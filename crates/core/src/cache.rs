@@ -113,9 +113,7 @@ use apx_cgp::Chromosome;
 use apx_dist::{fnv1a64, Pmf, FNV1A64_OFFSET};
 use apx_metrics::{CircuitEvaluator, ErrorStats};
 use apx_techlib::{CircuitEstimate, TechLibrary};
-use std::cmp::Ordering;
-use std::collections::hash_map::Entry;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashSet};
 use std::fmt;
 use std::fmt::Write as _;
 use std::io;
@@ -233,8 +231,9 @@ impl SweepCache {
     /// file).
     ///
     /// The returned circuit carries the *stored* task data; its display
-    /// `name` is whatever the storing run used, and [`run_sweep`]
-    /// (crate::run_sweep) re-stamps it for the current configuration.
+    /// `name` is whatever the storing run used, and
+    /// [`run_sweep`](crate::run_sweep) re-stamps it for the current
+    /// configuration.
     #[must_use]
     pub fn load(&self, key: CacheKey) -> Option<EvolvedCircuit> {
         let text = std::fs::read_to_string(self.path_of(key)).ok()?;
@@ -468,29 +467,18 @@ pub struct GcConfig {
     /// that just joined all of its shard processes can safely use
     /// [`Duration::ZERO`].
     pub tmp_ttl: Duration,
-    /// Collapse functional-equivalence classes among the *Pareto-kept*
-    /// survivors: entries proven (by `apx_verify`'s canonical functional
-    /// digest) to compute the same function are reduced to one survivor
-    /// per class — the selection-preferred member, smallest stored area
-    /// with ties broken by key. Live keys ([`GcConfig::keep`]) are never
-    /// collapsed, and survivors are still never rewritten; equivalence
-    /// only removes redundant files. Entries whose planes outgrow the
-    /// semantic node budget keep their own class.
-    pub collapse_equiv: bool,
 }
 
 impl Default for GcConfig {
     /// Keep nothing special, no re-scoring distributions (stored-stats
-    /// fronts), one thread, a 15-minute temp-file grace period — orders
-    /// of magnitude longer than any write-to-rename window — and
-    /// equivalence-class collapsing on.
+    /// fronts), one thread and a 15-minute temp-file grace period —
+    /// orders of magnitude longer than any write-to-rename window.
     fn default() -> Self {
         GcConfig {
             keep: HashSet::new(),
             distributions: Vec::new(),
             threads: 1,
             tmp_ttl: Duration::from_secs(15 * 60),
-            collapse_equiv: true,
         }
     }
 }
@@ -512,8 +500,8 @@ pub struct GcReport {
     /// Stale writer temp files deleted.
     pub tmp_removed: usize,
     /// Pareto-kept entries dropped as functional-equivalence duplicates
-    /// of another survivor ([`GcConfig::collapse_equiv`]); these are
-    /// deleted and counted under [`evicted`](GcReport::evicted) as well.
+    /// of another survivor (see [`gc_cache_dir`]); these are deleted and
+    /// counted under [`evicted`](GcReport::evicted) as well.
     pub collapsed: usize,
     /// Total bytes reclaimed.
     pub bytes_freed: u64,
@@ -626,44 +614,29 @@ pub fn gc_cache_dir(dir: &Path, cfg: &GcConfig) -> io::Result<GcReport> {
             }
         }
     }
-    if cfg.collapse_equiv {
-        // Equivalence-class collapse: among the *Pareto-kept* survivors
-        // of one (op, width, signed) group, entries with the same
-        // canonical functional digest compute the same function and
-        // would re-score identically under every distribution — one
-        // representative is enough. Keep the selection-preferred member
-        // (smallest stored area, ties by key, matching the library's
-        // `dedup_semantic` order) and drop the rest. Live keys are
-        // exempt, and digest failures (budget/width) keep their entry.
-        let mut best: HashMap<(Operator, u32, bool, u128), (f64, CacheKey)> = HashMap::new();
-        for e in &scanned {
-            if !survivors.contains(&e.key) || cfg.keep.contains(&e.key) {
-                continue;
-            }
-            let Some(digest) = apx_verify::functional_digest(&e.circuit.netlist) else {
-                continue;
-            };
-            let class = (e.op, e.width, e.signed, digest);
-            let candidate = (e.circuit.estimate.area_um2, e.key);
-            match best.entry(class) {
-                Entry::Vacant(slot) => {
-                    slot.insert(candidate);
-                }
-                Entry::Occupied(mut slot) => {
-                    let incumbent = *slot.get();
-                    let better = candidate.0.total_cmp(&incumbent.0).then_with(|| {
-                        (candidate.1.hi, candidate.1.lo).cmp(&(incumbent.1.hi, incumbent.1.lo))
-                    });
-                    let loser = if better == Ordering::Less {
-                        slot.insert(candidate);
-                        incumbent.1
-                    } else {
-                        candidate.1
-                    };
-                    survivors.remove(&loser);
-                    report.collapsed += 1;
-                }
-            }
+    // Equivalence-class collapse: Pareto-kept survivors that compute the
+    // same function would re-score identically under every distribution,
+    // so one representative per class is enough — the selection-preferred
+    // member (smallest stored area, ties by key, matching the library's
+    // `dedup_semantic` order). Live keys are exempt.
+    let pareto_kept: Vec<&ScannedEntry> = scanned
+        .iter()
+        .filter(|e| survivors.contains(&e.key) && !cfg.keep.contains(&e.key))
+        .collect();
+    let members: Vec<_> =
+        pareto_kept.iter().map(|e| (e.op, e.width, e.signed, &e.circuit.netlist)).collect();
+    let reps = apx_verify::class_representatives(&members, |i, j| {
+        let (a, b) = (pareto_kept[i], pareto_kept[j]);
+        a.circuit
+            .estimate
+            .area_um2
+            .total_cmp(&b.circuit.estimate.area_um2)
+            .then_with(|| (a.key.hi, a.key.lo).cmp(&(b.key.hi, b.key.lo)))
+    });
+    for (i, (e, rep)) in pareto_kept.iter().zip(reps).enumerate() {
+        if rep != i {
+            survivors.remove(&e.key);
+            report.collapsed += 1;
         }
     }
     report.kept_pareto = survivors.len() - report.kept_live;
@@ -1223,14 +1196,6 @@ mod tests {
         assert!(!exists(k2), "its equivalent duplicate is collapsed");
         assert!(exists(k3), "a distinct function is untouched");
         assert!(exists(k4), "live keys are never collapsed, even as duplicates");
-
-        // The escape hatch keeps both duplicates on the front.
-        cache.store(k2, &pin(0.05, 6.0), Operator::Mul, 3, false).unwrap();
-        let off =
-            GcConfig { keep: HashSet::from([k4]), collapse_equiv: false, ..GcConfig::default() };
-        let report = gc_cache_dir(&dir, &off).unwrap();
-        assert_eq!(report.collapsed, 0);
-        assert_eq!(report.kept_pareto, 3);
     }
 
     #[test]

@@ -20,7 +20,7 @@ pub enum CoreError {
         message: String,
     },
     /// The shard orchestrator could not spawn or supervise a worker
-    /// process ([`crate::orchestrate`]). Carries the rendered OS error —
+    /// process ([`crate::orchestrate()`]). Carries the rendered OS error —
     /// `std::io::Error` is neither `Clone` nor `PartialEq`, which this
     /// enum promises.
     Orchestrate(String),

@@ -21,7 +21,7 @@
 //!   under a digest of exactly what was computed, so re-runs, interrupted
 //!   overnight sweeps and multi-process [`Shard`] splits reuse evolved
 //!   circuits instead of re-evolving them;
-//! * [`orchestrate`] — the local multi-process supervisor over that
+//! * [`orchestrate`](mod@orchestrate) — the local multi-process supervisor over that
 //!   cache: spawn `n` shard processes (`APX_SHARD=i/n` over one
 //!   `APX_CACHE_DIR`), poll the shared directory for progress, relaunch
 //!   dead shards on their (mostly cached) remainder, and afterwards

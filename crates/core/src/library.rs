@@ -5,9 +5,10 @@
 //! threshold)` point, yet the expensive artifact — an approximate
 //! multiplier, adder or MAC — does not care which distribution it was
 //! evolved under:
-//! its WMED under a *new* [`Pmf`] is one exhaustive [`CircuitEvaluator`]
-//! pass, no evolution at all (this is exactly the cheap re-scoring that
-//! makes autoAx-style library reuse work; Mrazek et al., DAC'19). This
+//! its WMED under a *new* [`Pmf`](apx_dist::Pmf) is one exhaustive
+//! [`CircuitEvaluator`] pass, no evolution at all (this is exactly the
+//! cheap re-scoring that makes autoAx-style library reuse work; Mrazek
+//! et al., DAC'19). This
 //! module turns the per-task [`crate::cache`] into such a reusable
 //! library:
 //!
@@ -49,7 +50,7 @@ use apx_gates::Netlist;
 use apx_metrics::{CircuitEvaluator, ErrorStats};
 use apx_techlib::{area_of, TechLibrary};
 use apx_verify::{
-    functional_digest, has_errors, lint_component, structural_hash, wmed_bounds_weighted,
+    class_representatives, has_errors, lint_component, structural_hash, wmed_bounds_weighted,
     Diagnostic,
 };
 use std::collections::HashMap;
@@ -325,53 +326,37 @@ impl ComponentLibrary {
     }
 
     /// Collapses **semantic** duplicates: the stage after structural
-    /// dedup. Entries of one `(operator, width, signedness)` class whose
-    /// `apx_verify` functional digests agree compute the same function —
-    /// wiring permutations, dead nodes and gate-level restructurings of
-    /// one circuit — so they would occupy duplicate slots in every
-    /// re-scored ranking (identical error statistics under *any*
-    /// distribution). Each class is reduced to its selection-preferred
-    /// member: the entry the `(area, WMED, name)` ranking would list
-    /// first, i.e. minimal technology area under `tech` with ties broken
-    /// by name. [`RescoredLibrary::best_meeting`] is therefore provably
-    /// unchanged; only redundant seed slots are freed for functionally
-    /// distinct candidates.
+    /// dedup. Entries that compute the same function — wiring
+    /// permutations, dead nodes and gate-level restructurings of one
+    /// circuit — would occupy duplicate slots in every re-scored ranking
+    /// (identical error statistics under *any* distribution). Each
+    /// equivalence class ([`class_representatives`]) is reduced to its
+    /// selection-preferred member: the entry the `(area, WMED, name)`
+    /// ranking would list first, i.e. minimal technology area under
+    /// `tech` with ties broken by name. [`RescoredLibrary::best_meeting`]
+    /// is therefore provably unchanged; only redundant seed slots are
+    /// freed for functionally distinct candidates.
     ///
-    /// Entries whose planes outgrow the semantic node budget keep their
-    /// structural identity and are never merged. The exact-replay index
-    /// and the rejected list are untouched — key-addressed replays do
-    /// not depend on which candidate represents a function class.
+    /// The exact-replay index and the rejected list are untouched —
+    /// key-addressed replays do not depend on which candidate represents
+    /// a function class.
     ///
     /// Returns how many entries this call removed; the running total is
     /// [`semantic_dups`](Self::semantic_dups).
     pub fn dedup_semantic(&mut self, tech: &TechLibrary) -> usize {
-        let mut classes: HashMap<(Operator, u32, bool, u128), usize> = HashMap::new();
-        let mut keep = vec![true; self.entries.len()];
-        for (i, entry) in self.entries.iter().enumerate() {
-            let Some(fd) = functional_digest(&entry.netlist) else {
-                continue; // budget-capped: keep under structural identity
-            };
-            let class = (entry.op, entry.width, entry.signed, fd);
-            match classes.entry(class) {
-                std::collections::hash_map::Entry::Vacant(v) => {
-                    v.insert(i);
-                }
-                std::collections::hash_map::Entry::Occupied(mut o) => {
-                    let j = *o.get();
-                    let held = &self.entries[j];
-                    let (area_i, area_j) =
-                        (area_of(&entry.netlist, tech), area_of(&held.netlist, tech));
-                    let prefer_new =
-                        area_i.total_cmp(&area_j).then_with(|| entry.name.cmp(&held.name)).is_lt();
-                    if prefer_new {
-                        keep[j] = false;
-                        o.insert(i);
-                    } else {
-                        keep[i] = false;
-                    }
-                }
-            }
-        }
+        let entries = &self.entries;
+        let members: Vec<_> =
+            entries.iter().map(|e| (e.op, e.width, e.signed, &e.netlist)).collect();
+        let keep: Vec<bool> = class_representatives(&members, |i, j| {
+            let (a, b) = (&entries[i], &entries[j]);
+            area_of(&a.netlist, tech)
+                .total_cmp(&area_of(&b.netlist, tech))
+                .then_with(|| a.name.cmp(&b.name))
+        })
+        .into_iter()
+        .enumerate()
+        .map(|(i, rep)| rep == i)
+        .collect();
         let removed = keep.iter().filter(|&&k| !k).count();
         if removed > 0 {
             let mut it = keep.iter();
@@ -662,6 +647,93 @@ mod tests {
         // Same circuit on a padded grid: digest unchanged.
         assert_eq!(structural_hash(&nl), structural_hash(&chrom.decode_active()));
         assert_ne!(structural_hash(&nl), structural_hash(&apx_arith::truncated_multiplier(3, 1)));
+    }
+
+    /// A library candidate under a chosen name and component class.
+    fn named_entry(name: &str, signed: bool, netlist: Netlist) -> LibraryEntry {
+        let chromosome =
+            Chromosome::from_netlist(&netlist, &FunctionSet::extended(), netlist.gate_count())
+                .unwrap();
+        LibraryEntry {
+            name: name.to_owned(),
+            digest: structural_hash(&netlist),
+            chromosome,
+            netlist,
+            op: Operator::Mul,
+            width: 3,
+            signed,
+            provenance: Provenance::Conventional { family: Family::Exact },
+        }
+    }
+
+    /// `nl` with the operands of every symmetric two-input gate swapped:
+    /// one function, a different structure, the same area.
+    fn operands_swapped(nl: &Netlist) -> Netlist {
+        let nodes = nl
+            .nodes()
+            .iter()
+            .map(|n| {
+                if n.kind.arity() == 2 && n.kind.is_symmetric() {
+                    apx_gates::Node { a: n.b, b: n.a, ..*n }
+                } else {
+                    *n
+                }
+            })
+            .collect();
+        Netlist::new(nl.num_inputs(), nodes, nl.outputs().to_vec()).unwrap()
+    }
+
+    /// `nl` with output 0 routed through two inverters: one function, a
+    /// different structure, more area.
+    fn double_negated(nl: &Netlist) -> Netlist {
+        let mut nodes = nl.nodes().to_vec();
+        let mut outputs = nl.outputs().to_vec();
+        for _ in 0..2 {
+            let prev = outputs[0];
+            outputs[0] = apx_gates::SignalId((nl.num_inputs() + nodes.len()) as u32);
+            nodes.push(apx_gates::Node { kind: apx_gates::GateKind::Not, a: prev, b: prev });
+        }
+        Netlist::new(nl.num_inputs(), nodes, outputs).unwrap()
+    }
+
+    #[test]
+    fn semantic_dedup_keeps_the_area_then_name_preferred_member_per_class() {
+        let tech = TechLibrary::nangate45();
+        let exact = apx_arith::array_multiplier(3);
+        let swapped = operands_swapped(&exact);
+        let negated = double_negated(&exact);
+        assert_ne!(structural_hash(&exact), structural_hash(&swapped));
+        assert_eq!(area_of(&exact, &tech).to_bits(), area_of(&swapped, &tech).to_bits());
+        assert!(area_of(&negated, &tech) > area_of(&exact, &tech));
+
+        let mut lib = ComponentLibrary::new();
+        // The class of unsigned 3-bit multipliers holds three netlists of
+        // one function: `m_exact` is held first, `0_negated` loses on area
+        // despite its name, and the later `a_swapped` ties on area and
+        // wins on name.
+        for entry in [
+            named_entry("m_exact", false, exact.clone()),
+            named_entry("0_negated", false, negated),
+            named_entry("trunc", false, apx_arith::truncated_multiplier(3, 1)),
+            named_entry("a_swapped", false, swapped.clone()),
+            // The same function again, but as a signed component: another
+            // class, so nothing to collapse it with.
+            named_entry("signed_twin", true, double_negated(&swapped)),
+        ] {
+            assert!(lib.insert(entry));
+        }
+        assert_eq!(lib.dedup_semantic(&tech), 2);
+        assert_eq!(lib.semantic_dups(), 2);
+        let names: Vec<&str> = lib.entries().map(|e| e.name.as_str()).collect();
+        assert_eq!(names, ["trunc", "a_swapped", "signed_twin"], "ingestion order is kept");
+
+        // A second pass finds nothing new; the running total stays.
+        assert_eq!(lib.dedup_semantic(&tech), 0);
+        assert_eq!(lib.semantic_dups(), 2);
+        // The structural index follows the survivors: a removed netlist
+        // is new again, a kept one is still a duplicate.
+        assert!(lib.insert(named_entry("m_exact", false, exact)));
+        assert!(!lib.insert(named_entry("dup", false, swapped)));
     }
 
     #[test]

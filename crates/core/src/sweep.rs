@@ -1279,7 +1279,6 @@ mod tests {
                 .collect(),
             threads: 2,
             tmp_ttl: std::time::Duration::ZERO,
-            ..GcConfig::default()
         };
         let report = gc_cache_dir(&dir, &gc).unwrap();
         assert_eq!(report.entries_before, 16);

@@ -230,8 +230,7 @@ impl SymbolicCtx<'_> {
 
     /// Maximum `|d|` over one `x` row: materialize the absolute-value
     /// planes `Y = (d ⊕ s) + s` (ripple increment with carry-in `s`),
-    /// then walk from the most significant plane down, keeping the
-    /// satisfiable restriction.
+    /// then take their [`Bdd::max_value`].
     fn row_max_abs(&self, bdd: &mut Bdd, terms: &[NodeId], s: NodeId) -> i64 {
         let mut y = Vec::with_capacity(self.planes);
         let mut carry = s;
@@ -242,16 +241,7 @@ impl SymbolicCtx<'_> {
         // Top |d| plane: the (planes−1)-th term is identically false, so
         // Y_{planes−1} is just the remaining carry.
         y.push(carry);
-        let mut reach = apx_bdd::TRUE;
-        let mut val = 0i64;
-        for (k, &yk) in y.iter().enumerate().rev() {
-            let tk = bdd.and(reach, yk);
-            if tk != FALSE {
-                val |= 1i64 << k;
-                reach = tk;
-            }
-        }
-        val
+        bdd.max_value(&y) as i64
     }
 }
 

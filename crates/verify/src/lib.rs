@@ -8,12 +8,13 @@
 //! wrong arity for its declared operator, …). This crate is the static
 //! gate in front of that trust boundary, in three passes:
 //!
-//! 1. **Structural lint** ([`lint_netlist`], [`lint_genes`],
+//! 1. **Structural lint** ([`lint_parts`], [`lint_netlist`],
 //!    [`lint_component`]): node-index bounds (which, over a
-//!    topologically ordered node list, *is* acyclicity), output wiring,
-//!    gate/function-code validity and per-[`Operator`] width contracts —
-//!    each violation a named, span-carrying [`Diagnostic`] instead of a
-//!    bare "corrupt".
+//!    topologically ordered node list, *is* acyclicity), output wiring
+//!    and per-[`Operator`] width contracts — each violation a named,
+//!    span-carrying [`Diagnostic`] instead of a bare "corrupt". Raw CGP
+//!    genomes need no pass here: `Chromosome::from_text` already rejects
+//!    every gene past its bound on each cache read.
 //! 2. **Dataflow** ([`propagate_constants`], [`constant_signals`]):
 //!    ternary constant propagation over the gate list, reporting
 //!    provably-constant (stuck-at) outputs and dead nodes as warnings,
@@ -39,8 +40,9 @@ mod semantic;
 
 pub use bounds::{wmed_bounds, wmed_bounds_ternary, wmed_bounds_weighted, ErrorBounds};
 pub use semantic::{
-    functional_digest, functional_digest_with_budget, output_ranges, prove_equiv,
-    prove_equiv_with_budget, prove_seed, prove_seed_with_budget, Equiv, SEMANTIC_NODE_BUDGET,
+    class_representatives, functional_digest, functional_digest_with_budget, output_ranges,
+    prove_equiv, prove_equiv_with_budget, prove_seed, prove_seed_with_budget, Equiv,
+    SEMANTIC_NODE_BUDGET,
 };
 
 use apx_arith::{EvalBackend, Operator};
@@ -57,7 +59,7 @@ pub enum Severity {
     Error,
 }
 
-/// Where in the netlist (or genome) a [`Diagnostic`] points.
+/// Where in the netlist a [`Diagnostic`] points.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Span {
     /// The netlist as a whole.
@@ -66,8 +68,6 @@ pub enum Span {
     Node(usize),
     /// Output slot `k` of the output list.
     Output(usize),
-    /// Gene `k` of a raw CGP genome.
-    Gene(usize),
 }
 
 /// One named finding of the static analyzer.
@@ -96,16 +96,6 @@ pub enum Diagnostic {
     },
     /// The netlist declares no outputs at all.
     NoOutputs,
-    /// A raw CGP gene exceeds its positional bound (an operand gene past
-    /// its column, or a function gene with no such gate code).
-    GeneOutOfRange {
-        /// Offending gene index.
-        gene: usize,
-        /// The stored gene value.
-        value: u32,
-        /// Exclusive bound for that gene position.
-        bound: u32,
-    },
     /// The declared operand width is outside the operator's evaluable
     /// range, so no arity contract even exists to check against.
     UnsupportedWidth {
@@ -158,7 +148,6 @@ impl Diagnostic {
             Diagnostic::OperandOutOfRange { .. } => "operand-out-of-range",
             Diagnostic::OutputOutOfRange { .. } => "output-out-of-range",
             Diagnostic::NoOutputs => "no-outputs",
-            Diagnostic::GeneOutOfRange { .. } => "gene-out-of-range",
             Diagnostic::UnsupportedWidth { .. } => "unsupported-width",
             Diagnostic::InputArity { .. } => "input-arity",
             Diagnostic::OutputArity { .. } => "output-arity",
@@ -186,7 +175,6 @@ impl Diagnostic {
             }
             Diagnostic::OutputOutOfRange { output, .. }
             | Diagnostic::StuckOutput { output, .. } => Span::Output(output),
-            Diagnostic::GeneOutOfRange { gene, .. } => Span::Gene(gene),
             Diagnostic::NoOutputs
             | Diagnostic::UnsupportedWidth { .. }
             | Diagnostic::InputArity { .. }
@@ -208,9 +196,6 @@ impl fmt::Display for Diagnostic {
                 "output-out-of-range: output {output} reads signal {signal} (must be < {limit})"
             ),
             Diagnostic::NoOutputs => write!(f, "no-outputs: the netlist declares no outputs"),
-            Diagnostic::GeneOutOfRange { gene, value, bound } => {
-                write!(f, "gene-out-of-range: gene {gene} holds {value} (must be < {bound})")
-            }
             Diagnostic::UnsupportedWidth { op, width } => {
                 write!(f, "unsupported-width: {op} does not support operand width {width}")
             }
@@ -275,50 +260,6 @@ pub fn lint_parts(num_inputs: usize, nodes: &[Node], outputs: &[SignalId]) -> Ve
     for (k, out) in outputs.iter().enumerate() {
         if out.0 >= limit {
             diags.push(Diagnostic::OutputOutOfRange { output: k, signal: out.0, limit });
-        }
-    }
-    diags
-}
-
-/// Structural lint over a raw CGP genome, mirroring the per-gene bounds
-/// of `apx_cgp`'s genome layout: genes come in `(a, b, function)` triples
-/// for each of `cols` single-row nodes, followed by `num_outputs` output
-/// genes. Operand genes must stay under their column's signal count
-/// (levels-back = full row), function genes under `num_functions`, output
-/// genes under the total signal count.
-///
-/// This is the gate-code validity check: a function gene at or above
-/// `num_functions` names no gate at all.
-///
-/// # Panics
-///
-/// Panics if `genes.len() != 3 * cols + num_outputs` — a length mismatch
-/// is a framing error the caller's parser must have caught already.
-#[must_use]
-pub fn lint_genes(
-    num_inputs: usize,
-    num_outputs: usize,
-    cols: usize,
-    num_functions: usize,
-    genes: &[u32],
-) -> Vec<Diagnostic> {
-    assert_eq!(
-        genes.len(),
-        3 * cols + num_outputs,
-        "genome length must match its declared geometry"
-    );
-    let mut diags = Vec::new();
-    for (idx, &value) in genes.iter().enumerate() {
-        let bound = if idx < 3 * cols {
-            match idx % 3 {
-                0 | 1 => (num_inputs + idx / 3) as u32,
-                _ => num_functions as u32,
-            }
-        } else {
-            (num_inputs + cols) as u32
-        };
-        if value >= bound {
-            diags.push(Diagnostic::GeneOutOfRange { gene: idx, value, bound });
         }
     }
     diags
@@ -453,7 +394,7 @@ fn fnv_u128(canonical: &str) -> u128 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use apx_gates::{GateKind, NetlistBuilder};
+    use apx_gates::NetlistBuilder;
 
     fn adder() -> Netlist {
         apx_arith::ripple_carry_adder(4)
@@ -501,43 +442,6 @@ mod tests {
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0], Diagnostic::NoOutputs);
         assert_eq!(diags[0].span(), Span::Netlist);
-    }
-
-    #[test]
-    fn gene_lint_mirrors_the_genome_bounds() {
-        // Geometry: 2 inputs, 1 output, 2 columns, 4 functions.
-        let clean = [0, 1, 2, 2, 0, 3, 3];
-        assert!(lint_genes(2, 1, 2, 4, &clean).is_empty());
-
-        // Operand gene at its own column's bound (self-reference).
-        let mut bad = clean;
-        bad[3] = 3;
-        let diags = lint_genes(2, 1, 2, 4, &bad);
-        assert_eq!(diags.len(), 1);
-        assert_eq!(diags[0], Diagnostic::GeneOutOfRange { gene: 3, value: 3, bound: 3 });
-        assert_eq!(diags[0].span(), Span::Gene(3));
-
-        // Function gene naming a nonexistent gate code.
-        let mut bad = clean;
-        bad[5] = 4;
-        assert_eq!(
-            lint_genes(2, 1, 2, 4, &bad),
-            vec![Diagnostic::GeneOutOfRange { gene: 5, value: 4, bound: 4 }]
-        );
-
-        // Output gene past the grid.
-        let mut bad = clean;
-        bad[6] = 4;
-        assert_eq!(
-            lint_genes(2, 1, 2, 4, &bad),
-            vec![Diagnostic::GeneOutOfRange { gene: 6, value: 4, bound: 4 }]
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "genome length")]
-    fn gene_lint_rejects_framing_mismatches() {
-        let _ = lint_genes(2, 1, 2, 4, &[0; 5]);
     }
 
     #[test]
@@ -653,7 +557,6 @@ mod tests {
             Diagnostic::OperandOutOfRange { node: 0, operand: 'a', signal: 9, limit: 4 },
             Diagnostic::OutputOutOfRange { output: 1, signal: 9, limit: 4 },
             Diagnostic::NoOutputs,
-            Diagnostic::GeneOutOfRange { gene: 2, value: 9, bound: 4 },
             Diagnostic::UnsupportedWidth { op: Operator::Mac, width: 9 },
             Diagnostic::InputArity { op: Operator::Mul, width: 4, expected: 8, got: 7 },
             Diagnostic::OutputArity { op: Operator::Mul, width: 4, expected: 8, got: 7 },
@@ -687,16 +590,5 @@ mod tests {
         b.outputs(&[live]);
         let other = b.finish().unwrap();
         assert_ne!(structural_hash(&lean), structural_hash(&other));
-    }
-
-    #[test]
-    fn gate_code_validity_is_what_gene_lint_checks() {
-        // A function gene bound equal to the function-set length is the
-        // gate-code validity contract: every in-range gene decodes.
-        let kinds = [GateKind::And, GateKind::Or];
-        for code in 0..kinds.len() as u32 {
-            assert!(lint_genes(2, 1, 1, kinds.len(), &[0, 1, code, 2]).is_empty());
-        }
-        assert!(!lint_genes(2, 1, 1, kinds.len(), &[0, 1, 2, 2]).is_empty());
     }
 }

@@ -17,9 +17,11 @@
 //!    the canonically renumbered plane subgraph under the fixed input-
 //!    index variable order. Two netlists get the same digest iff they
 //!    compute the same output function vector — invariant under wiring
-//!    permutation, dead nodes and any gate-level restructuring. The
-//!    component library's `dedup_semantic` stage and the cache GC's
-//!    equivalence-class collapse key on it.
+//!    permutation, dead nodes and any gate-level restructuring.
+//!    [`class_representatives`] groups netlists into equivalence classes
+//!    by it; the component library's `dedup_semantic` stage, the cache
+//!    GC's equivalence-class collapse and `netlist_lint`'s census all
+//!    call that one rule.
 //! 3. **Exact output ranges** ([`output_ranges`]): per weighted-operand
 //!    value, the exact min/max achievable output word via greedy max-sat
 //!    descent over the restricted planes — the tightening the WMED
@@ -47,6 +49,8 @@ use crate::fnv_u128;
 use apx_arith::{EvalBackend, Operator};
 use apx_bdd::{Bdd, NodeId, FALSE};
 use apx_gates::Netlist;
+use std::cmp::Ordering;
+use std::collections::HashMap;
 use std::fmt::Write as _;
 
 /// Default node budget for semantic analyses: comfortably admits every
@@ -192,6 +196,45 @@ pub fn functional_digest_with_budget(nl: &Netlist, budget: usize) -> Option<u128
         let _ = write!(canonical, " r{r}");
     }
     Some(fnv_u128(&canonical))
+}
+
+/// The equivalence-class rule: for each member `(op, width, signed,
+/// netlist)`, the index of its class representative.
+///
+/// A class is the members of one `(op, width, signed)` component class
+/// whose [`functional_digest`]s agree — the same function, however it is
+/// wired. A member whose planes outgrow the node budget keeps its
+/// structural identity: it is its own class. The representative is the
+/// member `prefer` orders first (`prefer(i, j)` compares members `i` and
+/// `j`): members are scanned in input order, and a later member replaces
+/// the held one only when it is strictly preferred, so ties keep the
+/// earliest.
+///
+/// A member is its own representative exactly when it survives a
+/// collapse of every class to one member, so the number of such members
+/// is the number of distinct functions.
+#[must_use]
+pub fn class_representatives(
+    members: &[(Operator, u32, bool, &Netlist)],
+    mut prefer: impl FnMut(usize, usize) -> Ordering,
+) -> Vec<usize> {
+    let classes: Vec<Option<(Operator, u32, bool, u128)>> = members
+        .iter()
+        .map(|&(op, width, signed, nl)| functional_digest(nl).map(|d| (op, width, signed, d)))
+        .collect();
+    let mut held: HashMap<(Operator, u32, bool, u128), usize> = HashMap::new();
+    for (i, class) in classes.iter().enumerate() {
+        if let Some(class) = class {
+            held.entry(*class)
+                .and_modify(|j| {
+                    if prefer(i, *j).is_lt() {
+                        *j = i;
+                    }
+                })
+                .or_insert(i);
+        }
+    }
+    classes.iter().enumerate().map(|(i, class)| class.map_or(i, |c| held[&c])).collect()
 }
 
 /// Exact per-weighted-operand output ranges of a `width`-bit `op`

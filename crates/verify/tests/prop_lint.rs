@@ -1,18 +1,12 @@
 //! Property-based contract: every netlist the pipeline itself produces —
 //! arithmetic generators, random CGP genomes, mutation chains, operator
-//! seed circuits — passes the structural lint with zero errors, and the
-//! gene lint agrees with the genome's own validity predicate.
+//! seed circuits — passes the structural lint with zero errors.
 
 use apx_arith::Operator;
 use apx_cgp::{mutate, Chromosome, FunctionSet};
 use apx_rng::Xoshiro256;
-use apx_verify::{has_errors, lint_component, lint_genes, lint_netlist, structural_hash};
+use apx_verify::{has_errors, lint_component, lint_netlist, structural_hash};
 use proptest::prelude::*;
-
-/// Gene lint over a chromosome's raw parts.
-fn lint_chromosome(c: &Chromosome) -> Vec<apx_verify::Diagnostic> {
-    lint_genes(c.num_inputs(), c.num_outputs(), c.cols(), c.function_set().len(), c.genes())
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -29,7 +23,6 @@ proptest! {
         let mut rng = Xoshiro256::from_seed(seed);
         let c = Chromosome::random(ni, no, cols, &funcs, &mut rng);
         prop_assert!(c.is_valid());
-        prop_assert!(lint_chromosome(&c).is_empty());
         prop_assert!(!has_errors(&lint_netlist(&c.decode_full())));
         prop_assert!(!has_errors(&lint_netlist(&c.decode_active())));
     }
@@ -46,35 +39,7 @@ proptest! {
         for _ in 0..steps {
             mutate(&mut c, h, &mut rng);
             prop_assert!(c.is_valid());
-            prop_assert!(lint_chromosome(&c).is_empty());
             prop_assert!(!has_errors(&lint_netlist(&c.decode_active())));
-        }
-    }
-
-    #[test]
-    fn gene_lint_agrees_with_the_genome_validity_predicate(
-        seed in any::<u64>(),
-        breaks in 1usize..=3,
-    ) {
-        // Corrupt a few genes of a valid chromosome to arbitrary values:
-        // the gene lint must flag raw data exactly when `is_valid` would.
-        let funcs = FunctionSet::standard();
-        let mut rng = Xoshiro256::from_seed(seed);
-        let c = Chromosome::random(5, 2, 20, &funcs, &mut rng);
-        let mut genes = c.genes().to_vec();
-        for _ in 0..breaks {
-            let idx = rng.gen_range(genes.len());
-            genes[idx] = rng.gen_range(1000) as u32;
-        }
-        let diags =
-            lint_genes(c.num_inputs(), c.num_outputs(), c.cols(), funcs.len(), &genes);
-        let still_valid = genes
-            .iter()
-            .enumerate()
-            .all(|(idx, &g)| g < c.gene_bound(idx));
-        prop_assert_eq!(diags.is_empty(), still_valid);
-        for d in &diags {
-            prop_assert_eq!(d.name(), "gene-out-of-range");
         }
     }
 
