@@ -7,18 +7,6 @@
 
 use crate::sign_extend;
 
-/// Exact unsigned product of two `width`-bit operands.
-#[must_use]
-pub fn mul_u(a: u64, b: u64) -> u64 {
-    a * b
-}
-
-/// Exact signed product of two (sign-extended) operands.
-#[must_use]
-pub fn mul_s(a: i64, b: i64) -> i64 {
-    a * b
-}
-
 /// Truncated array multiplier: partial products in columns below
 /// `trunc_cols` are dropped, so the low `trunc_cols` product bits are 0.
 ///

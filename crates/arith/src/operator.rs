@@ -65,7 +65,7 @@ impl Operator {
     pub const ALL: [Operator; 3] = [Operator::Mul, Operator::Add, Operator::Mac];
 
     /// Canonical lower-case name — the token used in cache entry headers,
-    /// key preimages, `APX_OP` values and JSON reports.
+    /// key preimages and JSON reports.
     #[must_use]
     pub const fn name(self) -> &'static str {
         match self {

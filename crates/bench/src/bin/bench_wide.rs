@@ -22,6 +22,7 @@
 
 use apx_arith::{EvalBackend, Operator};
 use apx_bench::{bench_wide_json, results_dir, WideCell};
+use apx_core::SweepStats;
 use apx_dist::Pmf;
 use apx_gates::{GateKind, Netlist, Node, SignalId};
 use apx_metrics::CircuitEvaluator;
@@ -91,7 +92,7 @@ fn main() {
                     "{op:<4} w{width:<3} {:<9} {evaluations} evals in {wall:>9.4} s   \
                      ({:>10.2} evals/s)   wmed(seed) = {:.3e}",
                     backend.name(),
-                    evaluations as f64 / wall.max(1e-9),
+                    SweepStats::rate(evaluations, wall),
                     scores[0]
                 );
                 cells.push(WideCell {

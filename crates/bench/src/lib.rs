@@ -11,7 +11,7 @@ use apx_dist::Pmf;
 use apx_gates::Netlist;
 use apx_rng::Xoshiro256;
 use apx_techlib::{estimate_under_pmf, TechLibrary, DEFAULT_CLOCK_MHZ};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// Reads an integer environment knob. Unset or empty (after trimming)
 /// falls back to `default`.
@@ -55,23 +55,6 @@ pub fn iterations() -> u64 {
 #[must_use]
 pub fn runs(default: usize) -> usize {
     env_usize("APX_RUNS", default)
-}
-
-/// The arithmetic operator a sweep binary evolves (`APX_OP`: `mul`,
-/// `add` or `mac`; unset or empty means `mul`).
-///
-/// # Panics
-///
-/// Panics on an unrecognized value — silently evolving multipliers when
-/// the run asked for adders would be a different experiment wearing the
-/// requested one's name (the strict-knob rationale of [`env_u64`]).
-#[must_use]
-pub fn operator() -> Operator {
-    match std::env::var("APX_OP") {
-        Err(_) => Operator::Mul,
-        Ok(v) if v.trim().is_empty() => Operator::Mul,
-        Ok(v) => v.trim().parse().unwrap_or_else(|e| panic!("APX_OP {e}")),
-    }
 }
 
 /// The paper's D1: a normal distribution centred mid-range (Fig. 2 left).
@@ -125,15 +108,6 @@ pub fn cache_dir() -> Option<PathBuf> {
     }
 }
 
-/// Like [`cache_dir`], but with no default: `Some` only when
-/// `APX_CACHE_DIR` is set (and not disabled). Used by `bench_sweep`,
-/// whose job is to *measure* the sweep — an implicit warm cache would
-/// quietly turn its throughput numbers into cache-read numbers.
-#[must_use]
-pub fn explicit_cache_dir() -> Option<PathBuf> {
-    std::env::var("APX_CACHE_DIR").ok().filter(|v| !v.is_empty() && v != "off").map(PathBuf::from)
-}
-
 /// Parses an `APX_SHARD`-style `i/n` split.
 ///
 /// # Errors
@@ -171,20 +145,36 @@ pub fn shard() -> Option<Shard> {
 /// * empty or `off` — library mode disabled (`None`);
 /// * `on` — harvest `cache_dir` (a warm cache becomes a component
 ///   library; candidates that meet a task's threshold under the task's
-///   distribution are taken without evolution);
+///   distribution are taken without evolution). The directory need not
+///   exist yet: a first cold run harvests nothing and creates it;
 /// * `full` — `on` plus the conventional [`apx_approxlib`] designs as
 ///   additional candidates;
-/// * anything else — a directory to harvest (e.g. another experiment's
-///   cache, while this run checkpoints elsewhere or not at all).
-#[must_use]
-pub fn parse_library(spec: &str, cache_dir: Option<PathBuf>) -> Option<LibraryConfig> {
+/// * anything else — an existing directory to harvest (e.g. another
+///   experiment's cache, while this run checkpoints elsewhere or not at
+///   all).
+///
+/// # Errors
+///
+/// Names the path when an explicit directory does not exist or is not a
+/// directory — a typo must not quietly turn a library run into a cold one.
+pub fn parse_library(
+    spec: &str,
+    cache_dir: Option<PathBuf>,
+) -> Result<Option<LibraryConfig>, String> {
     match spec {
-        "" | "off" => None,
-        "on" => Some(LibraryConfig { dir: cache_dir, ..LibraryConfig::default() }),
-        "full" => {
-            Some(LibraryConfig { dir: cache_dir, conventional: true, ..LibraryConfig::default() })
+        "" | "off" => Ok(None),
+        "on" => Ok(Some(LibraryConfig { dir: cache_dir, ..LibraryConfig::default() })),
+        "full" => Ok(Some(LibraryConfig {
+            dir: cache_dir,
+            conventional: true,
+            ..LibraryConfig::default()
+        })),
+        dir if Path::new(dir).is_dir() => {
+            Ok(Some(LibraryConfig { dir: Some(PathBuf::from(dir)), ..LibraryConfig::default() }))
         }
-        dir => Some(LibraryConfig { dir: Some(PathBuf::from(dir)), ..LibraryConfig::default() }),
+        dir => Err(format!(
+            "`{dir}`: not a directory (expected `off`, `on`, `full` or a cache directory)"
+        )),
     }
 }
 
@@ -192,9 +182,15 @@ pub fn parse_library(spec: &str, cache_dir: Option<PathBuf>) -> Option<LibraryCo
 /// resolved against [`cache_dir`]). Defaults to off: library reuse
 /// changes which multiplier serves a task (that is its point), so it is
 /// strictly opt-in — unlike the exact-replay cache, which is transparent.
+///
+/// # Panics
+///
+/// Panics with [`parse_library`]'s diagnosis when the knob names a
+/// missing directory, before any sweep starts.
 #[must_use]
 pub fn library_config() -> Option<LibraryConfig> {
     parse_library(&std::env::var("APX_LIBRARY").unwrap_or_default(), cache_dir())
+        .unwrap_or_else(|e| panic!("APX_LIBRARY {e}"))
 }
 
 /// Width ceiling for `netlist_lint --seeds` (`APX_SEEDS_MAX_WIDTH`,
@@ -601,81 +597,6 @@ pub fn pareto_figure(
     println!("\nCSV written to {}", path.display());
 }
 
-/// Renders one [`SweepStats`] as a JSON object for `BENCH_sweep.json`.
-///
-/// The rate is re-derived through [`SweepStats::rate`] over the
-/// evaluations *this* run computed: the clamped denominator keeps it a
-/// finite JSON number even when `wall_seconds` is (or rounds to) zero —
-/// `{:.1}` of an unclamped division emitted `inf`, which no JSON parser
-/// accepts — and rating cache hits would claim CGP throughput for file
-/// reads.
-#[must_use]
-pub fn sweep_stats_json(s: &SweepStats) -> String {
-    format!(
-        "{{\"threads\": {}, \"wall_seconds\": {:.6}, \"total_evaluations\": {}, \
-         \"computed_evaluations\": {}, \"evaluations_per_second\": {:.1}, \"cache_hits\": {}, \
-         \"cache_misses\": {}, \"shard_skipped\": {}, \"library_hits\": {}, \
-         \"seeded_evolutions\": {}, \"library_pruned\": {}, \"library_semantic_dups\": {}}}",
-        s.threads,
-        s.wall_seconds,
-        s.total_evaluations,
-        s.computed_evaluations,
-        SweepStats::rate(s.computed_evaluations, s.wall_seconds),
-        s.cache_hits,
-        s.cache_misses,
-        s.shard_skipped,
-        s.library_hits,
-        s.seeded_evolutions,
-        s.library_pruned,
-        s.library_semantic_dups
-    )
-}
-
-/// Shape of the benchmarked sweep grid, recorded in `BENCH_sweep.json`.
-#[derive(Debug, Clone, Copy)]
-pub struct BenchGrid {
-    /// Number of input distributions in the grid.
-    pub distributions: usize,
-    /// Number of WMED thresholds per distribution.
-    pub thresholds: usize,
-    /// Independent CGP runs per threshold.
-    pub runs_per_threshold: usize,
-}
-
-/// Assembles the complete `BENCH_sweep.json` document from the two
-/// benchmark passes (full pool vs. one thread).
-///
-/// `backend` records which simulation engine produced the numbers (the
-/// [`apx_metrics::EvalBackend`] name) — a scalar-backend rate must never
-/// be mistaken for a bit-parallel regression in the perf history. `op`
-/// records the arithmetic operator the grid evolved (the `APX_OP` knob)
-/// for the same reason: adder and multiplier grids have different
-/// evaluation costs.
-#[must_use]
-pub fn bench_sweep_json(
-    grid: BenchGrid,
-    iterations: u64,
-    cpu_cores: usize,
-    backend: &str,
-    op: Operator,
-    multi: &SweepStats,
-    single: &SweepStats,
-) -> String {
-    let speedup = single.wall_seconds / multi.wall_seconds.max(1e-9);
-    format!(
-        "{{\n  \"bench\": \"fig3_sweep\",\n  \"grid\": {{\"distributions\": {}, \"thresholds\": \
-         {}, \"runs_per_threshold\": {}, \"tasks\": {}}},\n  \"iterations\": {iterations},\n  \
-         \"cpu_cores\": {cpu_cores},\n  \"backend\": \"{backend}\",\n  \"op\": \"{op}\",\n  \
-         \"multi_thread\": {},\n  \"single_thread\": {},\n  \"speedup\": {speedup:.4}\n}}\n",
-        grid.distributions,
-        grid.thresholds,
-        grid.runs_per_threshold,
-        multi.tasks,
-        sweep_stats_json(multi),
-        sweep_stats_json(single),
-    )
-}
-
 /// One measured cell of the wide-width benchmark grid: a
 /// (operator, width, backend) combination and the wall time its
 /// candidate evaluations took.
@@ -703,9 +624,9 @@ pub struct WideCell {
 /// `weighted_values` records how many operand encodings carried
 /// distribution mass (the symbolic engine's cost scales with that count,
 /// not with `2^width`, so the rate is meaningless without it). Rates go
-/// through [`SweepStats::rate`] for the same reason as
-/// [`sweep_stats_json`]: a sub-microsecond cell must not print `inf` into
-/// the perf history.
+/// through [`SweepStats::rate`], whose clamped denominator keeps a
+/// sub-microsecond cell from printing `inf` (not a JSON token) into the
+/// perf history.
 #[must_use]
 pub fn bench_wide_json(weighted_values: usize, cells: &[WideCell]) -> String {
     let rows: Vec<String> = cells
@@ -902,48 +823,49 @@ mod tests {
 
     #[test]
     fn library_specs_resolve_against_the_cache_dir() {
+        // `on`/`full` accept a cache directory that does not exist yet:
+        // a first cold run harvests nothing and creates it.
         let cache = Some(PathBuf::from("/tmp/somecache"));
-        assert_eq!(parse_library("", cache.clone()), None);
-        assert_eq!(parse_library("off", cache.clone()), None);
-        let on = parse_library("on", cache.clone()).unwrap();
+        assert_eq!(parse_library("", cache.clone()), Ok(None));
+        assert_eq!(parse_library("off", cache.clone()), Ok(None));
+        let on = parse_library("on", cache.clone()).unwrap().unwrap();
         assert_eq!(on.dir, cache);
         assert!(!on.conventional);
         assert!(on.take_hits);
         assert!(on.prune, "bound pruning always runs (it is provably invisible)");
         assert!(on.semantic_dedup, "semantic dedup always runs");
-        let full = parse_library("full", cache.clone()).unwrap();
+        let full = parse_library("full", cache.clone()).unwrap().unwrap();
         assert_eq!(full.dir, cache);
         assert!(full.conventional);
-        let explicit = parse_library("/some/other/dir", None).unwrap();
-        assert_eq!(explicit.dir, Some(PathBuf::from("/some/other/dir")));
+        let donor = std::env::temp_dir();
+        let explicit = parse_library(donor.to_str().unwrap(), None).unwrap().unwrap();
+        assert_eq!(explicit.dir, Some(donor));
         assert!(!explicit.conventional);
+        // An explicit directory must exist: a typo would otherwise scan as
+        // an empty library and evolve every task cold.
+        let missing = concat!(env!("CARGO_MANIFEST_DIR"), "/no-such-library-dir");
+        let file = concat!(env!("CARGO_MANIFEST_DIR"), "/Cargo.toml");
+        for bad in [missing, file] {
+            let err = parse_library(bad, None).unwrap_err();
+            assert!(err.contains(bad) && err.contains("not a directory"), "{err}");
+        }
         // `on` with caching disabled scans nothing (still a valid mode:
         // bit-identical to off, by the library-mode contract).
-        assert_eq!(parse_library("on", None).unwrap().dir, None);
+        assert_eq!(parse_library("on", None).unwrap().unwrap().dir, None);
     }
 
     #[test]
-    fn operator_knob_parses_or_fails_loudly() {
+    fn missing_library_directory_surfaces_the_path() {
         let _guard = env_lock();
-        std::env::remove_var("APX_OP");
-        assert_eq!(operator(), Operator::Mul, "unset defaults to the multiplier");
-        for (spec, want) in [("mul", Operator::Mul), ("add", Operator::Add), ("mac", Operator::Mac)]
-        {
-            std::env::set_var("APX_OP", spec);
-            assert_eq!(operator(), want);
-            std::env::set_var("APX_OP", format!(" {spec} "));
-            assert_eq!(operator(), want, "surrounding whitespace is tolerated");
-        }
-        std::env::set_var("APX_OP", "");
-        assert_eq!(operator(), Operator::Mul, "empty counts as unset");
-        std::env::set_var("APX_OP", "adder");
+        let missing = concat!(env!("CARGO_MANIFEST_DIR"), "/no-such-library-dir");
+        std::env::set_var("APX_LIBRARY", missing);
         let msg = panic_message_of(|| {
-            let _ = operator();
+            let _ = library_config();
         })
-        .expect("unknown operator must panic, never fall back");
-        std::env::remove_var("APX_OP");
-        assert!(msg.contains("APX_OP"), "missing knob name: {msg}");
-        assert!(msg.contains("adder"), "missing offending value: {msg}");
+        .expect("a missing library directory must panic");
+        std::env::remove_var("APX_LIBRARY");
+        assert!(msg.contains("APX_LIBRARY"), "missing knob name: {msg}");
+        assert!(msg.contains(missing), "missing path: {msg}");
     }
 
     #[test]

@@ -105,12 +105,6 @@ pub struct FlowResult {
 }
 
 impl FlowResult {
-    /// `(error, power)` pairs for Pareto plotting: WMED vs. power in mW.
-    #[must_use]
-    pub fn error_power_points(&self) -> Vec<(f64, f64)> {
-        self.circuits.iter().map(|m| (m.stats.wmed, m.estimate.power_mw())).collect()
-    }
-
     /// The best (lowest-area) circuit per threshold, in threshold order.
     #[must_use]
     pub fn best_per_threshold(&self) -> Vec<&EvolvedCircuit> {

@@ -44,36 +44,6 @@ pub struct CaseConfig {
     pub seed: u64,
 }
 
-impl CaseConfig {
-    /// The MNIST-like MLP case at a laptop-friendly scale.
-    #[must_use]
-    pub fn mlp_default() -> Self {
-        CaseConfig {
-            kind: CaseKind::Mlp { hidden: 64 },
-            train_n: 1500,
-            test_n: 400,
-            calib_n: 64,
-            epochs: 15,
-            lr: 0.03,
-            seed: 1,
-        }
-    }
-
-    /// The SVHN-like LeNet case at a laptop-friendly scale.
-    #[must_use]
-    pub fn lenet_default() -> Self {
-        CaseConfig {
-            kind: CaseKind::LeNet,
-            train_n: 1200,
-            test_n: 300,
-            calib_n: 48,
-            epochs: 10,
-            lr: 0.03,
-            seed: 2,
-        }
-    }
-}
-
 /// A fully prepared case study: trained float network, its quantized twin,
 /// the measured weight distribution and the datasets.
 #[derive(Debug, Clone)]
@@ -253,6 +223,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "calibration subset")]
     fn bad_calibration_size_panics() {
-        let _ = prepare_case(&CaseConfig { calib_n: 0, ..CaseConfig::mlp_default() });
+        let _ = prepare_case(&CaseConfig {
+            kind: CaseKind::Mlp { hidden: 8 },
+            train_n: 16,
+            test_n: 8,
+            calib_n: 0,
+            epochs: 1,
+            lr: 0.03,
+            seed: 1,
+        });
     }
 }

@@ -12,9 +12,9 @@
 //! * flattens the whole grid into one task list served by a single
 //!   [`apx_pool`] pool, so threads stay busy across distribution
 //!   boundaries instead of draining at each one;
-//! * records throughput ([`SweepStats`]: wall time, fitness evaluations
-//!   per second, thread count) so the performance trajectory of the sweep
-//!   layer is tracked release over release (`results/BENCH_sweep.json`).
+//! * records throughput and how each task was resolved ([`SweepStats`]:
+//!   wall time, fitness evaluations per second, thread count, cache and
+//!   library counters), which the figure binaries print after each sweep.
 //!
 //! Results are deterministic in the master seed regardless of thread
 //! count: per-task RNG streams derive from `(seed, distribution,
@@ -167,7 +167,7 @@ pub struct SweepEntry {
     pub circuit: EvolvedCircuit,
 }
 
-/// Throughput of a sweep — the numbers `results/BENCH_sweep.json` tracks.
+/// Throughput of a sweep and how its tasks were resolved.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepStats {
     /// Wall-clock time of the task grid, in seconds.
@@ -217,7 +217,7 @@ impl SweepStats {
     /// Evaluations per second with a clamped denominator, so the rate is
     /// finite for every input — a warm all-hits or otherwise near-instant
     /// run must serialize as a JSON number, never as `inf` (which is not
-    /// valid JSON and corrupted `BENCH_sweep.json` on tiny grids).
+    /// valid JSON and once corrupted a perf record on a tiny grid).
     #[must_use]
     pub fn rate(total_evaluations: u64, wall_seconds: f64) -> f64 {
         total_evaluations as f64 / wall_seconds.max(1e-9)
@@ -755,22 +755,32 @@ mod tests {
 
     #[test]
     fn sweep_is_deterministic_across_thread_counts() {
-        let mut cfg = tiny_sweep();
-        cfg.flow.iterations = 120;
-        cfg.flow.threads = 4;
-        let a = run_sweep(&cfg).unwrap();
-        cfg.flow.threads = 1;
-        let b = run_sweep(&cfg).unwrap();
-        assert_eq!(a.entries.len(), b.entries.len());
-        for (x, y) in a.entries.iter().zip(&b.entries) {
-            assert_eq!(x.dist, y.dist);
-            let (mx, my) = (&x.circuit, &y.circuit);
-            assert_eq!(mx.name, my.name);
-            assert_eq!(mx.chromosome, my.chromosome, "{} differs", mx.name);
-            assert_eq!(mx.stats, my.stats, "{} stats differ", mx.name);
-            assert_eq!(mx.estimate, my.estimate, "{} estimate differs", mx.name);
+        let mut narrow = tiny_sweep();
+        narrow.flow.iterations = 120;
+        // Width 6 is the narrowest multiplier width on the incremental
+        // (delta) engine, which `tiny_sweep`'s width 4 never reaches.
+        let incremental = SweepConfig {
+            distributions: vec![SweepDist::new("D6", Pmf::half_normal(6, 12.0))],
+            flow: FlowConfig {
+                width: 6,
+                thresholds: vec![2e-3, 1e-2],
+                iterations: 60,
+                runs_per_threshold: 2,
+                cols_slack: 20,
+                activity_blocks: 8,
+                ..FlowConfig::default()
+            },
+            ..SweepConfig::default()
+        };
+        for (mut cfg, delta) in [(narrow, false), (incremental, true)] {
+            cfg.flow.threads = 4;
+            let a = run_sweep(&cfg).unwrap();
+            assert_eq!(a.evaluators[0].supports_incremental(), delta);
+            cfg.flow.threads = 1;
+            let b = run_sweep(&cfg).unwrap();
+            assert_entries_bit_identical(&a, &b);
+            assert_eq!(a.seed_estimates, b.seed_estimates);
         }
-        assert_eq!(a.seed_estimates, b.seed_estimates);
     }
 
     #[test]
