@@ -225,10 +225,11 @@ impl SweepCache {
     }
 
     /// Loads the completed task stored under `key`, or `None` when the
-    /// entry is absent, truncated, corrupt or belongs to a different key —
-    /// a rejected entry is indistinguishable from a miss, so the caller
-    /// always falls back to recomputing (and then overwrites the bad
-    /// file).
+    /// entry is absent, truncated, corrupt, belongs to a different key or
+    /// carries a netlist the static lint finds an error in (for instance
+    /// an output count that contradicts its `op` line) — a rejected entry
+    /// is indistinguishable from a miss, so the caller always falls back
+    /// to recomputing (and then overwrites the bad file).
     ///
     /// The returned circuit carries the *stored* task data; its display
     /// `name` is whatever the storing run used, and
@@ -237,23 +238,12 @@ impl SweepCache {
     #[must_use]
     pub fn load(&self, key: CacheKey) -> Option<EvolvedCircuit> {
         let text = std::fs::read_to_string(self.path_of(key)).ok()?;
-        entry_from_text(&text, key).map(|e| {
-            // Debug builds statically lint every loaded netlist: a parseable
-            // entry whose netlist still violates its declared component
-            // contract means a poisoned cache directory (or a codec bug) and
-            // should fail loudly where tests can see it, not deep inside an
-            // evaluator assert.
-            debug_assert!(
-                !apx_verify::has_errors(&apx_verify::lint_component(
-                    &e.circuit.netlist,
-                    e.op,
-                    e.width
-                )),
-                "cache entry {key} fails the static netlist lint: {:?}",
-                apx_verify::lint_component(&e.circuit.netlist, e.op, e.width)
-            );
-            e.circuit
-        })
+        let e = entry_from_text(&text, key)?;
+        // Exact replay hands the netlist straight to figures and
+        // evaluators, so every build lints it against its declared
+        // component contract first.
+        let diags = apx_verify::lint_component(&e.circuit.netlist, e.op, e.width);
+        (!apx_verify::has_errors(&diags)).then_some(e.circuit)
     }
 
     /// Atomically stores `entry` under `key`: the bytes are written to a
@@ -1016,6 +1006,23 @@ mod tests {
         assert_eq!(names, vec![format!("{}.sweep", key.hex())]);
         let back = cache.load(key).expect("hit");
         assert_bit_identical(&synthetic_entry(10), &back);
+    }
+
+    #[test]
+    fn entries_failing_the_static_lint_are_misses() {
+        // A parseable `mul 3 unsigned` entry whose genotype has the
+        // operator's 6 inputs but only 4 of its 6 outputs: the codec
+        // accepts it, the lint must not.
+        let mut entry = synthetic_entry(77);
+        let mut rng = Xoshiro256::from_seed(77);
+        entry.chromosome = Chromosome::random(6, 4, 20, &FunctionSet::extended(), &mut rng);
+        entry.netlist = entry.chromosome.decode_active();
+        let key = some_key(77);
+        let cache = SweepCache::new(scratch("lint_miss"));
+        let path = cache.store(key, &entry, Operator::Mul, 3, false).expect("store");
+        let text = std::fs::read_to_string(path).unwrap();
+        assert_eq!(entry_from_text(&text, key).expect("parses").circuit.netlist.num_outputs(), 4);
+        assert!(cache.load(key).is_none(), "an entry with lint errors replays as a miss");
     }
 
     #[test]

@@ -394,9 +394,11 @@ impl ComponentLibrary {
     /// [`rescore`](Self::rescore) with an optional `apx_verify`
     /// bound-analysis pre-pass: before paying the batched exhaustive
     /// statistics, each candidate gets a provable WMED bracket
-    /// ([`wmed_bounds_weighted`]), and a candidate is dropped when it
-    /// provably cannot influence any selection the sweep makes under
-    /// `policy` — its *lower* bound exceeds every configured threshold
+    /// ([`wmed_bounds_weighted`], fanned out over the same `threads` pool
+    /// workers and returned in candidate order), and a candidate is
+    /// dropped when it provably cannot influence any selection the sweep
+    /// makes under `policy` — its *lower* bound exceeds every configured
+    /// threshold
     /// (so it can never be a [`best_meeting`](RescoredLibrary::best_meeting)
     /// hit) **and** at least [`max_seeds`](PrunePolicy::max_seeds) other
     /// candidates are provably strictly better (upper bound below its
@@ -429,18 +431,16 @@ impl ComponentLibrary {
             // With `max_seeds` or fewer candidates nothing can ever be
             // dropped, so skip the bound pass entirely.
             if matching.len() > policy.max_seeds {
-                let bounds: Vec<_> = matching
-                    .iter()
-                    .map(|e| {
-                        wmed_bounds_weighted(
-                            &e.netlist,
-                            evaluator.operator(),
-                            evaluator.width(),
-                            evaluator.is_signed(),
-                            evaluator.weights(),
-                        )
-                    })
-                    .collect();
+                let bounds = apx_pool::scope_map(threads.max(1), matching.clone(), |_, e| {
+                    wmed_bounds_weighted(
+                        &e.netlist,
+                        evaluator.operator(),
+                        evaluator.width(),
+                        evaluator.is_signed(),
+                        evaluator.weights(),
+                    )
+                })
+                .unwrap_or_else(|p| panic!("bound pass candidate {}: {}", p.index, p.message));
                 let keep: Vec<bool> = bounds
                     .iter()
                     .map(|b| {

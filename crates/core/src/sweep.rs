@@ -1228,6 +1228,43 @@ mod tests {
     }
 
     #[test]
+    fn replay_recomputes_and_rewrites_an_entry_that_fails_the_lint() {
+        let mut cfg = SweepConfig {
+            distributions: vec![SweepDist::new("Du", Pmf::uniform(3))],
+            flow: FlowConfig {
+                width: 3,
+                thresholds: vec![0.05],
+                iterations: 60,
+                runs_per_threshold: 1,
+                threads: 1,
+                activity_blocks: 4,
+                ..FlowConfig::default()
+            },
+            ..SweepConfig::default()
+        };
+        cfg.cache_dir = Some(fresh_cache_dir("lint_replay"));
+        let cold = run_sweep(&cfg).unwrap();
+        let key = grid_keys(&cfg)[0];
+        let cache = SweepCache::new(cfg.cache_dir.as_ref().unwrap());
+
+        // Poison the entry: a genotype with the operator's 6 inputs but
+        // 4 of its 6 outputs still parses under the `mul 3` line.
+        let mut bad = cache.load(key).expect("cold run checkpointed its task");
+        let mut rng = Xoshiro256::from_seed(5);
+        bad.chromosome = Chromosome::random(6, 4, 20, &apx_cgp::FunctionSet::extended(), &mut rng);
+        bad.netlist = bad.chromosome.decode_active();
+        cache.store(key, &bad, Operator::Mul, 3, false).unwrap();
+        assert!(cache.load(key).is_none(), "a linted-out entry is a miss");
+
+        let rerun = run_sweep(&cfg).unwrap();
+        assert_eq!((rerun.stats.cache_hits, rerun.stats.cache_misses), (0, 1));
+        assert_entries_bit_identical(&cold, &rerun);
+        let rewritten = cache.load(key).expect("the recomputed task overwrote the bad file");
+        assert_eq!(rewritten.chromosome, cold.entries[0].circuit.chromosome);
+        assert_eq!(rewritten.netlist.num_outputs(), 6);
+    }
+
+    #[test]
     fn grid_keys_cover_the_full_grid_and_ignore_sharding() {
         let mut cfg = tiny_sweep();
         cfg.flow.iterations = 120; // iterations are part of every key

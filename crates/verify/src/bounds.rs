@@ -15,20 +15,23 @@
 //! and summing those per-vector brackets with the task's distribution
 //! weights (the exact WMED summation of `apx_metrics`) gives a provable
 //! `[lo, hi]` interval around the circuit's true WMED — without ever
-//! simulating the candidate netlist on the full enumeration.
+//! summing the candidate's actual errors over the full enumeration.
 //!
-//! When the netlist fits the semantic analysis budget, the **exact range
-//! pass** ([`crate::output_ranges`]) sharpens both ends: it yields the
-//! exact achievable min/max biased output `[amin(x), amax(x)]` per
-//! weighted value, with both endpoints *achieved*. Since the achievable
-//! set `A(x)` satisfies `A(x) ⊆ S(x)` and `A(x) ⊆ [amin, amax]`, the
-//! larger of the ternary distance and the interval distance is still a
-//! valid lower term, and `max(|t − amin|, |t − amax|)` is the exact
-//! upper term over the hull — so the combined bracket is never wider
-//! than the ternary-only one ([`wmed_bounds_ternary`]), and strictly
-//! tighter whenever the exact range cuts into the ternary set. On budget
-//! exhaustion the pass returns nothing and the ternary bracket stands
-//! unchanged — the soundness contract below is identical either way.
+//! The **exact ranges** sharpen both ends: the exact achievable min/max
+//! biased output `[amin(x), amax(x)]` per weighted value, with both
+//! endpoints *achieved*. At exhaustively enumerable widths they are read
+//! off one bit-parallel simulation of every input vector; past the cap
+//! the BDD range pass ([`crate::output_ranges`]) computes them when the
+//! netlist fits its node budget. Since the achievable set `A(x)`
+//! satisfies `A(x) ⊆ S(x)` and `A(x) ⊆ [amin, amax]`, the larger of the
+//! ternary distance and the interval distance is still a valid lower
+//! term, and `max(|t − amin|, |t − amax|)` is the exact upper term over
+//! the hull — so the combined bracket is never wider than the
+//! ternary-only one ([`wmed_bounds_ternary`]), and strictly tighter
+//! whenever the exact range cuts into the ternary set. On budget
+//! exhaustion the BDD pass returns nothing and the ternary bracket
+//! stands unchanged — the soundness contract below is identical either
+//! way.
 //!
 //! # Soundness contract
 //!
@@ -49,6 +52,7 @@
 //!   interval contains the evaluator's reported WMED *as computed*, not
 //!   just the ideal real number.
 
+use crate::exhaustive::exact_ranges;
 use crate::propagate_constants;
 use crate::semantic::output_ranges;
 use apx_arith::{EvalBackend, Operator};
@@ -61,10 +65,11 @@ use apx_gates::Netlist;
 /// `2^-31 ≈ 5e-10`; see the module-level soundness contract).
 const WIDEN: f64 = 1e-9;
 
-/// Node budget for the exact range pass ([`crate::output_ranges`]):
-/// small enough that a candidate whose monolithic planes blow up (wide
-/// multipliers) falls back to ternary analysis quickly, large enough to
-/// admit every exhaustive-width component the re-scoring pass prunes.
+/// Node budget for the exact range pass ([`crate::output_ranges`]) past
+/// the enumeration cap — at enumerable widths the ranges come from
+/// simulation and no budget applies. Small enough that a candidate whose
+/// monolithic planes blow up (wide multipliers) falls back to ternary
+/// analysis quickly.
 const EXACT_RANGE_BUDGET: usize = 1 << 18;
 
 /// A provable bracket on a circuit's WMED under one distribution.
@@ -121,15 +126,21 @@ pub fn wmed_bounds_weighted(
     signed: bool,
     weights: &[f64],
 ) -> ErrorBounds {
-    // The exact range pass tightens both ends when the netlist fits the
-    // node budget; `None` (blown budget) keeps the pure ternary bracket.
-    let ranges = output_ranges(netlist, op, width, signed, EXACT_RANGE_BUDGET);
+    // The exact ranges tighten both ends: simulated at enumerable widths,
+    // from the BDD pass past the cap, where `None` (blown budget) keeps
+    // the pure ternary bracket.
+    let ranges = if op.supports_exhaustive_width(width) {
+        Some(exact_ranges(netlist, op, width, signed))
+    } else {
+        output_ranges(netlist, op, width, signed, EXACT_RANGE_BUDGET)
+    };
     bounds_impl(netlist, op, width, signed, weights, ranges.as_deref())
 }
 
-/// The ternary-only bracket — [`wmed_bounds`] with the exact range pass
+/// The ternary-only bracket — [`wmed_bounds`] with the exact ranges
 /// disabled. This is the documented fallback the full analysis degrades
-/// to on budget exhaustion; it exists as a public entry point so the
+/// to when the BDD range pass exhausts its budget past the enumeration
+/// cap; it exists as a public entry point so the
 /// cross-validation suite can assert the exact pass never *widens* a
 /// bracket.
 ///
@@ -360,6 +371,37 @@ mod tests {
             / (8.0 * 64.0);
         assert!(bounds.wmed_lo <= mean && mean <= bounds.wmed_hi);
         assert!((bounds.wmed_hi - bounds.wmed_lo) / mean < 1e-8, "{bounds:?}");
+    }
+
+    #[test]
+    fn simulated_ranges_and_brackets_equal_the_bdd_pass() {
+        use crate::exhaustive::exact_ranges;
+        use crate::semantic::SEMANTIC_NODE_BUDGET;
+        let funcs = apx_cgp::FunctionSet::extended();
+        for op in Operator::ALL {
+            for width in (2..=6u32).filter(|&w| op.supports_exhaustive_width(w)) {
+                let (ni, no) = (op.num_inputs(width), op.num_outputs(width));
+                let weights: Vec<f64> =
+                    Pmf::half_normal(width, f64::from(width) * 1.5).iter().collect();
+                for signed in [false, true] {
+                    let mut pool = vec![op.seed_circuit(width, signed)];
+                    for seed in 0..3u64 {
+                        let mut rng = apx_rng::Xoshiro256::from_seed(seed ^ u64::from(width) << 8);
+                        let c = apx_cgp::Chromosome::random(ni, no, 30, &funcs, &mut rng);
+                        pool.push(c.decode_active());
+                    }
+                    for nl in &pool {
+                        let bdd = output_ranges(nl, op, width, signed, SEMANTIC_NODE_BUDGET)
+                            .expect("small components fit the budget");
+                        assert_eq!(exact_ranges(nl, op, width, signed), bdd, "{op} w{width}");
+                        let want = bounds_impl(nl, op, width, signed, &weights, Some(&bdd));
+                        let got = wmed_bounds_weighted(nl, op, width, signed, &weights);
+                        assert_eq!(got.wmed_lo.to_bits(), want.wmed_lo.to_bits(), "{op} w{width}");
+                        assert_eq!(got.wmed_hi.to_bits(), want.wmed_hi.to_bits(), "{op} w{width}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -20,11 +20,11 @@
 //!    provably-constant (stuck-at) outputs and dead nodes as warnings,
 //!    plus [`structural_hash`] — the canonical digest the component
 //!    library dedups by.
-//! 3. **Bound analysis** ([`wmed_bounds`]): per-output interval analysis
-//!    yielding a provable `[lo, hi]` bracket on the circuit's WMED
-//!    without exhaustive simulation of the candidate — sound enough to
-//!    prune library candidates that provably cannot meet a threshold
-//!    before the batched re-scoring pass pays for them.
+//! 3. **Bound analysis** ([`wmed_bounds`]): per-output interval analysis,
+//!    tightened by exact output ranges, yielding a provable `[lo, hi]`
+//!    bracket on the circuit's WMED without scoring the candidate —
+//!    sound enough to prune library candidates that provably cannot
+//!    meet a threshold before the batched re-scoring pass pays for them.
 //!
 //! Severity is deliberately two-tier: [`Severity::Error`] marks contract
 //! violations (the netlist must not be evaluated), while
@@ -36,6 +36,7 @@
 #![warn(missing_docs)]
 
 mod bounds;
+mod exhaustive;
 mod semantic;
 
 pub use bounds::{wmed_bounds, wmed_bounds_ternary, wmed_bounds_weighted, ErrorBounds};
@@ -382,12 +383,16 @@ pub fn structural_hash(netlist: &Netlist) -> u128 {
     fnv_u128(&canonical)
 }
 
+/// Offset basis of the low stream of the crate's 128-bit hashes (the
+/// high stream starts at [`FNV1A64_OFFSET`]).
+const FNV_LO_OFFSET: u64 = FNV1A64_OFFSET ^ 0x9E37_79B9_7F4A_7C15;
+
 /// The crate's canonical-string-to-128-bit hash: two independently
 /// seeded FNV-1a-64 streams over the same bytes (shared by the
 /// structural hash and the semantic functional digest).
 fn fnv_u128(canonical: &str) -> u128 {
     let hi = fnv1a64(canonical.as_bytes(), FNV1A64_OFFSET);
-    let lo = fnv1a64(canonical.as_bytes(), FNV1A64_OFFSET ^ 0x9E37_79B9_7F4A_7C15);
+    let lo = fnv1a64(canonical.as_bytes(), FNV_LO_OFFSET);
     (u128::from(hi) << 64) | u128::from(lo)
 }
 

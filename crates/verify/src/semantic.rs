@@ -19,14 +19,16 @@
 //!    compute the same output function vector — invariant under wiring
 //!    permutation, dead nodes and any gate-level restructuring.
 //!    [`class_representatives`] groups netlists into equivalence classes
-//!    by it; the component library's `dedup_semantic` stage, the cache
-//!    GC's equivalence-class collapse and `netlist_lint`'s census all
-//!    call that one rule.
+//!    by it (behind a simulation prefilter at enumerable widths); the
+//!    component library's `dedup_semantic` stage, the cache GC's
+//!    equivalence-class collapse and `netlist_lint`'s census all call
+//!    that one rule.
 //! 3. **Exact output ranges** ([`output_ranges`]): per weighted-operand
 //!    value, the exact min/max achievable output word via greedy max-sat
 //!    descent over the restricted planes — the tightening the WMED
 //!    bracket pass ([`crate::wmed_bounds`]) substitutes for its ternary
-//!    candidate sets when the netlist fits the budget.
+//!    candidate sets past the enumeration cap when the netlist fits the
+//!    budget (at enumerable widths it simulates instead).
 //!
 //! [`prove_seed`] closes the loop on the generators themselves: every
 //! [`Operator::seed_circuit`] is proved equivalent to an *independent*
@@ -45,6 +47,7 @@
 //! ternary result", so the budget only trades precision, never
 //! soundness.
 
+use crate::exhaustive::table_hash;
 use crate::fnv_u128;
 use apx_arith::{EvalBackend, Operator};
 use apx_bdd::{Bdd, NodeId, FALSE};
@@ -89,7 +92,7 @@ fn compile(bdd: &mut Bdd, nl: &Netlist, inputs: &[NodeId], budget: usize) -> Opt
 
 /// Asserts the arity half of the component contract — the same
 /// preconditions the bounds pass and the evaluator enforce.
-fn assert_component_arity(nl: &Netlist, op: Operator, width: u32, role: &str) {
+pub(crate) fn assert_component_arity(nl: &Netlist, op: Operator, width: u32, role: &str) {
     assert!(
         op.supports_width(width, EvalBackend::Symbolic),
         "operand width {width} outside {op}'s evaluable range"
@@ -210,6 +213,16 @@ pub fn functional_digest_with_budget(nl: &Netlist, budget: usize) -> Option<u128
 /// the held one only when it is strictly preferred, so ties keep the
 /// earliest.
 ///
+/// At exhaustively enumerable widths a simulation prefilter decides most
+/// members without a BDD: each member's full output behaviour is hashed
+/// by bit-parallel simulation, and one function always gives one hash.
+/// A member whose `(op, width, signed, hash)` no other member shares
+/// therefore computes a function no other member does — a singleton
+/// under the digest rule too. Only members whose key collides are
+/// digested, and they go through the same scan as before, so the classes
+/// and representatives are those of digesting every member. Past the
+/// enumeration cap every member is digested.
+///
 /// A member is its own representative exactly when it survives a
 /// collapse of every class to one member, so the number of such members
 /// is the number of distinct functions.
@@ -218,11 +231,32 @@ pub fn class_representatives(
     members: &[(Operator, u32, bool, &Netlist)],
     mut prefer: impl FnMut(usize, usize) -> Ordering,
 ) -> Vec<usize> {
-    let classes: Vec<Option<(Operator, u32, bool, u128)>> = members
+    /// A component class plus a 128-bit function identity.
+    type Key = (Operator, u32, bool, u128);
+    let tables: Vec<Option<Key>> = members
         .iter()
-        .map(|&(op, width, signed, nl)| functional_digest(nl).map(|d| (op, width, signed, d)))
+        .map(|&(op, width, signed, nl)| {
+            (op.supports_exhaustive_width(width) && nl.num_inputs() == op.num_inputs(width))
+                .then(|| (op, width, signed, table_hash(nl, op, width)))
+        })
         .collect();
-    let mut held: HashMap<(Operator, u32, bool, u128), usize> = HashMap::new();
+    let mut sharers: HashMap<Key, usize> = HashMap::new();
+    for table in tables.iter().flatten() {
+        *sharers.entry(*table).or_default() += 1;
+    }
+    // `None` marks a member that is its own class: a unique table hash,
+    // or planes past the node budget.
+    let classes: Vec<Option<Key>> = members
+        .iter()
+        .zip(&tables)
+        .map(|(&(op, width, signed, nl), table)| {
+            if table.is_some_and(|t| sharers[&t] == 1) {
+                return None;
+            }
+            functional_digest(nl).map(|d| (op, width, signed, d))
+        })
+        .collect();
+    let mut held: HashMap<Key, usize> = HashMap::new();
     for (i, class) in classes.iter().enumerate() {
         if let Some(class) = class {
             held.entry(*class)

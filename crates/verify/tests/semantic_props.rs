@@ -4,14 +4,18 @@
 //! operators, widths 2–6 (where enumeration stays tractable), both
 //! signednesses — including mutated netlists (a genuine `Differs`
 //! witness) and digest invariance under dead-node padding and gate
-//! reordering.
+//! reordering. `class_representatives`, whose simulation prefilter
+//! digests only colliding members, must return exactly the classes of
+//! digesting every member.
 
 use apx_arith::Operator;
 use apx_cgp::{Chromosome, FunctionSet};
 use apx_gates::{GateKind, Netlist, Node, SignalId};
 use apx_rng::Xoshiro256;
-use apx_verify::{functional_digest, prove_equiv, Equiv};
+use apx_verify::{class_representatives, functional_digest, prove_equiv, Equiv};
 use proptest::prelude::*;
+use std::cmp::Ordering;
+use std::collections::HashMap;
 
 /// The full truth table of a netlist: one output-word row per input
 /// assignment, in assignment order.
@@ -72,6 +76,71 @@ fn enumerable_grid() -> Vec<(Operator, u32)> {
         }
     }
     grid
+}
+
+/// `nl` with one gate's function swapped for another — often, but not
+/// always, a different function.
+fn single_gate_mutation(nl: &Netlist, rng: &mut Xoshiro256) -> Netlist {
+    let mut nodes = nl.nodes().to_vec();
+    if let Some(node) = nodes.get_mut(rng.gen_range(nl.gate_count().max(1))) {
+        let kinds = GateKind::ALL.len();
+        let at = GateKind::ALL.iter().position(|&k| k == node.kind).expect("a known kind");
+        node.kind = GateKind::ALL[(at + 1 + rng.gen_range(kinds - 1)) % kinds];
+    }
+    Netlist::new(nl.num_inputs(), nodes, nl.outputs().to_vec()).expect("same wiring stays valid")
+}
+
+/// The equivalence-class rule with every member digested — the
+/// reference the prefiltered `class_representatives` must reproduce.
+fn digest_every_member(
+    members: &[(Operator, u32, bool, &Netlist)],
+    mut prefer: impl FnMut(usize, usize) -> Ordering,
+) -> Vec<usize> {
+    let classes: Vec<Option<(Operator, u32, bool, u128)>> = members
+        .iter()
+        .map(|&(op, width, signed, nl)| functional_digest(nl).map(|d| (op, width, signed, d)))
+        .collect();
+    let mut held: HashMap<(Operator, u32, bool, u128), usize> = HashMap::new();
+    for (i, class) in classes.iter().enumerate() {
+        if let Some(class) = class {
+            held.entry(*class)
+                .and_modify(|j| {
+                    if prefer(i, *j).is_lt() {
+                        *j = i;
+                    }
+                })
+                .or_insert(i);
+        }
+    }
+    classes.iter().enumerate().map(|(i, class)| class.map_or(i, |c| held[&c])).collect()
+}
+
+/// Both class rules over `members`, preferring fewer gates, then the
+/// earlier member.
+fn both_rules(members: &[(Operator, u32, bool, &Netlist)]) -> (Vec<usize>, Vec<usize>) {
+    let prefer = |i: usize, j: usize| {
+        members[i].3.gate_count().cmp(&members[j].3.gate_count()).then(i.cmp(&j))
+    };
+    (class_representatives(members, prefer), digest_every_member(members, prefer))
+}
+
+#[test]
+fn past_the_cap_every_member_is_digested() {
+    // Width-11 multipliers are symbolic-only: no prefilter, so the rule
+    // is the digest rule itself, padded copies collapsing onto their
+    // originals.
+    let (op, width) = (Operator::Mul, 11);
+    assert!(!op.supports_exhaustive_width(width));
+    let mut pool = Vec::new();
+    for seed in 0..3u64 {
+        let nl = random_component(op, width, seed);
+        pool.push(with_dead_padding(&nl, 3));
+        pool.push(nl);
+    }
+    let members: Vec<_> = pool.iter().map(|nl| (op, width, false, nl)).collect();
+    let (got, want) = both_rules(&members);
+    assert_eq!(got, want);
+    assert!(got.iter().enumerate().any(|(i, &rep)| rep != i), "padded copies share a class");
 }
 
 proptest! {
@@ -165,5 +234,45 @@ proptest! {
                 prop_assert_eq!(functional_digest(&re), digest, "{} w{}: re-encoding", op, width);
             }
         }
+    }
+
+    #[test]
+    fn prefilter_keeps_the_digest_rule_classes(seed in any::<u64>()) {
+        // One shuffled list over every operator at widths 2–8: random
+        // components mixed with same-function copies (dead padding, the
+        // re-encoding round trip), a copy under the other signedness and
+        // single-gate mutants. Each copy is a coin flip, so functions
+        // occur once, twice or more, and unique, colliding and
+        // cross-class table hashes all occur.
+        let mut rng = Xoshiro256::from_seed(seed);
+        let mut pool: Vec<(Operator, u32, bool, Netlist)> = Vec::new();
+        for op in Operator::ALL {
+            for width in (2..=8u32).filter(|&w| op.supports_exhaustive_width(w)) {
+                for _ in 0..3 {
+                    let signed = rng.next_u64() % 2 == 1;
+                    let nl = random_component(op, width, rng.next_u64());
+                    if rng.next_u64() % 2 == 1 {
+                        let padded = with_dead_padding(&nl, 1 + rng.gen_range(4));
+                        pool.push((op, width, signed, padded));
+                    }
+                    if rng.next_u64() % 2 == 1 {
+                        if let Some(re) = reencoded(&nl, 1 + rng.gen_range(6)) {
+                            pool.push((op, width, signed, re));
+                        }
+                    }
+                    if rng.next_u64() % 2 == 1 {
+                        pool.push((op, width, !signed, nl.clone()));
+                    }
+                    if rng.next_u64() % 2 == 1 {
+                        pool.push((op, width, signed, single_gate_mutation(&nl, &mut rng)));
+                    }
+                    pool.push((op, width, signed, nl));
+                }
+            }
+        }
+        rng.shuffle(&mut pool);
+        let members: Vec<_> = pool.iter().map(|(op, w, s, nl)| (*op, *w, *s, nl)).collect();
+        let (got, want) = both_rules(&members);
+        prop_assert_eq!(got, want);
     }
 }
