@@ -375,29 +375,54 @@ mod tests {
 
     #[test]
     fn simulated_ranges_and_brackets_equal_the_bdd_pass() {
+        // The candidate kinds and PMFs of `tests/bounds_cross_validation.rs`,
+        // whose containment checks reach only the simulated ranges at
+        // these widths: equality here carries them over to the BDD pass.
         use crate::exhaustive::exact_ranges;
         use crate::semantic::SEMANTIC_NODE_BUDGET;
         let funcs = apx_cgp::FunctionSet::extended();
         for op in Operator::ALL {
             for width in (2..=6u32).filter(|&w| op.supports_exhaustive_width(w)) {
                 let (ni, no) = (op.num_inputs(width), op.num_outputs(width));
-                let weights: Vec<f64> =
-                    Pmf::half_normal(width, f64::from(width) * 1.5).iter().collect();
+                let pmfs = [Pmf::uniform(width), Pmf::half_normal(width, f64::from(width) * 1.5)];
                 for signed in [false, true] {
-                    let mut pool = vec![op.seed_circuit(width, signed)];
-                    for seed in 0..3u64 {
-                        let mut rng = apx_rng::Xoshiro256::from_seed(seed ^ u64::from(width) << 8);
+                    let mut zero = apx_gates::NetlistBuilder::new(ni);
+                    let z = zero.const0();
+                    zero.outputs(&vec![z; no]);
+                    let mut pool = vec![op.seed_circuit(width, signed), zero.finish().unwrap()];
+                    for seed in 0..4u64 {
+                        let mut rng = apx_rng::Xoshiro256::from_seed(
+                            0xB0D5 ^ seed ^ (u64::from(width) << 32),
+                        );
                         let c = apx_cgp::Chromosome::random(ni, no, 30, &funcs, &mut rng);
                         pool.push(c.decode_active());
                     }
-                    for nl in &pool {
+                    if op == Operator::Mul && !signed {
+                        pool.extend(
+                            (1..width.min(4)).map(|k| apx_arith::truncated_multiplier(width, k)),
+                        );
+                        if width >= 3 {
+                            pool.push(apx_arith::broken_array_multiplier(width, width, width));
+                        }
+                    }
+                    if op == Operator::Add && !signed {
+                        for k in 1..width {
+                            pool.push(apx_arith::lower_or_adder(width, k));
+                            pool.push(apx_arith::truncated_adder(width, k));
+                        }
+                    }
+                    for (i, nl) in pool.iter().enumerate() {
+                        let at = format!("{op} w{width} signed={signed} cand={i}");
                         let bdd = output_ranges(nl, op, width, signed, SEMANTIC_NODE_BUDGET)
                             .expect("small components fit the budget");
-                        assert_eq!(exact_ranges(nl, op, width, signed), bdd, "{op} w{width}");
-                        let want = bounds_impl(nl, op, width, signed, &weights, Some(&bdd));
-                        let got = wmed_bounds_weighted(nl, op, width, signed, &weights);
-                        assert_eq!(got.wmed_lo.to_bits(), want.wmed_lo.to_bits(), "{op} w{width}");
-                        assert_eq!(got.wmed_hi.to_bits(), want.wmed_hi.to_bits(), "{op} w{width}");
+                        assert_eq!(exact_ranges(nl, op, width, signed), bdd, "{at}");
+                        for pmf in &pmfs {
+                            let weights: Vec<f64> = pmf.iter().collect();
+                            let want = bounds_impl(nl, op, width, signed, &weights, Some(&bdd));
+                            let got = wmed_bounds_weighted(nl, op, width, signed, &weights);
+                            assert_eq!(got.wmed_lo.to_bits(), want.wmed_lo.to_bits(), "{at}");
+                            assert_eq!(got.wmed_hi.to_bits(), want.wmed_hi.to_bits(), "{at}");
+                        }
                     }
                 }
             }

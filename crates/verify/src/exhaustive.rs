@@ -9,8 +9,8 @@
 //! * "which function is this?" — [`table_hash`], a 128-bit hash of the
 //!   full output behaviour, streamed block by block (no `2^n`-entry
 //!   table is ever built). One function always gives one hash, so the
-//!   equivalence-class rule uses it as a prefilter in front of
-//!   [`crate::functional_digest`];
+//!   equivalence-class rule keys its classes on it where
+//!   [`crate::functional_digest`] serves past the cap;
 //! * "what are the exact output extremes per weighted operand?" —
 //!   [`exact_ranges`], the same answer [`crate::output_ranges`] gives,
 //!   read off the simulation instead of greedy descents over planes.

@@ -19,10 +19,10 @@
 //!    compute the same output function vector — invariant under wiring
 //!    permutation, dead nodes and any gate-level restructuring.
 //!    [`class_representatives`] groups netlists into equivalence classes
-//!    by it (behind a simulation prefilter at enumerable widths); the
-//!    component library's `dedup_semantic` stage, the cache GC's
-//!    equivalence-class collapse and `netlist_lint`'s census all call
-//!    that one rule.
+//!    by it past the enumeration cap (at enumerable widths it hashes a
+//!    simulation of every input vector instead); the component library's
+//!    `dedup_semantic` stage, the cache GC's equivalence-class collapse
+//!    and `netlist_lint`'s census all call that one rule.
 //! 3. **Exact output ranges** ([`output_ranges`]): per weighted-operand
 //!    value, the exact min/max achievable output word via greedy max-sat
 //!    descent over the restricted planes — the tightening the WMED
@@ -205,23 +205,17 @@ pub fn functional_digest_with_budget(nl: &Netlist, budget: usize) -> Option<u128
 /// netlist)`, the index of its class representative.
 ///
 /// A class is the members of one `(op, width, signed)` component class
-/// whose [`functional_digest`]s agree — the same function, however it is
-/// wired. A member whose planes outgrow the node budget keeps its
+/// that compute the same function, however they are wired. The function
+/// identity is a 128-bit hash of the member's full output behaviour:
+/// at exhaustively enumerable widths it is simulated on every input
+/// vector (no BDD is built), and past the enumeration cap it is the
+/// [`functional_digest`]. One function gives one hash either way. A
+/// member past the cap whose planes outgrow the node budget keeps its
 /// structural identity: it is its own class. The representative is the
 /// member `prefer` orders first (`prefer(i, j)` compares members `i` and
 /// `j`): members are scanned in input order, and a later member replaces
 /// the held one only when it is strictly preferred, so ties keep the
 /// earliest.
-///
-/// At exhaustively enumerable widths a simulation prefilter decides most
-/// members without a BDD: each member's full output behaviour is hashed
-/// by bit-parallel simulation, and one function always gives one hash.
-/// A member whose `(op, width, signed, hash)` no other member shares
-/// therefore computes a function no other member does — a singleton
-/// under the digest rule too. Only members whose key collides are
-/// digested, and they go through the same scan as before, so the classes
-/// and representatives are those of digesting every member. Past the
-/// enumeration cap every member is digested.
 ///
 /// A member is its own representative exactly when it survives a
 /// collapse of every class to one member, so the number of such members
@@ -233,27 +227,16 @@ pub fn class_representatives(
 ) -> Vec<usize> {
     /// A component class plus a 128-bit function identity.
     type Key = (Operator, u32, bool, u128);
-    let tables: Vec<Option<Key>> = members
-        .iter()
-        .map(|&(op, width, signed, nl)| {
-            (op.supports_exhaustive_width(width) && nl.num_inputs() == op.num_inputs(width))
-                .then(|| (op, width, signed, table_hash(nl, op, width)))
-        })
-        .collect();
-    let mut sharers: HashMap<Key, usize> = HashMap::new();
-    for table in tables.iter().flatten() {
-        *sharers.entry(*table).or_default() += 1;
-    }
-    // `None` marks a member that is its own class: a unique table hash,
-    // or planes past the node budget.
+    // `None` marks a member that is its own class: planes past the node
+    // budget.
     let classes: Vec<Option<Key>> = members
         .iter()
-        .zip(&tables)
-        .map(|(&(op, width, signed, nl), table)| {
-            if table.is_some_and(|t| sharers[&t] == 1) {
-                return None;
+        .map(|&(op, width, signed, nl)| {
+            if op.supports_exhaustive_width(width) && nl.num_inputs() == op.num_inputs(width) {
+                Some((op, width, signed, table_hash(nl, op, width)))
+            } else {
+                functional_digest(nl).map(|d| (op, width, signed, d))
             }
-            functional_digest(nl).map(|d| (op, width, signed, d))
         })
         .collect();
     let mut held: HashMap<Key, usize> = HashMap::new();

@@ -96,11 +96,16 @@ fn brackets_contain_the_wmed_under_measured_distributions() {
 
 #[test]
 fn exact_brackets_are_never_wider_than_ternary_and_sometimes_strictly_tighter() {
-    // The exact-range pass ([`apx_verify::output_ranges`]) may only
-    // *shrink* the ternary bracket: on every cell of the same grid as
-    // the containment test, the default bracket must be a sub-interval
-    // of the ternary-only one — and on at least one fixture it must be
-    // strictly tighter, or the pass is dead weight.
+    // The exact ranges may only *shrink* the ternary bracket: on every
+    // cell of the same grid as the containment test, the default bracket
+    // must be a sub-interval of the ternary-only one — and on at least
+    // one fixture it must be strictly tighter, or the ranges are dead
+    // weight. At these enumerable widths `wmed_bounds` simulates the
+    // ranges; the BDD range pass (`apx_verify::output_ranges`) serves
+    // past the cap, and `apx_verify`'s unit test
+    // `simulated_ranges_and_brackets_equal_the_bdd_pass` pins its
+    // ranges and brackets to the simulated ones, bit for bit, over
+    // this suite's candidate kinds and PMFs.
     let mut strictly_tighter = 0usize;
     for op in Operator::ALL {
         for width in 2..=6u32 {

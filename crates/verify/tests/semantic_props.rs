@@ -4,9 +4,9 @@
 //! operators, widths 2–6 (where enumeration stays tractable), both
 //! signednesses — including mutated netlists (a genuine `Differs`
 //! witness) and digest invariance under dead-node padding and gate
-//! reordering. `class_representatives`, whose simulation prefilter
-//! digests only colliding members, must return exactly the classes of
-//! digesting every member.
+//! reordering. `class_representatives`, which keys its classes on a
+//! simulated table hash at enumerable widths, must return exactly the
+//! classes of digesting every member.
 
 use apx_arith::Operator;
 use apx_cgp::{Chromosome, FunctionSet};
@@ -91,7 +91,7 @@ fn single_gate_mutation(nl: &Netlist, rng: &mut Xoshiro256) -> Netlist {
 }
 
 /// The equivalence-class rule with every member digested — the
-/// reference the prefiltered `class_representatives` must reproduce.
+/// reference `class_representatives` must reproduce.
 fn digest_every_member(
     members: &[(Operator, u32, bool, &Netlist)],
     mut prefer: impl FnMut(usize, usize) -> Ordering,
@@ -126,7 +126,7 @@ fn both_rules(members: &[(Operator, u32, bool, &Netlist)]) -> (Vec<usize>, Vec<u
 
 #[test]
 fn past_the_cap_every_member_is_digested() {
-    // Width-11 multipliers are symbolic-only: no prefilter, so the rule
+    // Width-11 multipliers are symbolic-only: no table hash, so the rule
     // is the digest rule itself, padded copies collapsing onto their
     // originals.
     let (op, width) = (Operator::Mul, 11);
@@ -237,13 +237,13 @@ proptest! {
     }
 
     #[test]
-    fn prefilter_keeps_the_digest_rule_classes(seed in any::<u64>()) {
+    fn table_hash_classes_equal_the_digest_rule_classes(seed in any::<u64>()) {
         // One shuffled list over every operator at widths 2–8: random
         // components mixed with same-function copies (dead padding, the
         // re-encoding round trip), a copy under the other signedness and
-        // single-gate mutants. Each copy is a coin flip, so functions
-        // occur once, twice or more, and unique, colliding and
-        // cross-class table hashes all occur.
+        // single-gate mutants. Each copy is a coin flip, so a function
+        // occurs once, twice or more, in one component class or under
+        // both signednesses.
         let mut rng = Xoshiro256::from_seed(seed);
         let mut pool: Vec<(Operator, u32, bool, Netlist)> = Vec::new();
         for op in Operator::ALL {
