@@ -448,7 +448,8 @@ impl Bdd {
     /// Maximum of the little-endian plane vector (`planes[k]` is output
     /// bit `k`) over *all* variable assignments: a greedy most-significant
     /// -bit-first descent that keeps the satisfiable restriction — the
-    /// max-sat primitive behind `apx_verify`'s exact range pass.
+    /// max-sat primitive behind the symbolic evaluator's `row_max_abs`
+    /// (`apx_metrics`).
     ///
     /// # Panics
     /// If more than 64 planes are given.
@@ -460,29 +461,6 @@ impl Bdd {
             let t = self.and(reach, p);
             if t != FALSE {
                 val |= 1u64 << k;
-                reach = t;
-            }
-        }
-        val
-    }
-
-    /// Minimum of the little-endian plane vector over all assignments —
-    /// the dual of [`Bdd::max_value`] (greedily zero each bit instead).
-    ///
-    /// # Panics
-    /// If more than 64 planes are given.
-    pub fn min_value(&mut self, planes: &[NodeId]) -> u64 {
-        assert!(planes.len() <= 64, "plane vectors are u64-valued");
-        let mut reach = TRUE;
-        let mut val = 0u64;
-        for (k, &p) in planes.iter().enumerate().rev() {
-            let np = self.not(p);
-            let t = self.and(reach, np);
-            if t == FALSE {
-                // Every assignment consistent with the prefix has this
-                // bit set; `reach AND p` equals `reach`, already minimal.
-                val |= 1u64 << k;
-            } else {
                 reach = t;
             }
         }
@@ -739,7 +717,7 @@ mod tests {
     #[test]
     fn extreme_values_match_enumeration() {
         // Random 3-plane vectors over 6 variables against a brute-force
-        // min/max over all 64 assignments.
+        // max over all 64 assignments.
         for seed in 0..20 {
             let mut bdd = Bdd::new(6);
             let mut planes = Vec::new();
@@ -753,9 +731,7 @@ mod tests {
                 .map(|x| tables.iter().enumerate().map(|(k, t)| u64::from(t[x]) << k).sum::<u64>())
                 .collect();
             let want_max = *values.iter().max().unwrap();
-            let want_min = *values.iter().min().unwrap();
             assert_eq!(bdd.max_value(&planes), want_max, "seed {seed}");
-            assert_eq!(bdd.min_value(&planes), want_min, "seed {seed}");
         }
     }
 

@@ -242,33 +242,8 @@ impl ComponentLibrary {
     /// candidates were added (structural duplicates of already-present
     /// entries are skipped).
     pub fn ingest_conventional(&mut self, lib: &MultiplierLibrary) -> usize {
-        let funcs = FunctionSet::extended();
-        let mut added = 0;
-        for e in lib.iter() {
-            // Exact-fit grid: the netlist *is* the genotype, no slack. The
-            // extended function set covers every `GateKind`, so encoding
-            // only fails on truly foreign netlists — skip those.
-            let Ok(chromosome) =
-                Chromosome::from_netlist(&e.netlist, &funcs, e.netlist.gate_count())
-            else {
-                continue;
-            };
-            let netlist = chromosome.decode_active();
-            let entry = LibraryEntry {
-                name: e.name.clone(),
-                digest: structural_hash(&netlist),
-                chromosome,
-                netlist,
-                op: Operator::Mul,
-                width: lib.width(),
-                signed: lib.is_signed(),
-                provenance: Provenance::Conventional { family: e.family },
-            };
-            if self.insert(entry) {
-                added += 1;
-            }
-        }
-        added
+        let designs = lib.iter().map(|e| (e.name.as_str(), &e.netlist, e.family));
+        self.ingest_designs(designs, Operator::Mul, lib.width(), lib.is_signed())
     }
 
     /// Ingests the conventionally designed approximate adders of
@@ -279,7 +254,6 @@ impl ComponentLibrary {
     /// new candidates were added (structural duplicates are skipped, as
     /// with every other ingestion path).
     pub fn ingest_conventional_adders(&mut self, width: u32) -> usize {
-        let funcs = FunctionSet::extended();
         let mut designs: Vec<(String, Netlist, Family)> =
             vec![("exact_ripple".into(), ripple_carry_adder(width), Family::Exact)];
         for k in 1..=width {
@@ -292,21 +266,40 @@ impl ComponentLibrary {
                 Family::Truncated { trunc_cols: k },
             ));
         }
+        let designs =
+            designs.iter().map(|(name, netlist, family)| (name.as_str(), netlist, *family));
+        self.ingest_designs(designs, Operator::Add, width, false)
+    }
+
+    /// Ingests conventional `(name, netlist, family)` designs of one
+    /// component class in order, each re-encoded on an exact-fit CGP
+    /// grid: the netlist *is* the genotype, no slack. The extended
+    /// function set covers every `GateKind`, so encoding only fails on
+    /// truly foreign netlists — those are skipped. Returns how many new
+    /// candidates were added.
+    fn ingest_designs<'d>(
+        &mut self,
+        designs: impl IntoIterator<Item = (&'d str, &'d Netlist, Family)>,
+        op: Operator,
+        width: u32,
+        signed: bool,
+    ) -> usize {
+        let funcs = FunctionSet::extended();
         let mut added = 0;
         for (name, netlist, family) in designs {
-            let Ok(chromosome) = Chromosome::from_netlist(&netlist, &funcs, netlist.gate_count())
+            let Ok(chromosome) = Chromosome::from_netlist(netlist, &funcs, netlist.gate_count())
             else {
                 continue;
             };
             let netlist = chromosome.decode_active();
             let entry = LibraryEntry {
-                name,
+                name: name.to_owned(),
                 digest: structural_hash(&netlist),
                 chromosome,
                 netlist,
-                op: Operator::Add,
+                op,
                 width,
-                signed: false,
+                signed,
                 provenance: Provenance::Conventional { family },
             };
             if self.insert(entry) {

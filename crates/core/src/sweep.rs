@@ -106,16 +106,22 @@ pub struct LibraryConfig {
     /// analysis proves irrelevant to this sweep — provably unable to meet
     /// the loosest threshold *and* provably out-ranked by at least
     /// `max_seeds` alternatives ([`ComponentLibrary::rescore_pruned`]).
-    /// Results are bit-identical either way; pruning only saves
-    /// exhaustive statistics passes on large libraries.
+    /// Results are bit-identical either way. Pruning can only save the
+    /// exhaustive statistics passes it skips, and it does not pay at
+    /// exhaustive widths: at width 8 one bound call costs ~8× the `stats`
+    /// call it can skip (~14 ms against ~1.7 ms, release build on an
+    /// x86-64 host), so the pass is slower than re-scoring every
+    /// candidate (`ROADMAP.md`, open item 1).
     pub prune: bool,
     /// Collapse semantically equivalent candidates after the structural
-    /// dedup ([`ComponentLibrary::dedup_semantic`]): entries proven (by
-    /// `apx_verify`'s canonical functional digest) to compute the same
-    /// function are reduced to the selection-preferred member, counted
-    /// as `library_semantic_dups`. Direct hits are provably unchanged
-    /// (equivalent candidates re-score identically); only redundant seed
-    /// slots are freed for functionally distinct candidates.
+    /// dedup ([`ComponentLibrary::dedup_semantic`]): entries shown by
+    /// `apx_verify`'s class rule to compute the same function (a hash of
+    /// the simulated output table at exhaustively enumerable widths, the
+    /// canonical functional digest past the cap) are reduced to the
+    /// selection-preferred member, counted as `library_semantic_dups`.
+    /// Direct hits are provably unchanged (equivalent candidates
+    /// re-score identically); only redundant seed slots are freed for
+    /// functionally distinct candidates.
     pub semantic_dedup: bool,
 }
 

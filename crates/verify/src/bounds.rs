@@ -14,24 +14,10 @@
 //!
 //! and summing those per-vector brackets with the task's distribution
 //! weights (the exact WMED summation of `apx_metrics`) gives a provable
-//! `[lo, hi]` interval around the circuit's true WMED — without ever
-//! summing the candidate's actual errors over the full enumeration.
-//!
-//! The **exact ranges** sharpen both ends: the exact achievable min/max
-//! biased output `[amin(x), amax(x)]` per weighted value, with both
-//! endpoints *achieved*. At exhaustively enumerable widths they are read
-//! off one bit-parallel simulation of every input vector; past the cap
-//! the BDD range pass ([`crate::output_ranges`]) computes them when the
-//! netlist fits its node budget. Since the achievable set `A(x)`
-//! satisfies `A(x) ⊆ S(x)` and `A(x) ⊆ [amin, amax]`, the larger of the
-//! ternary distance and the interval distance is still a valid lower
-//! term, and `max(|t − amin|, |t − amax|)` is the exact upper term over
-//! the hull — so the combined bracket is never wider than the
-//! ternary-only one ([`wmed_bounds_ternary`]), and strictly tighter
-//! whenever the exact range cuts into the ternary set. On budget
-//! exhaustion the BDD pass returns nothing and the ternary bracket
-//! stands unchanged — the soundness contract below is identical either
-//! way.
+//! `[lo, hi]` interval around the circuit's true WMED. The candidate is
+//! never simulated on a full input vector: propagation runs once per
+//! weighted value, though the sum still visits every free-operand value
+//! (the cost note on [`wmed_bounds_weighted`]).
 //!
 //! # Soundness contract
 //!
@@ -52,9 +38,7 @@
 //!   interval contains the evaluator's reported WMED *as computed*, not
 //!   just the ideal real number.
 
-use crate::exhaustive::exact_ranges;
 use crate::propagate_constants;
-use crate::semantic::output_ranges;
 use apx_arith::{EvalBackend, Operator};
 use apx_dist::Pmf;
 use apx_gates::Netlist;
@@ -64,13 +48,6 @@ use apx_gates::Netlist;
 /// exhaustive evaluator (each side's relative rounding error is below
 /// `2^-31 ≈ 5e-10`; see the module-level soundness contract).
 const WIDEN: f64 = 1e-9;
-
-/// Node budget for the exact range pass ([`crate::output_ranges`]) past
-/// the enumeration cap — at enumerable widths the ranges come from
-/// simulation and no budget applies. Small enough that a candidate whose
-/// monolithic planes blow up (wide multipliers) falls back to ternary
-/// analysis quickly.
-const EXACT_RANGE_BUDGET: usize = 1 << 18;
 
 /// A provable bracket on a circuit's WMED under one distribution.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -114,6 +91,15 @@ pub fn wmed_bounds(
 /// [`wmed_bounds`] over a raw weight table (one weight per raw operand
 /// encoding) — the form the re-scoring pass already holds.
 ///
+/// # Cost
+///
+/// Constant propagation runs once per weighted value `x` of nonzero
+/// weight, but the sum then visits every free-operand value of that `x`
+/// to compute its exact target: `support × 2^free` vector visits per
+/// call. That is 2^16 for a width-8 multiplier under a full-support
+/// distribution (~14 ms, release build on an x86-64 host), and 2^32 at
+/// width 16 — the enumeration the symbolic backend exists to avoid.
+///
 /// # Panics
 ///
 /// Same contract as [`wmed_bounds`], with `weights.len() == 2^width` in
@@ -126,54 +112,8 @@ pub fn wmed_bounds_weighted(
     signed: bool,
     weights: &[f64],
 ) -> ErrorBounds {
-    // The exact ranges tighten both ends: simulated at enumerable widths,
-    // from the BDD pass past the cap, where `None` (blown budget) keeps
-    // the pure ternary bracket.
-    let ranges = if op.supports_exhaustive_width(width) {
-        Some(exact_ranges(netlist, op, width, signed))
-    } else {
-        output_ranges(netlist, op, width, signed, EXACT_RANGE_BUDGET)
-    };
-    bounds_impl(netlist, op, width, signed, weights, ranges.as_deref())
-}
-
-/// The ternary-only bracket — [`wmed_bounds`] with the exact ranges
-/// disabled. This is the documented fallback the full analysis degrades
-/// to when the BDD range pass exhausts its budget past the enumeration
-/// cap; it exists as a public entry point so the
-/// cross-validation suite can assert the exact pass never *widens* a
-/// bracket.
-///
-/// # Panics
-///
-/// Same contract as [`wmed_bounds`].
-#[must_use]
-pub fn wmed_bounds_ternary(
-    netlist: &Netlist,
-    op: Operator,
-    width: u32,
-    signed: bool,
-    pmf: &Pmf,
-) -> ErrorBounds {
-    assert_eq!(pmf.width(), width, "PMF width must match the operand width");
-    let weights: Vec<f64> = pmf.iter().collect();
-    bounds_impl(netlist, op, width, signed, &weights, None)
-}
-
-/// Shared bracket computation. `ranges` (when present) holds the exact
-/// biased `(min, max)` achievable output words per weighted-operand
-/// value; see the module docs for why combining them with the ternary
-/// candidate sets is sound and never wider.
-fn bounds_impl(
-    netlist: &Netlist,
-    op: Operator,
-    width: u32,
-    signed: bool,
-    weights: &[f64],
-    ranges: Option<&[(u64, u64)]>,
-) -> ErrorBounds {
-    // Interval propagation never enumerates the free operand space, so
-    // like the symbolic backend it accepts the widest evaluable range.
+    // The width check accepts the symbolic backend's range, the widest
+    // evaluable one; see the cost note above before calling this there.
     assert!(
         op.supports_width(width, EvalBackend::Symbolic),
         "operand width {width} outside {op}'s evaluable range"
@@ -218,7 +158,6 @@ fn bounds_impl(
         let bval = val ^ (top_bit & mask);
         let bmin = bval;
         let bmax = bval | (full & !mask);
-        let exact_range = ranges.map(|r| r[x]);
         let (mut lo_acc, mut hi_acc) = (0u64, 0u64);
         for f in 0..(1u64 << free) {
             let v = ((x as u64) << free) | f;
@@ -227,21 +166,8 @@ fn bounds_impl(
             // the exact value of a supported operator always fits its
             // output word, so `t` lands in `0..2^out_bits`.
             let t = (exact + top_bit as i64) as u64;
-            let mut lo_term = min_dist(t, mask, bval, full);
-            let mut hi_term = t.abs_diff(bmin).max(t.abs_diff(bmax));
-            if let Some((amin, amax)) = exact_range {
-                // The achievable set A(x) lies inside `[amin, amax]` and
-                // both extremes are achieved, so the distance to the
-                // interval lower-bounds `min |t - z|` and the farthest
-                // endpoint is *exactly* `max |t - z|` over the hull —
-                // never wider than either ternary term (A(x) ⊆ S(x)).
-                let below = amin.saturating_sub(t);
-                let above = t.saturating_sub(amax);
-                lo_term = lo_term.max(below.max(above));
-                hi_term = hi_term.min(t.abs_diff(amin).max(t.abs_diff(amax)));
-            }
-            lo_acc += lo_term;
-            hi_acc += hi_term;
+            lo_acc += min_dist(t, mask, bval, full);
+            hi_acc += t.abs_diff(bmin).max(t.abs_diff(bmax));
         }
         lo_sum += weight * lo_acc as f64;
         hi_sum += weight * hi_acc as f64;
@@ -371,62 +297,6 @@ mod tests {
             / (8.0 * 64.0);
         assert!(bounds.wmed_lo <= mean && mean <= bounds.wmed_hi);
         assert!((bounds.wmed_hi - bounds.wmed_lo) / mean < 1e-8, "{bounds:?}");
-    }
-
-    #[test]
-    fn simulated_ranges_and_brackets_equal_the_bdd_pass() {
-        // The candidate kinds and PMFs of `tests/bounds_cross_validation.rs`,
-        // whose containment checks reach only the simulated ranges at
-        // these widths: equality here carries them over to the BDD pass.
-        use crate::exhaustive::exact_ranges;
-        use crate::semantic::SEMANTIC_NODE_BUDGET;
-        let funcs = apx_cgp::FunctionSet::extended();
-        for op in Operator::ALL {
-            for width in (2..=6u32).filter(|&w| op.supports_exhaustive_width(w)) {
-                let (ni, no) = (op.num_inputs(width), op.num_outputs(width));
-                let pmfs = [Pmf::uniform(width), Pmf::half_normal(width, f64::from(width) * 1.5)];
-                for signed in [false, true] {
-                    let mut zero = apx_gates::NetlistBuilder::new(ni);
-                    let z = zero.const0();
-                    zero.outputs(&vec![z; no]);
-                    let mut pool = vec![op.seed_circuit(width, signed), zero.finish().unwrap()];
-                    for seed in 0..4u64 {
-                        let mut rng = apx_rng::Xoshiro256::from_seed(
-                            0xB0D5 ^ seed ^ (u64::from(width) << 32),
-                        );
-                        let c = apx_cgp::Chromosome::random(ni, no, 30, &funcs, &mut rng);
-                        pool.push(c.decode_active());
-                    }
-                    if op == Operator::Mul && !signed {
-                        pool.extend(
-                            (1..width.min(4)).map(|k| apx_arith::truncated_multiplier(width, k)),
-                        );
-                        if width >= 3 {
-                            pool.push(apx_arith::broken_array_multiplier(width, width, width));
-                        }
-                    }
-                    if op == Operator::Add && !signed {
-                        for k in 1..width {
-                            pool.push(apx_arith::lower_or_adder(width, k));
-                            pool.push(apx_arith::truncated_adder(width, k));
-                        }
-                    }
-                    for (i, nl) in pool.iter().enumerate() {
-                        let at = format!("{op} w{width} signed={signed} cand={i}");
-                        let bdd = output_ranges(nl, op, width, signed, SEMANTIC_NODE_BUDGET)
-                            .expect("small components fit the budget");
-                        assert_eq!(exact_ranges(nl, op, width, signed), bdd, "{at}");
-                        for pmf in &pmfs {
-                            let weights: Vec<f64> = pmf.iter().collect();
-                            let want = bounds_impl(nl, op, width, signed, &weights, Some(&bdd));
-                            let got = wmed_bounds_weighted(nl, op, width, signed, &weights);
-                            assert_eq!(got.wmed_lo.to_bits(), want.wmed_lo.to_bits(), "{at}");
-                            assert_eq!(got.wmed_hi.to_bits(), want.wmed_hi.to_bits(), "{at}");
-                        }
-                    }
-                }
-            }
-        }
     }
 
     #[test]

@@ -20,11 +20,11 @@
 //!    provably-constant (stuck-at) outputs and dead nodes as warnings,
 //!    plus [`structural_hash`] — the canonical digest the component
 //!    library dedups by.
-//! 3. **Bound analysis** ([`wmed_bounds`]): per-output interval analysis,
-//!    tightened by exact output ranges, yielding a provable `[lo, hi]`
-//!    bracket on the circuit's WMED without scoring the candidate —
-//!    sound enough to prune library candidates that provably cannot
-//!    meet a threshold before the batched re-scoring pass pays for them.
+//! 3. **Bound analysis** ([`wmed_bounds`]): per-output ternary interval
+//!    analysis, yielding a provable `[lo, hi]` bracket on the circuit's
+//!    WMED without scoring the candidate — sound enough to prune library
+//!    candidates that provably cannot meet a threshold before the
+//!    batched re-scoring pass pays for them.
 //!
 //! Severity is deliberately two-tier: [`Severity::Error`] marks contract
 //! violations (the netlist must not be evaluated), while
@@ -39,11 +39,10 @@ mod bounds;
 mod exhaustive;
 mod semantic;
 
-pub use bounds::{wmed_bounds, wmed_bounds_ternary, wmed_bounds_weighted, ErrorBounds};
+pub use bounds::{wmed_bounds, wmed_bounds_weighted, ErrorBounds};
 pub use semantic::{
-    class_representatives, functional_digest, functional_digest_with_budget, output_ranges,
-    prove_equiv, prove_equiv_with_budget, prove_seed, prove_seed_with_budget, Equiv,
-    SEMANTIC_NODE_BUDGET,
+    class_representatives, functional_digest, functional_digest_with_budget, prove_equiv,
+    prove_equiv_with_budget, prove_seed, prove_seed_with_budget, Equiv, SEMANTIC_NODE_BUDGET,
 };
 
 use apx_arith::{EvalBackend, Operator};

@@ -1,9 +1,9 @@
-//! Semantic verification on ROBDD planes: equivalence proofs, canonical
-//! function identity and exact output ranges.
+//! Semantic verification on ROBDD planes: equivalence proofs and
+//! canonical function identity.
 //!
 //! The structural passes of this crate answer "is this netlist
 //! well-formed"; this module answers "what function does it compute",
-//! using `apx_bdd` as the reasoning engine. Three capabilities:
+//! using `apx_bdd` as the reasoning engine. Two capabilities:
 //!
 //! 1. **Equivalence checking** ([`prove_equiv`]): both netlists compile
 //!    to per-output-bit BDD planes under one shared manager; canonicity
@@ -23,12 +23,6 @@
 //!    simulation of every input vector instead); the component library's
 //!    `dedup_semantic` stage, the cache GC's equivalence-class collapse
 //!    and `netlist_lint`'s census all call that one rule.
-//! 3. **Exact output ranges** ([`output_ranges`]): per weighted-operand
-//!    value, the exact min/max achievable output word via greedy max-sat
-//!    descent over the restricted planes — the tightening the WMED
-//!    bracket pass ([`crate::wmed_bounds`]) substitutes for its ternary
-//!    candidate sets past the enumeration cap when the netlist fits the
-//!    budget (at enumerable widths it simulates instead).
 //!
 //! [`prove_seed`] closes the loop on the generators themselves: every
 //! [`Operator::seed_circuit`] is proved equivalent to an *independent*
@@ -43,9 +37,8 @@
 //!
 //! Every entry point takes (or defaults) a node budget checked between
 //! gate applications. Exceeding it returns `Unknown`/`None` — never a
-//! wrong answer. Callers treat that as "fall back to the structural /
-//! ternary result", so the budget only trades precision, never
-//! soundness.
+//! wrong answer. Callers treat that as "fall back to the structural
+//! result", so the budget only trades precision, never soundness.
 
 use crate::exhaustive::table_hash;
 use crate::fnv_u128;
@@ -92,7 +85,7 @@ fn compile(bdd: &mut Bdd, nl: &Netlist, inputs: &[NodeId], budget: usize) -> Opt
 
 /// Asserts the arity half of the component contract — the same
 /// preconditions the bounds pass and the evaluator enforce.
-pub(crate) fn assert_component_arity(nl: &Netlist, op: Operator, width: u32, role: &str) {
+fn assert_component_arity(nl: &Netlist, op: Operator, width: u32, role: &str) {
     assert!(
         op.supports_width(width, EvalBackend::Symbolic),
         "operand width {width} outside {op}'s evaluable range"
@@ -252,60 +245,6 @@ pub fn class_representatives(
         }
     }
     classes.iter().enumerate().map(|(i, class)| class.map_or(i, |c| held[&c])).collect()
-}
-
-/// Exact per-weighted-operand output ranges of a `width`-bit `op`
-/// netlist, in **biased** output space (`raw ^ top_bit` when `signed` —
-/// the order-isomorphic encoding the WMED bracket pass compares in).
-///
-/// Entry `x` of the result is `(min, max)`: the exact extreme biased
-/// output words achievable when the weighted operand is pinned to raw
-/// encoding `x` and the remaining inputs range freely. Both extremes are
-/// *achieved* by some free assignment, so `[min, max]` is the exact
-/// interval hull of the achievable output set.
-///
-/// Returns `None` when the monolithic planes outgrow `budget` — the
-/// caller keeps its ternary candidate sets.
-///
-/// # Panics
-///
-/// Panics if `width` is unsupported or the netlist's arity contradicts
-/// the operator contract.
-#[must_use]
-pub fn output_ranges(
-    nl: &Netlist,
-    op: Operator,
-    width: u32,
-    signed: bool,
-    budget: usize,
-) -> Option<Vec<(u64, u64)>> {
-    assert_component_arity(nl, op, width, "range analysis");
-    let ni = op.num_inputs(width);
-    if ni as u32 > apx_bdd::MAX_VARS {
-        return None;
-    }
-    let mut bdd = Bdd::new(ni as u32);
-    let vars: Vec<NodeId> = (0..ni).map(|i| bdd.var(i as u32)).collect();
-    let mut planes = compile(&mut bdd, nl, &vars, budget)?;
-    if signed {
-        // Bias the top plane: `raw ^ top_bit` complements the sign bit.
-        let top = planes.len() - 1;
-        planes[top] = bdd.not(planes[top]);
-    }
-    let mut ranges = Vec::with_capacity(1 << width);
-    for x in 0..(1u64 << width) {
-        // The weighted operand is netlist inputs `0..width` — the
-        // root-most variables, so a plain descend pins them.
-        let restricted: Vec<NodeId> =
-            planes.iter().map(|&p| bdd.descend(p, width, |v| (x >> v) & 1 == 1)).collect();
-        let min = bdd.min_value(&restricted);
-        let max = bdd.max_value(&restricted);
-        ranges.push((min, max));
-        if bdd.num_nodes() > budget {
-            return None;
-        }
-    }
-    Some(ranges)
 }
 
 /// Little-endian ripple addition of two equal-length plane vectors,
@@ -504,43 +443,7 @@ mod tests {
         let nl = op.seed_circuit(4, false);
         assert_eq!(prove_equiv_with_budget(&nl, &nl, op, 4, 8), Equiv::Unknown { budget: 8 });
         assert_eq!(functional_digest_with_budget(&nl, 8), None);
-        assert_eq!(output_ranges(&nl, op, 4, false, 8), None);
         assert_eq!(prove_seed_with_budget(op, 4, false, 8), Equiv::Unknown { budget: 8 });
-    }
-
-    #[test]
-    fn output_ranges_match_enumeration() {
-        for op in Operator::ALL {
-            for signed in [false, true] {
-                let width = 2u32;
-                let nl = op.seed_circuit(width, signed);
-                let ni = op.num_inputs(width);
-                let out_bits = op.num_outputs(width) as u32;
-                let top = if signed { 1u64 << (out_bits - 1) } else { 0 };
-                let ranges = output_ranges(&nl, op, width, signed, SEMANTIC_NODE_BUDGET).unwrap();
-                let free = ni - width as usize;
-                for (x, &(min, max)) in ranges.iter().enumerate() {
-                    let mut want_min = u64::MAX;
-                    let mut want_max = 0u64;
-                    for f in 0..(1u64 << free) {
-                        let mut assign = vec![false; ni];
-                        for (i, slot) in assign.iter_mut().enumerate().take(width as usize) {
-                            *slot = (x >> i) & 1 == 1;
-                        }
-                        for (i, slot) in assign.iter_mut().enumerate().skip(width as usize) {
-                            *slot = (f >> (i - width as usize)) & 1 == 1;
-                        }
-                        let out = nl.eval_bool(&assign);
-                        let raw: u64 =
-                            out.iter().enumerate().map(|(j, &b)| u64::from(b) << j).sum();
-                        let biased = raw ^ top;
-                        want_min = want_min.min(biased);
-                        want_max = want_max.max(biased);
-                    }
-                    assert_eq!((min, max), (want_min, want_max), "{op} signed={signed} x={x}");
-                }
-            }
-        }
     }
 
     #[test]

@@ -10,7 +10,7 @@ use apx_dist::Pmf;
 use apx_gates::{Netlist, NetlistBuilder};
 use apx_metrics::CircuitEvaluator;
 use apx_rng::Xoshiro256;
-use apx_verify::{wmed_bounds, wmed_bounds_ternary};
+use apx_verify::wmed_bounds;
 
 /// A constant-zero netlist with the operator's exact arity.
 fn constant_zero(op: Operator, width: u32) -> Netlist {
@@ -52,12 +52,18 @@ fn candidates(op: Operator, width: u32, signed: bool) -> Vec<Netlist> {
 #[test]
 fn brackets_contain_the_exhaustive_wmed_across_the_grid() {
     for op in Operator::ALL {
-        for width in 2..=6u32 {
+        // Plus the width the library tier's bound pass runs at: 8-bit
+        // multipliers, also under the `library_reuse` benchmark's PMF.
+        for width in (2..=6u32).chain((op == Operator::Mul).then_some(8)) {
             if !op.supports_exhaustive_width(width) {
                 continue;
             }
             for signed in [false, true] {
-                let pmfs = [Pmf::uniform(width), Pmf::half_normal(width, f64::from(width) * 1.5)];
+                let mut pmfs =
+                    vec![Pmf::uniform(width), Pmf::half_normal(width, f64::from(width) * 1.5)];
+                if width == 8 {
+                    pmfs.push(Pmf::normal(8, 64.0, 16.0));
+                }
                 for pmf in &pmfs {
                     let evaluator = CircuitEvaluator::for_operator(op, width, signed, pmf).unwrap();
                     for (i, nl) in candidates(op, width, signed).iter().enumerate() {
@@ -92,49 +98,6 @@ fn brackets_contain_the_wmed_under_measured_distributions() {
         let bounds = wmed_bounds(&nl, op, 4, false, &pmf);
         assert!(bounds.contains(wmed), "wmed {wmed} outside {bounds:?}");
     }
-}
-
-#[test]
-fn exact_brackets_are_never_wider_than_ternary_and_sometimes_strictly_tighter() {
-    // The exact ranges may only *shrink* the ternary bracket: on every
-    // cell of the same grid as the containment test, the default bracket
-    // must be a sub-interval of the ternary-only one — and on at least
-    // one fixture it must be strictly tighter, or the ranges are dead
-    // weight. At these enumerable widths `wmed_bounds` simulates the
-    // ranges; the BDD range pass (`apx_verify::output_ranges`) serves
-    // past the cap, and `apx_verify`'s unit test
-    // `simulated_ranges_and_brackets_equal_the_bdd_pass` pins its
-    // ranges and brackets to the simulated ones, bit for bit, over
-    // this suite's candidate kinds and PMFs.
-    let mut strictly_tighter = 0usize;
-    for op in Operator::ALL {
-        for width in 2..=6u32 {
-            if !op.supports_exhaustive_width(width) {
-                continue;
-            }
-            for signed in [false, true] {
-                let pmfs = [Pmf::uniform(width), Pmf::half_normal(width, f64::from(width) * 1.5)];
-                for pmf in &pmfs {
-                    for (i, nl) in candidates(op, width, signed).iter().enumerate() {
-                        let exact = wmed_bounds(nl, op, width, signed, pmf);
-                        let ternary = wmed_bounds_ternary(nl, op, width, signed, pmf);
-                        assert!(
-                            exact.wmed_lo >= ternary.wmed_lo && exact.wmed_hi <= ternary.wmed_hi,
-                            "{op} w={width} signed={signed} cand={i}: exact bracket {exact:?} \
-                             escapes ternary {ternary:?}"
-                        );
-                        if exact.wmed_lo > ternary.wmed_lo || exact.wmed_hi < ternary.wmed_hi {
-                            strictly_tighter += 1;
-                        }
-                    }
-                }
-            }
-        }
-    }
-    assert!(
-        strictly_tighter > 0,
-        "the exact range pass never improved a single bracket across the whole grid"
-    );
 }
 
 #[test]
