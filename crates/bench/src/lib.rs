@@ -462,11 +462,8 @@ pub fn print_sweep_counters(cfg: &apx_core::SweepConfig, stats: &SweepStats) {
     }
     if cfg.library.is_some() {
         println!(
-            "library: {} hits, {} seeded evolutions, {} pruned, {} semantic dups",
-            stats.library_hits,
-            stats.seeded_evolutions,
-            stats.library_pruned,
-            stats.library_semantic_dups
+            "library: {} hits, {} seeded evolutions, {} semantic dups",
+            stats.library_hits, stats.seeded_evolutions, stats.library_semantic_dups
         );
     }
 }
@@ -832,7 +829,6 @@ mod tests {
         assert_eq!(on.dir, cache);
         assert!(!on.conventional);
         assert!(on.take_hits);
-        assert!(on.prune, "bound pruning always runs (it is provably invisible)");
         assert!(on.semantic_dedup, "semantic dedup always runs");
         let full = parse_library("full", cache.clone()).unwrap().unwrap();
         assert_eq!(full.dir, cache);

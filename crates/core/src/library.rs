@@ -5,24 +5,27 @@
 //! threshold)` point, yet the expensive artifact — an approximate
 //! multiplier, adder or MAC — does not care which distribution it was
 //! evolved under:
-//! its WMED under a *new* [`Pmf`](apx_dist::Pmf) is one exhaustive
-//! [`CircuitEvaluator`] pass, no evolution at all (this is exactly the
-//! cheap re-scoring that makes autoAx-style library reuse work; Mrazek
-//! et al., DAC'19). This
+//! its WMED under a *new* [`Pmf`](apx_dist::Pmf) is one
+//! [`CircuitEvaluator`] statistics pass, no evolution at all (this is
+//! exactly the cheap re-scoring that makes autoAx-style library reuse
+//! work; Mrazek et al., DAC'19). This
 //! module turns the per-task [`crate::cache`] into such a reusable
 //! library:
 //!
 //! * [`ComponentLibrary`] scans a cache directory
-//!   ([`SweepCache::scan`]), deduplicates harvested chromosomes by a
-//!   structural digest of their active netlist, ingests conventionally
+//!   ([`SweepCache::scan`]), deduplicates harvested chromosomes within
+//!   each component class by a structural digest of their active
+//!   netlist, ingests conventionally
 //!   designed circuits — the [`apx_approxlib`] multipliers and the
 //!   approximate adders of [`apx_arith::adders_approx`] — through the
 //!   same unified [`LibraryEntry`] form, and indexes everything by
 //!   `(operator, width, signedness)`;
 //! * [`ComponentLibrary::rescore`] re-prices every matching candidate
-//!   under the current sweep's distribution — full [`ErrorStats`] via
-//!   the batched evaluator ([`CircuitEvaluator::stats_batch`], fanned out
-//!   on `apx_pool`) plus the technology-library area — yielding a
+//!   under the current sweep's distribution — full [`ErrorStats`] from
+//!   one statistics pass per candidate on the backend the width picks
+//!   ([`CircuitEvaluator::stats_batch`], fanned out on `apx_pool`;
+//!   exhaustive only up to the enumeration cap) plus the
+//!   technology-library area — yielding a
 //!   [`RescoredLibrary`]: a deterministic ranking with a per-
 //!   distribution Pareto front of `(WMED, area)` that keeps each
 //!   candidate's [`Provenance`];
@@ -49,11 +52,8 @@ use apx_cgp::{Chromosome, FunctionSet};
 use apx_gates::Netlist;
 use apx_metrics::{CircuitEvaluator, ErrorStats};
 use apx_techlib::{area_of, TechLibrary};
-use apx_verify::{
-    class_representatives, has_errors, lint_component, structural_hash, wmed_bounds_weighted,
-    Diagnostic,
-};
-use std::collections::HashMap;
+use apx_verify::{class_representatives, has_errors, lint_component, structural_hash, Diagnostic};
+use std::collections::{HashMap, HashSet};
 use std::path::Path;
 
 /// Which exploration produced a library candidate.
@@ -96,11 +96,21 @@ pub struct LibraryEntry {
     pub width: u32,
     /// Two's-complement operand encoding.
     pub signed: bool,
-    /// [`structural_hash`] of the netlist (dedup identity; dead nodes do
-    /// not count).
+    /// [`structural_hash`] of the netlist (dedup identity within the
+    /// entry's component class; dead nodes do not count).
     pub digest: u128,
     /// Where the candidate came from.
     pub provenance: Provenance,
+}
+
+/// A library candidate's structural identity: its component class and
+/// the [`structural_hash`] of its netlist.
+type StructuralKey = (Operator, u32, bool, u128);
+
+impl LibraryEntry {
+    fn structural_key(&self) -> StructuralKey {
+        (self.op, self.width, self.signed, self.digest)
+    }
 }
 
 /// A deduplicated, `(operator, width, signedness)`-indexed collection of
@@ -109,7 +119,10 @@ pub struct LibraryEntry {
 #[derive(Debug, Clone, Default)]
 pub struct ComponentLibrary {
     entries: Vec<LibraryEntry>,
-    by_digest: HashMap<u128, usize>,
+    /// The structural identities of `entries`. The digest encodes only
+    /// the netlist, so it is keyed by component class as well: one
+    /// netlist may be a member of several classes.
+    structural: HashSet<StructuralKey>,
     /// Full stored task results by cache key, for exact replay: when a
     /// sweep task's own key shows up here, the stored entry *is* what
     /// that task would compute, bit for bit.
@@ -310,10 +323,9 @@ impl ComponentLibrary {
     }
 
     fn insert(&mut self, entry: LibraryEntry) -> bool {
-        if self.by_digest.contains_key(&entry.digest) {
+        if !self.structural.insert(entry.structural_key()) {
             return false;
         }
-        self.by_digest.insert(entry.digest, self.entries.len());
         self.entries.push(entry);
         true
     }
@@ -354,7 +366,7 @@ impl ComponentLibrary {
         if removed > 0 {
             let mut it = keep.iter();
             self.entries.retain(|_| *it.next().expect("one keep flag per entry"));
-            self.by_digest = self.entries.iter().enumerate().map(|(i, e)| (e.digest, i)).collect();
+            self.structural = self.entries.iter().map(LibraryEntry::structural_key).collect();
             self.semantic_dups += removed;
         }
         removed
@@ -369,11 +381,12 @@ impl ComponentLibrary {
 
     /// Re-prices every candidate matching the evaluator's component
     /// class (operator, width, signedness) under the evaluator's
-    /// distribution: one exhaustive
-    /// statistics pass per candidate (fanned out over `threads` pool
-    /// workers, bit-identical to a sequential pass) plus the
-    /// technology-library area. The returned ranking is a total order, so
-    /// selection never depends on thread count or ingestion accidents.
+    /// distribution: one statistics pass per candidate on the backend the
+    /// width picks (exhaustive enumeration up to the cap, symbolic
+    /// counting past it), fanned out over `threads` pool workers and
+    /// bit-identical to a sequential pass, plus the technology-library
+    /// area. The returned ranking is a total order, so selection never
+    /// depends on thread count or ingestion accidents.
     #[must_use]
     pub fn rescore(
         &self,
@@ -381,75 +394,9 @@ impl ComponentLibrary {
         tech: &TechLibrary,
         threads: usize,
     ) -> RescoredLibrary<'_> {
-        self.rescore_pruned(evaluator, tech, threads, None)
-    }
-
-    /// [`rescore`](Self::rescore) with an optional `apx_verify`
-    /// bound-analysis pre-pass: before paying the batched exhaustive
-    /// statistics, each candidate gets a provable WMED bracket
-    /// ([`wmed_bounds_weighted`], fanned out over the same `threads` pool
-    /// workers and returned in candidate order), and a candidate is
-    /// dropped when it provably cannot influence any selection the sweep
-    /// makes under `policy` — its *lower* bound exceeds every configured
-    /// threshold
-    /// (so it can never be a [`best_meeting`](RescoredLibrary::best_meeting)
-    /// hit) **and** at least [`max_seeds`](PrunePolicy::max_seeds) other
-    /// candidates are provably strictly better (upper bound below its
-    /// lower bound, so it can never be ranked as a
-    /// [`seed`](RescoredLibrary::seeds) either). Survivors are re-scored
-    /// exactly as [`rescore`](Self::rescore) would — per-candidate
-    /// statistics are independent, so pruning provably never changes a
-    /// sweep or library result, only skips work.
-    ///
-    /// The guarantee covers exactly the selections the policy describes —
-    /// [`best_meeting`](RescoredLibrary::best_meeting) up to
-    /// `max_threshold` and [`seeds`](RescoredLibrary::seeds) up to
-    /// `max_seeds`. A [`pareto`](RescoredLibrary::pareto) view over a
-    /// pruned ranking may omit small-area/high-error front members;
-    /// consumers that need the full front (the cache GC) use the unpruned
-    /// [`rescore`](Self::rescore).
-    #[must_use]
-    pub fn rescore_pruned(
-        &self,
-        evaluator: &CircuitEvaluator,
-        tech: &TechLibrary,
-        threads: usize,
-        policy: Option<&PrunePolicy>,
-    ) -> RescoredLibrary<'_> {
-        let mut matching: Vec<&LibraryEntry> = self
+        let matching: Vec<&LibraryEntry> = self
             .candidates(evaluator.operator(), evaluator.width(), evaluator.is_signed())
             .collect();
-        let mut pruned = 0;
-        if let Some(policy) = policy {
-            // With `max_seeds` or fewer candidates nothing can ever be
-            // dropped, so skip the bound pass entirely.
-            if matching.len() > policy.max_seeds {
-                let bounds = apx_pool::scope_map(threads.max(1), matching.clone(), |_, e| {
-                    wmed_bounds_weighted(
-                        &e.netlist,
-                        evaluator.operator(),
-                        evaluator.width(),
-                        evaluator.is_signed(),
-                        evaluator.weights(),
-                    )
-                })
-                .unwrap_or_else(|p| panic!("bound pass candidate {}: {}", p.index, p.message));
-                let keep: Vec<bool> = bounds
-                    .iter()
-                    .map(|b| {
-                        if b.wmed_lo <= policy.max_threshold {
-                            return true;
-                        }
-                        let provably_better =
-                            bounds.iter().filter(|o| o.wmed_hi < b.wmed_lo).count();
-                        provably_better < policy.max_seeds
-                    })
-                    .collect();
-                let mut it = keep.iter();
-                matching.retain(|_| *it.next().expect("one keep flag per candidate"));
-                pruned = keep.iter().filter(|&&k| !k).count();
-            }
-        }
         let netlists: Vec<Netlist> = matching.iter().map(|e| e.netlist.clone()).collect();
         let stats = evaluator.stats_batch(&netlists, threads);
         let mut candidates: Vec<RescoredCandidate<'_>> = matching
@@ -467,22 +414,8 @@ impl ComponentLibrary {
                 .then_with(|| a.stats.wmed.total_cmp(&b.stats.wmed))
                 .then_with(|| a.entry.name.cmp(&b.entry.name))
         });
-        RescoredLibrary { candidates, pruned }
+        RescoredLibrary { candidates }
     }
-}
-
-/// What a sweep will ever ask of a re-scored library — the facts that
-/// make bound-based pruning ([`ComponentLibrary::rescore_pruned`]) safe.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PrunePolicy {
-    /// The loosest threshold any task of the sweep runs under: a
-    /// candidate whose provable WMED lower bound exceeds this can never
-    /// be taken as a hit.
-    pub max_threshold: f64,
-    /// [`LibraryConfig::max_seeds`](crate::LibraryConfig::max_seeds): a
-    /// candidate with this many provably strictly-better alternatives
-    /// can never be offered as a seed.
-    pub max_seeds: usize,
 }
 
 /// One candidate re-priced under a specific distribution.
@@ -490,7 +423,7 @@ pub struct PrunePolicy {
 pub struct RescoredCandidate<'a> {
     /// The underlying library candidate (with its provenance).
     pub entry: &'a LibraryEntry,
-    /// Exhaustive error statistics under the re-scoring distribution —
+    /// Exact error statistics under the re-scoring distribution —
     /// bit-identical to what [`run_sweep`](crate::run_sweep) would report
     /// for the same chromosome.
     pub stats: ErrorStats,
@@ -504,7 +437,6 @@ pub struct RescoredCandidate<'a> {
 #[derive(Debug, Clone)]
 pub struct RescoredLibrary<'a> {
     candidates: Vec<RescoredCandidate<'a>>,
-    pruned: usize,
 }
 
 impl<'a> RescoredLibrary<'a> {
@@ -512,14 +444,6 @@ impl<'a> RescoredLibrary<'a> {
     #[must_use]
     pub fn candidates(&self) -> &[RescoredCandidate<'a>] {
         &self.candidates
-    }
-
-    /// How many candidates the bound-analysis pre-pass of
-    /// [`ComponentLibrary::rescore_pruned`] dropped before the batched
-    /// statistics (always 0 for a plain [`ComponentLibrary::rescore`]).
-    #[must_use]
-    pub fn pruned(&self) -> usize {
-        self.pruned
     }
 
     /// The cheapest candidate whose re-scored WMED meets `threshold` —
@@ -801,7 +725,7 @@ mod tests {
     }
 
     /// A scanned entry whose netlist drives every output to a fixed bit
-    /// of `pattern` — analytically predictable WMED, tight verify bounds.
+    /// of `pattern`.
     fn constant_scanned(op: Operator, width: u32, pattern: u64, salt: u64) -> ScannedEntry {
         let mut b = apx_gates::NetlistBuilder::new(op.num_inputs(width));
         let zero = b.const0();
@@ -895,63 +819,38 @@ mod tests {
     }
 
     #[test]
-    fn bound_pruning_drops_provably_useless_candidates_without_changing_selections() {
-        // Constant "multipliers" over 3-bit operands: WMED of pattern c
-        // is E|a*b - c| / 2^6, so the all-ones pattern (~0.79) towers
-        // over the low patterns (~0.2) — and the verify bounds on
-        // constant circuits are tight, so the all-ones candidate is
-        // provably hopeless for a 0.02-threshold sweep with 2 seeds.
-        let mut lib = ComponentLibrary::new();
-        for (i, pattern) in [63u64, 0, 1, 2, 3, 4, 5].into_iter().enumerate() {
-            assert!(lib.ingest_scanned(constant_scanned(Operator::Mul, 3, pattern, 10 + i as u64)));
-        }
-        let eval =
-            CircuitEvaluator::for_operator(Operator::Mul, 3, false, &Pmf::uniform(3)).unwrap();
-        let tech = TechLibrary::nangate45();
-        let policy = PrunePolicy { max_threshold: 0.02, max_seeds: 2 };
-
-        let full = lib.rescore(&eval, &tech, 2);
-        let pruned = lib.rescore_pruned(&eval, &tech, 2, Some(&policy));
-        assert_eq!(full.pruned(), 0);
-        assert!(pruned.pruned() >= 1, "the all-ones candidate must be pruned");
-        assert_eq!(pruned.candidates().len() + pruned.pruned(), full.candidates().len());
-        assert!(
-            pruned.candidates().iter().all(|c| c.entry.name != "const_63"),
-            "const_63 is the provably hopeless candidate"
+    fn structural_dedup_stays_within_a_component_class() {
+        // One constant-zero netlist stored as an unsigned and as a signed
+        // 3-bit multiplier: the same structural digest, two classes.
+        let unsigned = constant_scanned(Operator::Mul, 3, 0, 20);
+        let signed_twin =
+            |salt| ScannedEntry { signed: true, ..constant_scanned(Operator::Mul, 3, 0, salt) };
+        let signed = signed_twin(21);
+        assert_eq!(
+            structural_hash(&unsigned.circuit.netlist),
+            structural_hash(&signed.circuit.netlist)
         );
+        let zero = unsigned.circuit.netlist.clone();
 
-        // Every selection the policy covers is identical, bit for bit.
-        for threshold in [0.0, 0.01, 0.02] {
-            match (full.best_meeting(threshold), pruned.best_meeting(threshold)) {
-                (None, None) => {}
-                (Some(a), Some(b)) => {
-                    assert_eq!(a.entry.name, b.entry.name);
-                    assert_eq!(a.stats.wmed.to_bits(), b.stats.wmed.to_bits());
-                }
-                (a, b) => panic!("hit divergence at {threshold}: {a:?} vs {b:?}"),
-            }
-            let (fs, ps) = (full.seeds(threshold, 2), pruned.seeds(threshold, 2));
-            assert_eq!(fs.len(), ps.len());
-            for (a, b) in fs.iter().zip(&ps) {
-                assert_eq!(a.entry.name, b.entry.name, "seed divergence at {threshold}");
-                assert_eq!(a.stats, b.stats);
-                assert_eq!(a.area.to_bits(), b.area.to_bits());
-            }
-        }
+        let mut lib = ComponentLibrary::new();
+        assert!(lib.ingest_scanned(unsigned));
+        assert!(lib.ingest_scanned(signed), "a twin in another class is a new candidate");
+        assert_eq!(lib.candidates(Operator::Mul, 3, false).count(), 1);
+        assert_eq!(lib.candidates(Operator::Mul, 3, true).count(), 1);
 
-        // Survivor statistics are bit-identical to the unpruned pass
-        // (per-candidate evaluation is independent of batch membership).
-        for p in pruned.candidates() {
-            let f = full
-                .candidates()
-                .iter()
-                .find(|c| c.entry.name == p.entry.name)
-                .expect("survivors are a subset");
-            assert_eq!(f.stats, p.stats);
-        }
+        // A twin in the same class is still a duplicate: it only extends
+        // the exact-replay index.
+        let again = signed_twin(22);
+        let again_key = again.key;
+        assert!(!lib.ingest_scanned(again));
+        assert!(lib.exact_match(again_key, Operator::Mul, 3, true).is_some());
 
-        // A policy that cannot prune (enough seeds wanted) is a no-op.
-        let lax = PrunePolicy { max_threshold: 0.02, max_seeds: lib.len() };
-        assert_eq!(lib.rescore_pruned(&eval, &tech, 2, Some(&lax)).pruned(), 0);
+        // The index a semantic dedup pass rebuilds keeps both classes.
+        assert!(lib.insert(named_entry("zero_negated", false, double_negated(&zero))));
+        assert_eq!(lib.dedup_semantic(&TechLibrary::nangate45()), 1);
+        assert_eq!(lib.candidates(Operator::Mul, 3, false).count(), 1);
+        assert_eq!(lib.candidates(Operator::Mul, 3, true).count(), 1);
+        assert!(!lib.ingest_scanned(constant_scanned(Operator::Mul, 3, 0, 23)));
+        assert!(!lib.ingest_scanned(signed_twin(24)));
     }
 }

@@ -25,7 +25,7 @@ use crate::flow::{
     best_per_threshold, evolve_one, run_tasks, seed_circuit, task_seed, validate_config,
     EvolvedCircuit, FlowConfig,
 };
-use crate::library::{ComponentLibrary, PrunePolicy, RescoredLibrary};
+use crate::library::{ComponentLibrary, RescoredLibrary};
 use crate::CoreError;
 use apx_approxlib::MultiplierLibrary;
 use apx_arith::Operator;
@@ -102,16 +102,12 @@ pub struct LibraryConfig {
     pub take_hits: bool,
     /// Maximum library candidates offered as seeds to one evolution.
     pub max_seeds: usize,
-    /// Skip re-scoring candidates that `apx_verify`'s static bound
-    /// analysis proves irrelevant to this sweep — provably unable to meet
-    /// the loosest threshold *and* provably out-ranked by at least
-    /// `max_seeds` alternatives ([`ComponentLibrary::rescore_pruned`]).
-    /// Results are bit-identical either way. Pruning can only save the
-    /// exhaustive statistics passes it skips, and it does not pay at
-    /// exhaustive widths: at width 8 one bound call costs ~8× the `stats`
-    /// call it can skip (~14 ms against ~1.7 ms, release build on an
-    /// x86-64 host), so the pass is slower than re-scoring every
-    /// candidate (`ROADMAP.md`, open item 1).
+    /// Retired and inert: [`run_sweep`] re-scores every candidate
+    /// ([`ComponentLibrary::rescore`]) whatever this says. The field is
+    /// kept only because the repository benchmark (`perfbench/`) still
+    /// reads it, and goes when the benchmark does. `ARCHITECTURE.md`
+    /// ("Performance, honestly") gives the measurements that retired
+    /// bound pruning.
     pub prune: bool,
     /// Collapse semantically equivalent candidates after the structural
     /// dedup ([`ComponentLibrary::dedup_semantic`]): entries shown by
@@ -127,15 +123,15 @@ pub struct LibraryConfig {
 
 impl Default for LibraryConfig {
     /// Hits taken, up to 4 seeds (one per default-λ offspring lineage),
-    /// bound-based pruning on, semantic dedup on, no directory, no
-    /// conventional entries.
+    /// semantic dedup on, no directory, no conventional entries. The
+    /// inert `prune` is `false`, which is what [`run_sweep`] does.
     fn default() -> Self {
         LibraryConfig {
             dir: None,
             conventional: false,
             take_hits: true,
             max_seeds: 4,
-            prune: true,
+            prune: false,
             semantic_dedup: true,
         }
     }
@@ -209,9 +205,10 @@ pub struct SweepStats {
     /// seed strictly beat the operator's exact seed circuit in the
     /// warm-start selection of [`apx_cgp::evolve_seeded`]).
     pub seeded_evolutions: usize,
-    /// Library candidates the static bound analysis pruned before
-    /// re-scoring ([`LibraryConfig::prune`]), summed over the
-    /// distributions whose rankings this run actually consulted.
+    /// Retired and always 0: no library candidate is skipped before
+    /// re-scoring any more. Kept only because the repository benchmark
+    /// (`perfbench/`) still builds and prints it, like
+    /// [`LibraryConfig::prune`].
     pub library_pruned: usize,
     /// Library candidates removed as semantic duplicates — structurally
     /// distinct netlists proven to compute an already-present function
@@ -376,22 +373,13 @@ pub fn run_sweep(cfg: &SweepConfig) -> Result<SweepResult, CoreError> {
     // Re-scoring is lazy per distribution: an all-replay warm run (every
     // task an exact key match) never pays the batched evaluator passes
     // for rankings nobody consults.
-    //
-    // The prune policy describes everything this sweep will ever ask of a
-    // ranking (loosest threshold, seed cap), which is exactly what makes
-    // the bound-based pre-pass result-invariant.
-    let prune_policy: Option<PrunePolicy> =
-        cfg.library.as_ref().filter(|l| l.prune).map(|l| PrunePolicy {
-            max_threshold: flow.thresholds.iter().fold(f64::NEG_INFINITY, |m, &t| m.max(t)),
-            max_seeds: l.max_seeds,
-        });
     let rescored: Vec<std::cell::OnceCell<RescoredLibrary<'_>>> =
         cfg.distributions.iter().map(|_| std::cell::OnceCell::new()).collect();
     let rescored_for = |di: usize| -> Option<&RescoredLibrary<'_>> {
         match &library {
-            Some(lib) if !lib.is_empty() => Some(rescored[di].get_or_init(|| {
-                lib.rescore_pruned(&evaluators[di], &tech, threads, prune_policy.as_ref())
-            })),
+            Some(lib) if !lib.is_empty() => {
+                Some(rescored[di].get_or_init(|| lib.rescore(&evaluators[di], &tech, threads)))
+            }
             _ => None,
         }
     };
@@ -566,8 +554,6 @@ pub fn run_sweep(cfg: &SweepConfig) -> Result<SweepResult, CoreError> {
         },
     )?;
     let wall_seconds = started.elapsed().as_secs_f64();
-    let library_pruned: usize =
-        rescored.iter().filter_map(|c| c.get()).map(super::library::RescoredLibrary::pruned).sum();
 
     let mut computed_evaluations = 0u64;
     let mut seeded_evolutions = 0usize;
@@ -625,7 +611,7 @@ pub fn run_sweep(cfg: &SweepConfig) -> Result<SweepResult, CoreError> {
             shard_skipped,
             library_hits,
             seeded_evolutions,
-            library_pruned,
+            library_pruned: 0,
             library_semantic_dups,
         },
     })
@@ -1360,8 +1346,7 @@ mod tests {
     }
 
     /// Stores a donor entry whose netlist pins every output to a bit of
-    /// `pattern` — the verify bounds on such circuits are tight, so a
-    /// hopeless pattern is provably prunable.
+    /// `pattern`.
     fn store_constant_donor(cache: &SweepCache, flow: &FlowConfig, pattern: u64, run: usize) {
         let op = flow.operator;
         let mut b = apx_gates::NetlistBuilder::new(op.num_inputs(flow.width));
@@ -1406,13 +1391,12 @@ mod tests {
     }
 
     #[test]
-    fn bound_pruning_is_invisible_to_sweep_results() {
-        // Acceptance contract: with `LibraryConfig::prune` on, a sweep
-        // must produce bit-identical entries to the same sweep with
-        // pruning off — the bound pre-pass may only discard candidates
-        // that provably cannot be hit or seed. The donor library mixes
-        // low constant circuits (near-misses that become seeds) with the
-        // all-ones constant (provably hopeless at every threshold).
+    fn prune_flag_is_inert() {
+        // `LibraryConfig::prune` is a retired name: both settings re-score
+        // every candidate, skip none and produce bit-identical entries.
+        // The donor library mixes low constant circuits (near-misses that
+        // become seeds) with the all-ones constant, the candidate a bound
+        // pass would skip at every threshold.
         let donor_dir = fresh_cache_dir("prune_donor");
         let mut cfg = tiny_sweep();
         cfg.flow.iterations = 120;
@@ -1428,18 +1412,14 @@ mod tests {
             prune: false,
             ..LibraryConfig::default()
         });
-        let unpruned = run_sweep(&cfg).unwrap();
-        assert_eq!(unpruned.stats.library_pruned, 0);
-
+        let off = run_sweep(&cfg).unwrap();
         cfg.library.as_mut().unwrap().prune = true;
-        let pruned = run_sweep(&cfg).unwrap();
-        assert!(
-            pruned.stats.library_pruned > 0,
-            "the all-ones constant must be pruned in each consulted ranking"
-        );
-        assert_entries_bit_identical(&unpruned, &pruned);
-        assert_eq!(unpruned.stats.seeded_evolutions, pruned.stats.seeded_evolutions);
-        assert_eq!(unpruned.stats.library_hits, pruned.stats.library_hits);
-        assert_eq!(unpruned.stats.total_evaluations, pruned.stats.total_evaluations);
+        let on = run_sweep(&cfg).unwrap();
+        assert_eq!(off.stats.library_pruned, 0);
+        assert_eq!(on.stats.library_pruned, 0, "the flag must not skip any candidate");
+        assert_entries_bit_identical(&off, &on);
+        assert_eq!(off.stats.seeded_evolutions, on.stats.seeded_evolutions);
+        assert_eq!(off.stats.library_hits, on.stats.library_hits);
+        assert_eq!(off.stats.total_evaluations, on.stats.total_evaluations);
     }
 }

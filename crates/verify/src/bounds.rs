@@ -21,7 +21,7 @@
 //!
 //! # Soundness contract
 //!
-//! Three facts make the bracket safe to prune with:
+//! Three facts make the bracket sound:
 //!
 //! * the candidate set is an **over-approximation**: ternary propagation
 //!   is per-gate exact but path-insensitive, so `S(x)` can only be larger
@@ -89,7 +89,7 @@ pub fn wmed_bounds(
 }
 
 /// [`wmed_bounds`] over a raw weight table (one weight per raw operand
-/// encoding) — the form the re-scoring pass already holds.
+/// encoding), the form `CircuitEvaluator::weights` returns.
 ///
 /// # Cost
 ///

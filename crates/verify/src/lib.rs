@@ -22,9 +22,10 @@
 //!    library dedups by.
 //! 3. **Bound analysis** ([`wmed_bounds`]): per-output ternary interval
 //!    analysis, yielding a provable `[lo, hi]` bracket on the circuit's
-//!    WMED without scoring the candidate — sound enough to prune library
-//!    candidates that provably cannot meet a threshold before the
-//!    batched re-scoring pass pays for them.
+//!    WMED without scoring the candidate. No workspace code calls it: at
+//!    width 8 it costs ~8× the exact statistics pass it could spare
+//!    (cost note on [`wmed_bounds_weighted`]), so the component library
+//!    re-scores every candidate exactly instead.
 //!
 //! Severity is deliberately two-tier: [`Severity::Error`] marks contract
 //! violations (the netlist must not be evaluated), while
