@@ -29,12 +29,10 @@
 //! Full `APX_*` knob reference: `crates/bench/README.md`.
 
 use apx_bench::{
-    cache_dir, library_config, metric_cell, print_sweep_counters, results_dir, shard,
-    smoke_sweep_grid,
+    cache_dir, library_config, out_dir, print_sweep_counters, shard, smoke_sweep_grid,
+    sweep_entries_table,
 };
-use apx_core::report::TextTable;
 use apx_core::run_sweep;
-use std::path::PathBuf;
 
 fn main() {
     let mut cfg = smoke_sweep_grid();
@@ -78,27 +76,7 @@ fn main() {
     let result = run_sweep(&cfg).expect("sweep");
     print_sweep_counters(&cfg, &result.stats);
 
-    let mut csv =
-        TextTable::new(vec!["dist", "name", "threshold", "wmed", "mred", "area_um2", "power_mw"]);
-    for e in &result.entries {
-        let m = &e.circuit;
-        csv.row(vec![
-            e.dist.clone(),
-            m.name.clone(),
-            format!("{:e}", m.threshold),
-            format!("{:.9e}", m.stats.wmed),
-            // Finite at smoke width; `n/a` past exhaustive widths (the
-            // wide-width stats contract, see `apx_bench::metric_cell`).
-            metric_cell(m.stats.mred),
-            format!("{:.6}", m.estimate.area_um2),
-            format!("{:.6}", m.estimate.power_mw()),
-        ]);
-    }
-    let out: PathBuf = std::env::var("APX_OUT_DIR")
-        .ok()
-        .filter(|v| !v.is_empty())
-        .map_or_else(results_dir, PathBuf::from);
-    let path = out.join("sweep_smoke.csv");
-    csv.write_csv(&path).expect("write csv");
+    let path = out_dir().join("sweep_smoke.csv");
+    sweep_entries_table(&result.entries).write_csv(&path).expect("write csv");
     println!("CSV written to {}", path.display());
 }

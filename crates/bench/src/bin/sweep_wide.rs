@@ -24,10 +24,8 @@
 //! `sweep_wide.csv` mirror. Full `APX_*` knob reference:
 //! `crates/bench/README.md`.
 
-use apx_bench::{metric_cell, print_sweep_counters, results_dir, wide_sweep_grid};
-use apx_core::report::TextTable;
+use apx_bench::{out_dir, print_sweep_counters, sweep_entries_table, wide_sweep_grid};
 use apx_core::run_sweep;
-use std::path::PathBuf;
 
 fn main() {
     let cfg = wide_sweep_grid();
@@ -41,8 +39,6 @@ fn main() {
     let result = run_sweep(&cfg).expect("width-12 sweep");
     print_sweep_counters(&cfg, &result.stats);
 
-    let mut csv =
-        TextTable::new(vec!["dist", "name", "threshold", "wmed", "mred", "area_um2", "power_mw"]);
     for e in &result.entries {
         let m = &e.circuit;
         assert!(m.stats.wmed.is_finite(), "{}: non-finite WMED from the symbolic backend", m.name);
@@ -53,23 +49,13 @@ fn main() {
                 m.name
             );
         }
-        csv.row(vec![
-            e.dist.clone(),
-            m.name.clone(),
-            format!("{:e}", m.threshold),
-            format!("{:.9e}", m.stats.wmed),
-            metric_cell(m.stats.mred),
-            format!("{:.6}", m.estimate.area_um2),
-            format!("{:.6}", m.estimate.power_mw()),
-        ]);
     }
-    let text = csv.to_csv();
-    assert!(!text.contains("NaN"), "the CSV must render non-finite metrics as n/a, not NaN");
-    let out: PathBuf = std::env::var("APX_OUT_DIR")
-        .ok()
-        .filter(|v| !v.is_empty())
-        .map_or_else(results_dir, PathBuf::from);
-    let path = out.join("sweep_wide.csv");
+    let csv = sweep_entries_table(&result.entries);
+    assert!(
+        !csv.to_csv().contains("NaN"),
+        "the CSV must render non-finite metrics as n/a, not NaN"
+    );
+    let path = out_dir().join("sweep_wide.csv");
     csv.write_csv(&path).expect("write csv");
     println!("CSV written to {}", path.display());
 }

@@ -6,7 +6,7 @@ use apx_arith::Operator;
 use apx_core::nn_flow::{prepare_case, CaseConfig, CaseKind, CaseStudy};
 use apx_core::report::TextTable;
 use apx_core::{pareto_indices, run_sweep};
-use apx_core::{FlowConfig, LibraryConfig, Shard, SweepConfig, SweepStats};
+use apx_core::{FlowConfig, LibraryConfig, Shard, SweepConfig, SweepEntry, SweepStats};
 use apx_dist::Pmf;
 use apx_gates::Netlist;
 use apx_rng::Xoshiro256;
@@ -94,6 +94,41 @@ pub fn sweep_distributions() -> Vec<apx_core::SweepDist> {
 pub fn results_dir() -> PathBuf {
     // crates/bench -> workspace root -> results/
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results")
+}
+
+/// Directory for the CSV mirror of `sweep_smoke` and `sweep_wide`
+/// (`APX_OUT_DIR`): unset or empty falls back to [`results_dir`], so
+/// concurrent tests can each point a run at a directory of their own.
+#[must_use]
+pub fn out_dir() -> PathBuf {
+    std::env::var("APX_OUT_DIR")
+        .ok()
+        .filter(|v| !v.is_empty())
+        .map_or_else(results_dir, PathBuf::from)
+}
+
+/// The CSV mirror of a sweep smoke binary, one row per entry:
+/// `dist,name,threshold,wmed,mred,area_um2,power_mw`. It is derived
+/// purely from the entries, so a warm, sharded, resumed or orchestrated
+/// run writes the same bytes as a cold unsharded one. `mred` is finite at
+/// exhaustive widths and `n/a` past them ([`metric_cell`]).
+#[must_use]
+pub fn sweep_entries_table(entries: &[SweepEntry]) -> TextTable {
+    let mut csv =
+        TextTable::new(vec!["dist", "name", "threshold", "wmed", "mred", "area_um2", "power_mw"]);
+    for e in entries {
+        let m = &e.circuit;
+        csv.row(vec![
+            e.dist.clone(),
+            m.name.clone(),
+            format!("{:e}", m.threshold),
+            format!("{:.9e}", m.stats.wmed),
+            metric_cell(m.stats.mred),
+            format!("{:.6}", m.estimate.area_um2),
+            format!("{:.6}", m.estimate.power_mw()),
+        ]);
+    }
+    csv
 }
 
 /// The sweep result cache directory for the figure binaries

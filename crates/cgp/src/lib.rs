@@ -10,8 +10,8 @@
 //! * [`FunctionSet`] — the node function set Γ ("all standard two-input
 //!   gates" in the paper's experiments);
 //! * [`mutate`] — point mutation of up to `h` randomly selected genes;
-//! * [`evolve`] — the `(1 + λ)` evolution strategy with optional parallel
-//!   offspring evaluation and neutral-drift parent replacement;
+//! * [`evolve`] — the `(1 + λ)` evolution strategy with neutral-drift
+//!   parent replacement;
 //! * [`evolve_seeded`] — the same strategy warm-started from a set of
 //!   candidate chromosomes (e.g. a component library re-scored under a
 //!   new data distribution): the best of seed-parent-plus-seeds becomes

@@ -14,8 +14,11 @@ pub struct EvolutionConfig {
     pub max_iterations: u64,
     /// RNG seed; equal seeds reproduce the run exactly.
     pub seed: u64,
-    /// Evaluate offspring on a persistent [`apx_pool`] worker pool (λ
-    /// threads, spawned once and kept alive across all generations).
+    /// Retired and inert: [`evolve`] scores offspring inline on the
+    /// calling thread whatever this says (sweeps parallelize across
+    /// tasks instead). The field is kept only because the repository
+    /// benchmark (`perfbench/`) still names it, and goes when the
+    /// benchmark does.
     pub parallel: bool,
     /// Stop early once fitness reaches this value.
     pub target_fitness: Option<f64>,
@@ -24,7 +27,7 @@ pub struct EvolutionConfig {
 }
 
 impl Default for EvolutionConfig {
-    /// Paper parameters: `λ = 4`, `h = 5`, sequential evaluation.
+    /// Paper parameters: `λ = 4`, `h = 5`.
     fn default() -> Self {
         EvolutionConfig {
             lambda: 4,
@@ -78,7 +81,7 @@ pub struct EvolutionResult {
 /// fn assert_fitness(_: &impl FitnessFn) {}
 /// assert_fitness(&f);
 /// ```
-pub trait FitnessFn: Sync {
+pub trait FitnessFn {
     /// Scores a chromosome (lower is better; `f64::INFINITY` rejects a
     /// candidate outright).
     fn eval(&self, c: &Chromosome) -> f64;
@@ -99,7 +102,7 @@ pub trait FitnessFn: Sync {
     }
 }
 
-impl<F: Fn(&Chromosome) -> f64 + Sync> FitnessFn for F {
+impl<F: Fn(&Chromosome) -> f64> FitnessFn for F {
     fn eval(&self, c: &Chromosome) -> f64 {
         self(c)
     }
@@ -113,18 +116,18 @@ impl<F: Fn(&Chromosome) -> f64 + Sync> FitnessFn for F {
 /// neutral genetic drift that CGP's redundant representation is designed
 /// for (paper §III-C).
 ///
-/// With `parallel` set, offspring are evaluated on a persistent
-/// [`apx_pool`] worker pool whose λ threads are spawned once and reused
-/// for every generation of the run; results come back in offspring order,
-/// so parallel and sequential runs are bit-for-bit identical.
+/// Offspring are scored inline, one after another on the calling thread,
+/// so `fitness` may keep unsynchronized state (a `Cell`, a `RefCell`).
+/// Parallelism belongs one level up: a sweep runs many independent runs
+/// at once.
 ///
 /// `fitness` may return `f64::INFINITY` to reject a candidate outright
 /// (Eq. 1 does exactly that when the WMED budget is violated).
 ///
 /// # Panics
 ///
-/// Panics if `lambda == 0` or `mutations == 0`, and re-raises a panic of
-/// `fitness` naming the offending offspring.
+/// Panics if `lambda == 0` or `mutations == 0`. A panic of `fitness`
+/// propagates to the caller.
 pub fn evolve<F>(seed_parent: &Chromosome, fitness: F, config: &EvolutionConfig) -> EvolutionResult
 where
     F: FitnessFn,
@@ -153,8 +156,8 @@ where
 ///
 /// # Panics
 ///
-/// Panics if `lambda == 0` or `mutations == 0`, and re-raises a panic of
-/// `fitness` naming the offending offspring.
+/// Panics if `lambda == 0` or `mutations == 0`. A panic of `fitness`
+/// propagates to the caller.
 pub fn evolve_seeded<F>(
     seed_parent: &Chromosome,
     seeds: &[Chromosome],
@@ -179,42 +182,8 @@ where
     }
     // The initial parent is now fixed: let stateful fitnesses cache it.
     fitness.rebase_scored(&parent, parent_fit);
-    let start = Start { parent, parent_fit, evaluations: 1 + seeds.len() as u64, initial_seed };
-    if config.parallel && config.lambda > 1 {
-        apx_pool::Pool::scope(
-            config.lambda,
-            |_, child: Chromosome| {
-                let fit = fitness.eval(&child);
-                (child, fit)
-            },
-            |pool| generation_loop(start, &fitness, config, Some(pool)),
-        )
-    } else {
-        generation_loop(start, &fitness, config, None)
-    }
-}
-
-/// The selected initial parent handed to the generation loop.
-struct Start {
-    parent: Chromosome,
-    parent_fit: f64,
-    evaluations: u64,
-    initial_seed: Option<usize>,
-}
-
-/// The generation loop, with offspring scored either inline or on the
-/// scope's persistent pool.
-fn generation_loop<F>(
-    start: Start,
-    fitness: &F,
-    config: &EvolutionConfig,
-    pool: Option<&apx_pool::Executor<'_, Chromosome, (Chromosome, f64)>>,
-) -> EvolutionResult
-where
-    F: FitnessFn,
-{
+    let mut evaluations = 1 + seeds.len() as u64;
     let mut rng = Xoshiro256::from_seed(config.seed);
-    let Start { mut parent, mut parent_fit, mut evaluations, initial_seed } = start;
     let mut history = Vec::new();
     if config.keep_history {
         history.push((0, parent_fit));
@@ -228,22 +197,13 @@ where
                 break;
             }
         }
-        let mut offspring: Vec<Chromosome> = Vec::with_capacity(config.lambda);
+        let mut scored: Vec<(Chromosome, f64)> = Vec::with_capacity(config.lambda);
         for _ in 0..config.lambda {
             let mut child = parent.clone();
             mutate(&mut child, config.mutations, &mut rng);
-            offspring.push(child);
+            let fit = fitness.eval(&child);
+            scored.push((child, fit));
         }
-        let mut scored: Vec<(Chromosome, f64)> = match pool {
-            Some(pool) => pool.map(offspring),
-            None => offspring
-                .into_iter()
-                .map(|child| {
-                    let fit = fitness.eval(&child);
-                    (child, fit)
-                })
-                .collect(),
-        };
         evaluations += config.lambda as u64;
         // Best offspring; ties broken toward the earliest (deterministic).
         let (best_idx, best_fit) = scored
@@ -281,7 +241,7 @@ mod tests {
 
     /// Area-under-correctness fitness: enormous penalty per wrong output
     /// bit plus gate count — a miniature of the paper's Eq. 1.
-    fn exactness_area_fitness(width: u32) -> impl Fn(&Chromosome) -> f64 + Sync {
+    fn exactness_area_fitness(width: u32) -> impl Fn(&Chromosome) -> f64 {
         let golden = Exhaustive::new(2 * width as usize).output_table(&array_multiplier(width));
         move |c: &Chromosome| {
             let nl = c.decode_active();
@@ -331,19 +291,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_sequential() {
-        let nl = array_multiplier(2);
-        let seed =
-            Chromosome::from_netlist(&nl, &FunctionSet::standard(), nl.gate_count() + 8).unwrap();
-        let fitness = exactness_area_fitness(2);
-        let base = EvolutionConfig { max_iterations: 150, seed: 21, ..Default::default() };
-        let seq = evolve(&seed, &fitness, &base);
-        let par = evolve(&seed, &fitness, &EvolutionConfig { parallel: true, ..base });
-        assert_eq!(seq.best, par.best);
-        assert_eq!(seq.best_fitness, par.best_fitness);
-    }
-
-    #[test]
     fn target_fitness_stops_early() {
         let nl = array_multiplier(2);
         let seed =
@@ -382,32 +329,24 @@ mod tests {
     }
 
     #[test]
-    fn parallel_fitness_panic_names_the_task() {
-        use std::sync::atomic::{AtomicU64, Ordering};
+    fn a_fitness_need_not_be_sync() {
+        // Offspring are scored on the calling thread, so a fitness may
+        // keep plain `Cell` state; every call is one evaluation.
         let nl = array_multiplier(2);
         let seed =
             Chromosome::from_netlist(&nl, &FunctionSet::standard(), nl.gate_count() + 8).unwrap();
-        // The parent evaluation (call 0) must succeed; a later offspring
-        // evaluation panics inside the pool.
-        let calls = AtomicU64::new(0);
-        let fitness = |_: &Chromosome| {
-            assert!(calls.fetch_add(1, Ordering::Relaxed) < 3, "fitness exploded");
-            1.0
+        let calls = std::cell::Cell::new(0u64);
+        let fitness = |c: &Chromosome| {
+            calls.set(calls.get() + 1);
+            c.decode_active().active_gate_count() as f64
         };
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            evolve(
-                &seed,
-                fitness,
-                &EvolutionConfig { parallel: true, max_iterations: 5, ..Default::default() },
-            )
-        }))
-        .unwrap_err();
-        let msg = err
-            .downcast_ref::<String>()
-            .cloned()
-            .or_else(|| err.downcast_ref::<&str>().map(|s| (*s).to_owned()))
-            .unwrap_or_default();
-        assert!(msg.contains("task") && msg.contains("fitness exploded"), "message was: {msg}");
+        let result = evolve(
+            &seed,
+            fitness,
+            &EvolutionConfig { max_iterations: 40, seed: 9, ..Default::default() },
+        );
+        assert_eq!(calls.get(), result.evaluations);
+        assert_eq!(result.evaluations, 1 + 4 * 40);
     }
 
     #[test]
@@ -480,7 +419,7 @@ mod tests {
             rebases: usize,
             evals_since_rebase: usize,
         }
-        impl<F: Fn(&Chromosome) -> f64 + Sync> FitnessFn for Spy<F> {
+        impl<F: Fn(&Chromosome) -> f64> FitnessFn for Spy<F> {
             fn eval(&self, c: &Chromosome) -> f64 {
                 let mut st = self.state.lock().unwrap();
                 if let Some(base) = &st.base {

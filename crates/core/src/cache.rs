@@ -146,11 +146,15 @@ impl CacheKey {
         format!("{:016x}{:016x}", self.hi, self.lo)
     }
 
-    /// Parses the 32-hex-digit form produced by [`CacheKey::hex`] (e.g. a
-    /// cache entry's file stem). `None` on any other shape.
+    /// Parses the 32-lowercase-hex-digit form produced by
+    /// [`CacheKey::hex`] (e.g. a cache entry's file stem). `None` on any
+    /// other shape, uppercase digits included: an entry is only ever
+    /// found, loaded and deleted under the name `hex` gives its key, so a
+    /// file under another spelling must read as corrupt, not as a second
+    /// copy of that key.
     #[must_use]
     pub fn from_hex(s: &str) -> Option<Self> {
-        if s.len() != 32 || !s.bytes().all(|b| b.is_ascii_hexdigit()) {
+        if s.len() != 32 || !s.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f')) {
             return None;
         }
         Some(CacheKey {
@@ -1031,7 +1035,16 @@ mod tests {
             let key = some_key(salt);
             assert_eq!(CacheKey::from_hex(&key.hex()), Some(key));
         }
-        for bad in ["", "xyz", "0123", &"f".repeat(31), &"f".repeat(33), &"g".repeat(32)] {
+        for bad in [
+            "",
+            "xyz",
+            "0123",
+            &"f".repeat(31),
+            &"f".repeat(33),
+            &"g".repeat(32),
+            "0123456789ABCDEF0123456789abcdef",
+            &some_key(7).hex().to_uppercase(),
+        ] {
             assert_eq!(CacheKey::from_hex(bad), None, "`{bad}` accepted");
         }
     }
@@ -1125,6 +1138,29 @@ mod tests {
             .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
             .collect();
         assert_eq!(left, vec!["README.txt"], "foreign files are never touched");
+    }
+
+    #[test]
+    fn gc_removes_an_uppercase_named_copy_of_an_entry() {
+        // A copy under the uppercase spelling of a key is not a second
+        // entry: every reader counts it corrupt, so GC deletes it and the
+        // survivors match what the directory then holds.
+        let dir = scratch("gc_uppercase");
+        let _ = std::fs::remove_dir_all(&dir);
+        let key = some_key(20);
+        let entry = SweepCache::new(&dir)
+            .store(key, &synthetic_entry(20), Operator::Mul, 3, false)
+            .unwrap();
+        let copy = dir.join(format!("{}.sweep", key.hex().to_uppercase()));
+        assert_ne!(copy, entry, "the key has hex letters to uppercase");
+        std::fs::copy(&entry, &copy).unwrap();
+        assert_eq!(cache_dir_stats(&dir).corrupt, 1);
+
+        let report = gc_cache_dir(&dir, &GcConfig::default()).unwrap();
+        assert_eq!(report.corrupt_removed, 1);
+        assert!(!copy.exists(), "the uppercase copy is gone");
+        assert!(entry.exists(), "the entry itself survives");
+        assert_eq!(report.kept(), cache_dir_stats(&dir).entries);
     }
 
     #[test]

@@ -4,7 +4,8 @@ use apx_cgp::{Chromosome, FitnessFn};
 use apx_dist::Pmf;
 use apx_metrics::{CircuitEvaluator, WmedState};
 use apx_techlib::{area_of, TechLibrary};
-use std::sync::{Arc, Mutex};
+use std::cell::RefCell;
+use std::sync::Arc;
 
 /// Cap on the cached-simulation footprint before the incremental protocol
 /// is declined (the CGP inner loop then falls back to full evaluation).
@@ -64,7 +65,7 @@ pub struct Eq1Fitness {
     tech: TechLibrary,
     threshold: f64,
     /// Incremental context; `None` until the first [`FitnessFn::rebase`].
-    incr: Mutex<Option<IncrSlot>>,
+    incr: RefCell<Option<IncrSlot>>,
 }
 
 impl Clone for Eq1Fitness {
@@ -75,7 +76,7 @@ impl Clone for Eq1Fitness {
             evaluator: Arc::clone(&self.evaluator),
             tech: self.tech.clone(),
             threshold: self.threshold,
-            incr: Mutex::new(None),
+            incr: RefCell::new(None),
         }
     }
 }
@@ -112,7 +113,7 @@ impl Eq1Fitness {
         tech: TechLibrary,
         threshold: f64,
     ) -> Self {
-        Eq1Fitness { evaluator, tech, threshold, incr: Mutex::new(None) }
+        Eq1Fitness { evaluator, tech, threshold, incr: RefCell::new(None) }
     }
 
     /// The WMED budget `E_i`.
@@ -162,10 +163,7 @@ impl FitnessFn for Eq1Fitness {
     /// re-simulated, and purely neutral mutations (inactive genes only,
     /// outputs untouched) return the cached parent fitness outright.
     fn eval(&self, chromosome: &Chromosome) -> f64 {
-        // `try_lock`: under parallel offspring scoring the slot is a
-        // single resource — a contended sibling just takes the (equally
-        // correct) stateless path instead of serializing on the lock.
-        let Ok(mut guard) = self.incr.try_lock() else { return self.of(chromosome) };
+        let mut guard = self.incr.borrow_mut();
         let Some(slot) = guard.as_mut() else { return self.of(chromosome) };
         let Some((changed, outputs_changed)) = Self::diff_nodes(&slot.base, chromosome) else {
             return self.of(chromosome);
@@ -217,7 +215,7 @@ impl Eq1Fitness {
         if !self.evaluator.supports_incremental() {
             return;
         }
-        let Ok(mut guard) = self.incr.lock() else { return };
+        let mut guard = self.incr.borrow_mut();
         let full = parent.decode_full();
         if self.evaluator.state_bytes(&full) > MAX_STATE_BYTES {
             *guard = None;
@@ -353,9 +351,9 @@ mod tests {
         let fit = Eq1Fitness::new(6, false, &Pmf::uniform(6), TechLibrary::unit(), 0.01).unwrap();
         let parent = chrom_of(&nl);
         fit.rebase(&parent);
-        assert!(fit.incr.lock().unwrap().is_some());
+        assert!(fit.incr.borrow().is_some());
         let clone = fit.clone();
-        assert!(clone.incr.lock().unwrap().is_none());
+        assert!(clone.incr.borrow().is_none());
         // … and the clone still scores identically through the full path.
         assert_eq!(fit.eval(&parent).to_bits(), clone.of(&parent).to_bits());
     }

@@ -239,36 +239,42 @@ pub(crate) fn evolve_one(
                 mutations: cfg.mutations,
                 max_iterations: cfg.iterations,
                 seed,
-                parallel: false, // outer-level parallelism is in charge
                 target_fitness: None,
                 keep_history: false,
+                ..EvolutionConfig::default()
             },
         );
         (result.best, result.evaluations, result.initial_seed)
     };
     let netlist = chromosome.decode_active();
     let stats = evaluator.stats(&netlist);
-    let mut est_rng = Xoshiro256::from_seed(seed ^ 0xE57);
-    let estimate = estimate_under_pmf(
-        &netlist,
-        tech,
-        pmf,
-        DEFAULT_CLOCK_MHZ,
-        cfg.activity_blocks,
-        &mut est_rng,
-    );
+    let estimate = task_estimate(&netlist, tech, pmf, cfg, seed);
     (
         EvolvedCircuit { name, chromosome, netlist, threshold, run, stats, estimate, evaluations },
         initial_seed,
     )
 }
 
-/// Maps `worker` over `tasks` on an [`apx_pool`] pool, converting a
+/// The physical estimate of one task's result under `pmf`, on the task's
+/// own stimulus stream (`seed ^ 0xE57`, `seed` being its
+/// [`task_seed`]): an evolved circuit and a library candidate taken for
+/// the same task are estimated on the same stimuli.
+pub(crate) fn task_estimate(
+    netlist: &Netlist,
+    tech: &TechLibrary,
+    pmf: &Pmf,
+    cfg: &FlowConfig,
+    seed: u64,
+) -> CircuitEstimate {
+    let mut rng = Xoshiro256::from_seed(seed ^ 0xE57);
+    estimate_under_pmf(netlist, tech, pmf, DEFAULT_CLOCK_MHZ, cfg.activity_blocks, &mut rng)
+}
+
+/// Maps `worker` over `tasks` with [`apx_pool::scope_map`], converting a
 /// captured task panic into a [`CoreError::WorkerPanic`] that names the
-/// failing task (instead of the poisoned-lock panic the old ad-hoc
-/// scaffolding produced). Names are rendered up front so the task list —
-/// which may carry seed chromosomes and netlists in library mode — is
-/// moved into the pool, not deep-cloned for the error path.
+/// failing task. Names are rendered up front so the task list — which may
+/// carry seed chromosomes and netlists in library mode — is moved into
+/// the pool, not deep-cloned for the error path.
 pub(crate) fn run_tasks<T, R, W, N>(
     threads: usize,
     tasks: Vec<T>,
@@ -282,7 +288,7 @@ where
     N: Fn(&T) -> String,
 {
     let names: Vec<String> = tasks.iter().map(&name_of).collect();
-    apx_pool::scope_map(threads.max(1), tasks, worker)
+    apx_pool::scope_map(threads, tasks, worker)
         .map_err(|p| CoreError::WorkerPanic { task: names[p.index].clone(), message: p.message })
 }
 

@@ -13,8 +13,8 @@
 //!   statistics and physical estimate (Fig. 3 / Fig. 6 data) — a
 //!   one-distribution [`run_sweep`];
 //! * [`run_sweep`] / [`SweepConfig`] — the Pareto sweep driver: the full
-//!   `(distribution × threshold × run)` grid on one persistent
-//!   [`apx_pool`] worker pool, with each WMED evaluator built once per
+//!   `(distribution × threshold × run)` grid as one
+//!   [`apx_pool::scope_map`] batch, with each WMED evaluator built once per
 //!   distribution and shared across all of its tasks;
 //! * [`cache`] — content-addressed persistence of completed sweep tasks:
 //!   every finished `(distribution, threshold, run)` task is checkpointed

@@ -10,7 +10,7 @@
 //!   shares it across every threshold and run of that distribution via
 //!   [`Arc`] (both for the Eq. 1 fitness and the post-hoc statistics);
 //! * flattens the whole grid into one task list served by a single
-//!   [`apx_pool`] pool, so threads stay busy across distribution
+//!   [`apx_pool::scope_map`], so threads stay busy across distribution
 //!   boundaries instead of draining at each one;
 //! * records throughput and how each task was resolved ([`SweepStats`]:
 //!   wall time, fitness evaluations per second, thread count, cache and
@@ -22,8 +22,8 @@
 
 use crate::cache::{task_key, CacheKey, SweepCache};
 use crate::flow::{
-    best_per_threshold, evolve_one, run_tasks, seed_circuit, task_seed, validate_config,
-    EvolvedCircuit, FlowConfig,
+    best_per_threshold, evolve_one, run_tasks, seed_circuit, task_estimate, task_seed,
+    validate_config, EvolvedCircuit, FlowConfig,
 };
 use crate::library::{ComponentLibrary, RescoredLibrary};
 use crate::CoreError;
@@ -260,8 +260,8 @@ impl SweepResult {
     }
 }
 
-/// Runs the full `(distribution × threshold × run)` grid through one
-/// persistent worker pool.
+/// Runs the full `(distribution × threshold × run)` grid as one
+/// [`apx_pool::scope_map`] batch.
 ///
 /// Each `CircuitEvaluator` is built once per distribution and shared (via
 /// [`Arc`]) by the Eq. 1 fitness of every task and by the post-hoc
@@ -526,18 +526,8 @@ pub fn run_sweep(cfg: &SweepConfig) -> Result<SweepResult, CoreError> {
                     (pos, m, initial_seed.is_some())
                 }
                 Work::TakeCandidate { chromosome, netlist, stats } => {
-                    // Same estimate stream as an evolution of this task
-                    // (`seed ^ 0xE57`), so taking a candidate is exactly
-                    // as deterministic as evolving one.
-                    let mut est_rng = Xoshiro256::from_seed(seed ^ 0xE57);
-                    let estimate = estimate_under_pmf(
-                        &netlist,
-                        &tech,
-                        &cfg.distributions[di].pmf,
-                        DEFAULT_CLOCK_MHZ,
-                        flow.activity_blocks,
-                        &mut est_rng,
-                    );
+                    let estimate =
+                        task_estimate(&netlist, &tech, &cfg.distributions[di].pmf, flow, seed);
                     let m = EvolvedCircuit {
                         name: name_of((di, ti, run)),
                         chromosome,

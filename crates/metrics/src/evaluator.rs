@@ -703,7 +703,7 @@ impl CircuitEvaluator {
     }
 
     /// Batch re-scoring: full [`CircuitEvaluator::stats`] for every netlist,
-    /// fanned out over an [`apx_pool`] worker pool.
+    /// fanned out with [`apx_pool::scope_map`].
     ///
     /// This is the component-library primitive: re-pricing a whole library
     /// of already-built multipliers under a *new* data distribution is one
@@ -720,7 +720,7 @@ impl CircuitEvaluator {
     #[must_use]
     pub fn stats_batch(&self, netlists: &[Netlist], threads: usize) -> Vec<ErrorStats> {
         let tasks: Vec<&Netlist> = netlists.iter().collect();
-        apx_pool::scope_map(threads.max(1), tasks, |_, nl| self.stats(nl))
+        apx_pool::scope_map(threads, tasks, |_, nl| self.stats(nl))
             .unwrap_or_else(|p| panic!("stats_batch candidate {}: {}", p.index, p.message))
     }
 

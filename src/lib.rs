@@ -41,7 +41,7 @@
 /// Deterministic PRNG ([`apx_rng`]).
 pub use apx_rng as rng;
 
-/// Persistent scoped worker pool ([`apx_pool`]).
+/// The scoped parallel map every parallel layer shares ([`apx_pool`]).
 pub use apx_pool as pool;
 
 /// Gate-level netlists and bit-parallel simulation ([`apx_gates`]).
