@@ -26,17 +26,20 @@ use crate::{
 };
 use apx_gates::Netlist;
 
-/// Exhaustive enumeration is capped at this many input bits — the same
-/// practical bound the evaluator's `2^(2w)` multiplier grids obey. Only
-/// the enumeration backends (`scalar`, `bitpar`) are subject to it.
+/// Exhaustive enumeration of the whole domain, with its per-block tables,
+/// is capped at this many input bits — the same practical bound the
+/// evaluator's `2^(2w)` multiplier grids obey. `scalar` is always
+/// subject to it, and so is `bitpar` for adders and MACs.
 const MAX_INPUT_BITS: u32 = 20;
 
-/// The symbolic (BDD model-counting) backend never enumerates input
-/// vectors, so its cap is set by representation limits instead: packed
-/// error sums must stay inside `u64` and per-operand weight tables stay
-/// small. 33 input bits admits 16×16 multipliers/adders and the 8-bit
-/// MAC (`4w + 1 = 33`).
-const MAX_SYMBOLIC_INPUT_BITS: u32 = 33;
+/// Past the enumeration cap evaluation goes one weighted operand row at a
+/// time — model-counted on `symbolic`, streamed through the simulator on
+/// `bitpar` for multipliers — and never touches a table sized by the
+/// domain, so this cap is set by representation limits instead: exact
+/// per-row error sums must stay inside `u64` and per-operand weight
+/// tables stay small. 33 input bits admits 16×16 multipliers/adders and
+/// the 8-bit MAC (`4w + 1 = 33`).
+const MAX_ROW_INPUT_BITS: u32 = 33;
 
 /// The products a MAC accumulates per output in the default sizing rule
 /// (`n = 2w + 1` guard bit — one wrap-free accumulation step).
@@ -112,14 +115,17 @@ impl Operator {
         width >= 1 && self.num_inputs(width) <= MAX_INPUT_BITS as usize
     }
 
-    /// The backend a `width`-bit instance is evaluated on:
-    /// [`EvalBackend::BitParallel`] wherever exhaustive enumeration fits
-    /// ([`Operator::supports_exhaustive_width`]), [`EvalBackend::Symbolic`]
-    /// beyond it. The backends agree bit for bit where both run, and the
-    /// bit-parallel one is the faster there, so the width alone decides.
+    /// The backend a `width`-bit instance is evaluated on, a pure
+    /// function of operator and width: [`EvalBackend::BitParallel`] for
+    /// `Mul` at every width and wherever exhaustive enumeration fits
+    /// ([`Operator::supports_exhaustive_width`]); [`EvalBackend::Symbolic`]
+    /// for `Add` and `Mac` beyond it. The backends agree bit for bit where
+    /// both run, so speed decides: past the cap, streaming a multiplier's
+    /// weighted rows beats its BDDs (which blow up for multiplication),
+    /// while adders' and MACs' BDDs stay small and beat enumeration.
     #[must_use]
     pub fn backend(self, width: u32) -> EvalBackend {
-        if self.supports_exhaustive_width(width) {
+        if self == Operator::Mul || self.supports_exhaustive_width(width) {
             EvalBackend::BitParallel
         } else {
             EvalBackend::Symbolic
@@ -127,12 +133,18 @@ impl Operator {
     }
 
     /// Whether `width` is evaluable for this operator *on the given
-    /// backend*. The enumeration backends are capped by
-    /// [`Operator::supports_exhaustive_width`]; the symbolic backend
-    /// reaches `1..=16` for `Mul`/`Add` and `1..=8` for `Mac`.
+    /// backend*. `scalar`, and `bitpar` for `Add`/`Mac`, are capped by
+    /// [`Operator::supports_exhaustive_width`]; `bitpar` streams `Mul`
+    /// rows up to width 16, and `symbolic` reaches `1..=16` for
+    /// `Mul`/`Add` and `1..=8` for `Mac`.
     #[must_use]
     pub fn supports_width(self, width: u32, backend: EvalBackend) -> bool {
-        let cap = if backend.is_exhaustive() { MAX_INPUT_BITS } else { MAX_SYMBOLIC_INPUT_BITS };
+        let rows_past_cap = match backend {
+            EvalBackend::Scalar => false,
+            EvalBackend::BitParallel => self == Operator::Mul,
+            EvalBackend::Symbolic => true,
+        };
+        let cap = if rows_past_cap { MAX_ROW_INPUT_BITS } else { MAX_INPUT_BITS };
         width >= 1 && self.num_inputs(width) <= cap as usize
     }
 
@@ -271,32 +283,52 @@ mod tests {
 
     #[test]
     fn backend_width_ranges() {
-        for b in [EvalBackend::Scalar, EvalBackend::BitParallel] {
-            // Enumeration backends track the exhaustive cap exactly.
-            for op in Operator::ALL {
+        let (scalar, bitpar, sym) =
+            (EvalBackend::Scalar, EvalBackend::BitParallel, EvalBackend::Symbolic);
+        // The scalar backend, and bitpar for adders and MACs, track the
+        // exhaustive cap exactly.
+        for (ops, b) in
+            [(&Operator::ALL[..], scalar), (&[Operator::Add, Operator::Mac][..], bitpar)]
+        {
+            for &op in ops {
                 for w in 0..=20 {
-                    assert_eq!(op.supports_width(w, b), op.supports_exhaustive_width(w));
+                    assert_eq!(
+                        op.supports_width(w, b),
+                        op.supports_exhaustive_width(w),
+                        "{op} {b}"
+                    );
                 }
             }
-            assert_eq!(Operator::Mul.max_width(b), 10);
-            assert_eq!(Operator::Mac.max_width(b), 4);
         }
-        let sym = EvalBackend::Symbolic;
-        for op in [Operator::Mul, Operator::Add] {
-            assert!(op.supports_width(16, sym));
-            assert!(!op.supports_width(17, sym));
-            assert_eq!(op.max_width(sym), 16);
+        assert_eq!(Operator::Mul.max_width(scalar), 10);
+        assert_eq!(Operator::Add.max_width(bitpar), 10);
+        assert_eq!(Operator::Mac.max_width(bitpar), 4);
+        // Bitpar streams multipliers' rows as far as the symbolic engine
+        // reaches.
+        for b in [bitpar, sym] {
+            assert!(Operator::Mul.supports_width(16, b));
+            assert!(!Operator::Mul.supports_width(17, b));
+            assert_eq!(Operator::Mul.max_width(b), 16);
         }
+        assert!(Operator::Add.supports_width(16, sym));
+        assert!(!Operator::Add.supports_width(17, sym));
+        assert_eq!(Operator::Add.max_width(sym), 16);
         assert!(Operator::Mac.supports_width(8, sym));
         assert!(!Operator::Mac.supports_width(9, sym));
         assert_eq!(Operator::Mac.max_width(sym), 8);
-        assert!(!Operator::Mul.supports_width(0, sym), "zero width is never evaluable");
-        // The width picks the backend: bit-parallel up to the exhaustive
-        // cap, symbolic past it.
-        for op in Operator::ALL {
-            let cap = op.max_width(EvalBackend::BitParallel);
+        for b in [scalar, bitpar, sym] {
+            assert!(!Operator::Mul.supports_width(0, b), "zero width is never evaluable");
+        }
+        // Operator and width pick the backend: bit-parallel for every
+        // multiplier; for adders and MACs up to the exhaustive cap, with
+        // symbolic past it.
+        for w in 1..=16 {
+            assert_eq!(Operator::Mul.backend(w), bitpar, "mul w={w}");
+        }
+        for op in [Operator::Add, Operator::Mac] {
+            let cap = op.max_width(bitpar);
             for w in 1..=op.max_width(sym) {
-                let want = if w <= cap { EvalBackend::BitParallel } else { sym };
+                let want = if w <= cap { bitpar } else { sym };
                 assert_eq!(op.backend(w), want, "{op} w={w}");
             }
         }

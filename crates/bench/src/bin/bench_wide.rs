@@ -2,18 +2,20 @@
 //! (ROBDD model-counting) backend against the bit-parallel engine,
 //! per operator and operand width.
 //!
-//! The grid covers every width each backend can evaluate — for the
-//! enumeration backends that ends at 10-bit multipliers/adders and 4-bit
-//! MACs (20 netlist inputs), while the symbolic engine continues to
-//! 12/14/16-bit multipliers and adders and the 8-bit MAC (33 inputs).
-//! Wherever both backends run, their WMED scores are asserted
-//! bit-identical before any timing is recorded.
+//! The grid covers every width each backend can evaluate. The
+//! bit-parallel backend enumerates adders up to width 10 and MACs up to
+//! width 4 (20 netlist inputs), and multipliers at every width: past the
+//! cap it streams only the weighted operand rows (12/14/16-bit cells).
+//! The symbolic engine covers every cell, continuing alone to the 12/14/
+//! 16-bit adders and the 6/8-bit MACs (up to 33 inputs). Wherever both
+//! backends run, their WMED scores are asserted bit-identical before any
+//! timing is recorded.
 //!
 //! Each cell scores three candidates (the operator's exact seed circuit
 //! and two one-bit output truncations of it) under a measured-lumpy PMF
 //! with [`SPIKES`] weighted operand values — the shape application
-//! histograms take, and the quantity the symbolic engine's cost actually
-//! scales with (it never enumerates the `2^width` domain).
+//! histograms take, and the quantity both engines' cost scales with past
+//! the cap (neither enumerates the `2^width` domain there).
 //!
 //! Results land in `results/BENCH_symbolic.json` so the wide-width
 //! performance trajectory is tracked from PR to PR. No scale knobs: the
@@ -104,8 +106,8 @@ fn main() {
                     // Untimed: the seed's mred, for the JSON record. Past
                     // exhaustive widths it is `NaN` by the wide-width
                     // stats contract (lands as JSON `null`) — asserted
-                    // rather than paid for, since the symbolic stats pass
-                    // costs minutes per wide cell.
+                    // rather than paid for, since a full-domain stats pass
+                    // costs seconds to minutes per wide cell.
                     mred: if op.supports_exhaustive_width(width) {
                         eval.stats(&candidates[0]).mred
                     } else {

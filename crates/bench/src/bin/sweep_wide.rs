@@ -1,27 +1,25 @@
 //! Wide-width sweep smoke: the width-12 multiplier grid of
-//! [`wide_sweep_grid`], which only the symbolic (ROBDD model-counting)
-//! evaluator backend can execute.
+//! [`wide_sweep_grid`], past the 20-input cap of full-domain enumeration.
 //!
 //! `bench_wide` times isolated WMED calls at wide widths; this binary
 //! proves the *whole* sweep pipeline — seeded CGP evolution, bounded
 //! scoring, exact stats, activity-based power estimation, CSV mirroring —
-//! runs past the enumeration engines' 20-input cap. A width-12 multiplier
-//! has 24 netlist inputs, so the width alone puts every evaluation of this
-//! grid on the symbolic backend.
+//! runs past that cap. A width-12 multiplier has 24 netlist inputs, so the
+//! width puts every evaluation of this grid on the bit-parallel backend's
+//! streamed row engine, which enumerates only the weighted operand rows
+//! for bounded scoring and every row, one at a time, for the final stats.
 //!
 //! Two invariants are asserted, not just printed:
 //!
-//! * every threshold-0 entry scores WMED exactly `0.0` — the symbolic
-//!   engine proving the exact seed circuit exact at a width nothing else
-//!   can check, and
+//! * every threshold-0 entry scores WMED exactly `0.0` — the exact seed
+//!   circuit proven exact over the whole width-12 domain, and
 //! * every reported WMED is finite (the wide-width stats contract leaves
 //!   only `mred` as `NaN` — rendered in the CSV as the explicit `n/a`
 //!   marker via [`apx_bench::metric_cell`], never as a literal `NaN`
 //!   token, which this binary also asserts over the whole document).
 //!
-//! Knobs: `APX_ITERS` (default 10 — evolution is per-candidate BDD
-//! construction here, keep it tiny) and `APX_OUT_DIR` for the
-//! `sweep_wide.csv` mirror. Full `APX_*` knob reference:
+//! Knobs: `APX_ITERS` (default 10, the shape CI runs) and `APX_OUT_DIR`
+//! for the `sweep_wide.csv` mirror. Full `APX_*` knob reference:
 //! `crates/bench/README.md`.
 
 use apx_bench::{out_dir, print_sweep_counters, sweep_entries_table, wide_sweep_grid};
@@ -41,13 +39,9 @@ fn main() {
 
     for e in &result.entries {
         let m = &e.circuit;
-        assert!(m.stats.wmed.is_finite(), "{}: non-finite WMED from the symbolic backend", m.name);
+        assert!(m.stats.wmed.is_finite(), "{}: non-finite WMED past the cap", m.name);
         if m.threshold == 0.0 {
-            assert_eq!(
-                m.stats.wmed, 0.0,
-                "{}: the exact width-12 seed must score WMED 0 under the symbolic engine",
-                m.name
-            );
+            assert_eq!(m.stats.wmed, 0.0, "{}: the exact width-12 seed must score WMED 0", m.name);
         }
     }
     let csv = sweep_entries_table(&result.entries);

@@ -396,18 +396,18 @@ pub fn smoke_sweep_grid() -> SweepConfig {
 }
 
 /// The width-12 multiplier grid of the `sweep_wide` binary: one
-/// measured-lumpy distribution × 2 thresholds × 1 run at a width no
-/// enumeration backend can evaluate (24 netlist inputs, past the
-/// enumeration engines' 20-input cap), so the width puts it on the
-/// symbolic backend. It exists so CI can prove the symbolic engine
-/// carries the *whole* sweep pipeline — seeded evolution, bounded
-/// scoring, activity-based power estimation — past the exhaustive-width
-/// wall, not just isolated WMED calls.
+/// measured-lumpy distribution × 2 thresholds × 1 run at a width past
+/// full-domain enumeration's 20-input cap (24 netlist inputs), so the
+/// width puts it on the bit-parallel backend's streamed row engine. It
+/// exists so CI can prove the wide path carries the *whole* sweep
+/// pipeline — seeded evolution, bounded scoring, exact stats,
+/// activity-based power estimation — past the exhaustive-width wall, not
+/// just isolated WMED calls.
 #[must_use]
 pub fn wide_sweep_grid() -> SweepConfig {
     // A deterministic "measured" histogram: six spikes of random integer
-    // mass. Few weighted values keep the symbolic evaluations fast (its
-    // cost scales with the weighted support, never with `2^width`).
+    // mass. Few weighted values keep bounded scoring fast (past the cap
+    // its cost scales with the weighted support, never with `2^width`).
     let mut rng = apx_rng::Xoshiro256::from_seed(0x51DE);
     let mut weights = vec![0.0f64; 1 << 12];
     for _ in 0..6 {
@@ -451,7 +451,7 @@ pub fn sweep_grid_of(bin: &str) -> Option<SweepConfig> {
 /// Renders one error-metric value for a CSV/table cell.
 ///
 /// This is the report-surface half of the wide-width stats contract:
-/// past exhaustive widths the symbolic engine computes every metric
+/// past exhaustive widths the per-row engines compute every metric
 /// except `mred` exactly, and `mred` is `NaN` by contract
 /// ([`apx_metrics::ErrorStats::mred`]). A raw `{:.e}` of that value
 /// would print the literal `NaN` into a CSV, which downstream parsers
@@ -654,8 +654,9 @@ pub struct WideCell {
 /// benchmark's measured cells.
 ///
 /// `weighted_values` records how many operand encodings carried
-/// distribution mass (the symbolic engine's cost scales with that count,
-/// not with `2^width`, so the rate is meaningless without it). Rates go
+/// distribution mass (past the cap every engine's WMED cost scales with
+/// that count, not with `2^width`, so the rate is meaningless without
+/// it). Rates go
 /// through [`SweepStats::rate`], whose clamped denominator keeps a
 /// sub-microsecond cell from printing `inf` (not a JSON token) into the
 /// perf history.

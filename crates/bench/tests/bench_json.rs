@@ -238,8 +238,10 @@ fn committed_results_files_contain_no_nan_tokens() {
 
 #[test]
 fn committed_bench_symbolic_json_parses() {
-    // The tracked wide-width perf-history file must be valid JSON and
-    // cover the widths only the symbolic backend can reach.
+    // The tracked wide-width perf-history file must be valid JSON, cover
+    // the widths past the enumeration cap on both backends, and carry the
+    // streamed bit-parallel 16-bit multiplier cell (which `bench_wide`
+    // asserts bit-identical to the symbolic one).
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/BENCH_symbolic.json");
     let text = std::fs::read_to_string(path).expect("results/BENCH_symbolic.json is committed");
     json::validate(&text).unwrap_or_else(|e| panic!("committed BENCH_symbolic.json invalid: {e}"));
@@ -252,6 +254,7 @@ fn committed_bench_symbolic_json_parses() {
         "\"width\": 12",
         "\"width\": 16",
         "\"weighted_values\"",
+        "{\"op\": \"mul\", \"width\": 16, \"backend\": \"bitpar\"",
     ] {
         assert!(text.contains(key), "committed BENCH_symbolic.json lacks {key}");
     }

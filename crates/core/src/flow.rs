@@ -140,8 +140,9 @@ pub(crate) fn validate_config(pmf: &Pmf, cfg: &FlowConfig) -> Result<(), CoreErr
     if cfg.iterations == 0 {
         return Err(CoreError::BadConfig("iterations must be positive".into()));
     }
-    // The evaluator runs on the backend the width picks — the symbolic
-    // one past the exhaustive cap — so any width that backend reaches is
+    // The evaluator runs on the backend the operator and width pick —
+    // past the exhaustive cap, streamed bit-parallel for multipliers and
+    // symbolic for adders and MACs — so any width that backend reaches is
     // valid.
     let backend = cfg.operator.backend(cfg.width);
     if !cfg.operator.supports_width(cfg.width, backend) {
@@ -482,8 +483,9 @@ mod tests {
 
     #[test]
     fn validation_accepts_every_width_some_backend_reaches() {
-        // Past the exhaustive cap the width alone moves the evaluator to
-        // the symbolic backend; nothing else needs configuring.
+        // Past the exhaustive cap the operator and width pick a per-row
+        // backend (streamed bitpar for a 12-bit multiplier, symbolic for an
+        // 8-bit MAC); nothing else needs configuring.
         let wide = FlowConfig { width: 12, ..Default::default() };
         assert!(validate_config(&Pmf::uniform(12), &wide).is_ok());
         let mac = FlowConfig { operator: Operator::Mac, width: 8, ..Default::default() };

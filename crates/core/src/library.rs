@@ -22,8 +22,8 @@
 //!   `(operator, width, signedness)`;
 //! * [`ComponentLibrary::rescore`] re-prices every matching candidate
 //!   under the current sweep's distribution — full [`ErrorStats`] from
-//!   one statistics pass per candidate on the backend the width picks
-//!   ([`CircuitEvaluator::stats_batch`], fanned out on `apx_pool`;
+//!   one statistics pass per candidate on the backend operator and width
+//!   pick ([`CircuitEvaluator::stats_batch`], fanned out on `apx_pool`;
 //!   exhaustive only up to the enumeration cap) plus the
 //!   technology-library area — yielding a
 //!   [`RescoredLibrary`]: a deterministic ranking with a per-
@@ -382,8 +382,9 @@ impl ComponentLibrary {
     /// Re-prices every candidate matching the evaluator's component
     /// class (operator, width, signedness) under the evaluator's
     /// distribution: one statistics pass per candidate on the backend the
-    /// width picks (exhaustive enumeration up to the cap, symbolic
-    /// counting past it), fanned out over `threads` pool workers and
+    /// operator and width pick (exhaustive enumeration up to the cap; past
+    /// it, streamed rows for multipliers and symbolic counting for adders
+    /// and MACs), fanned out over `threads` pool workers and
     /// bit-identical to a sequential pass, plus the technology-library
     /// area. The returned ranking is a total order, so selection never
     /// depends on thread count or ingestion accidents.

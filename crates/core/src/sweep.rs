@@ -705,7 +705,11 @@ mod tests {
             assert_eq!(mx.chromosome, my.chromosome, "{} differs", mx.name);
             assert_eq!(mx.threshold.to_bits(), my.threshold.to_bits());
             assert_eq!(mx.run, my.run);
-            assert_eq!(mx.stats, my.stats, "{} stats differ", mx.name);
+            // Bit patterns, not `==`: past the cap `mred` is `NaN`.
+            let bits =
+                |s: &ErrorStats| [s.med, s.wmed, s.wce, s.error_rate, s.mred].map(f64::to_bits);
+            assert_eq!(bits(&mx.stats), bits(&my.stats), "{} stats differ", mx.name);
+            assert_eq!(mx.stats.max_abs_error, my.stats.max_abs_error, "{}", mx.name);
             assert_eq!(mx.estimate, my.estimate, "{} estimate differs", mx.name);
             assert_eq!(mx.evaluations, my.evaluations);
         }
@@ -763,6 +767,46 @@ mod tests {
             assert_entries_bit_identical(&a, &b);
             assert_eq!(a.seed_estimates, b.seed_estimates);
         }
+    }
+
+    #[test]
+    fn symbolic_sweep_past_the_cap_is_exact_and_thread_count_invariant() {
+        // Past the cap the width puts adders on the symbolic backend (wide
+        // multipliers stream on the bit-parallel one), so this small
+        // width-12 adder grid is what runs a whole sweep through `apx_bdd`:
+        // evolution, bounded scoring, the wide `stats` walk and power.
+        let mut weights = vec![0.0f64; 1 << 12];
+        for (x, w) in [(3, 2.0), (1000, 5.0), (2047, 1.0), (4000, 3.0)] {
+            weights[x] = w;
+        }
+        let mut cfg = SweepConfig {
+            distributions: vec![SweepDist::new("Dadd12", Pmf::from_weights(12, weights).unwrap())],
+            flow: FlowConfig {
+                operator: Operator::Add,
+                width: 12,
+                thresholds: vec![0.0, 1e-3],
+                iterations: 2,
+                runs_per_threshold: 1,
+                cols_slack: 10,
+                activity_blocks: 4,
+                threads: 2,
+                ..FlowConfig::default()
+            },
+            ..SweepConfig::default()
+        };
+        let a = run_sweep(&cfg).unwrap();
+        assert_eq!(a.evaluators[0].backend(), apx_metrics::EvalBackend::Symbolic);
+        assert_eq!(a.entries.len(), 2);
+        for e in &a.entries {
+            let m = &e.circuit;
+            assert!(m.stats.wmed.is_finite(), "{}: non-finite WMED", m.name);
+            if m.threshold == 0.0 {
+                assert_eq!(m.stats.wmed, 0.0, "{}: the exact seed must score 0", m.name);
+                assert_eq!(m.stats.max_abs_error, 0, "{}", m.name);
+            }
+        }
+        cfg.flow.threads = 1;
+        assert_entries_bit_identical(&a, &run_sweep(&cfg).unwrap());
     }
 
     #[test]

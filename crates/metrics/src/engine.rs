@@ -56,19 +56,20 @@ fn chunk_tiles(i: usize) -> usize {
     }
 }
 
-/// Upper bound on error-kernel planes: `2·width + 1` at the maximum
-/// supported operand width of 10.
+/// Upper bound on the per-block error kernels' planes: `2·width + 1` at
+/// the widest exhaustively enumerable operand (10). The streamed row
+/// kernel past the cap has its own bound (`rows::WIDE_PLANES`).
 pub(crate) const MAX_PLANES: usize = 21;
 
 /// All-zero tile, the source slice for zero-extension planes.
-static ZERO_TILE: [u64; TILE] = [0; TILE];
+pub(crate) static ZERO_TILE: [u64; TILE] = [0; TILE];
 
 /// Evaluates one gate over a row of simulation words.
 ///
 /// `a`/`b`/`dst` have equal length; each element is one 64-lane block.
 /// The gate function is matched once, outside the element loop.
 #[inline]
-fn eval_row(kind: GateKind, a: &[u64], b: &[u64], dst: &mut [u64]) {
+pub(crate) fn eval_row(kind: GateKind, a: &[u64], b: &[u64], dst: &mut [u64]) {
     macro_rules! bin {
         ($f:expr) => {{
             let f: fn(u64, u64) -> u64 = $f;

@@ -11,13 +11,15 @@
 //! interpreter sits behind the same API as [`EvalBackend::Scalar`], and a
 //! symbolic ROBDD model-counting engine ([`crate::symbolic`]) behind
 //! [`EvalBackend::Symbolic`]; all backends are bit-identical by
-//! construction at the widths they share, and the symbolic one keeps
-//! going where exhaustive enumeration becomes infeasible.
+//! construction at the widths they share. Past the exhaustive cap the
+//! evaluation goes row by row ([`crate::rows`]): the bit-parallel
+//! backend streams multipliers' weighted rows, the symbolic one
+//! model-counts adders' and MACs' rows, and one f64 replay serves both.
 
 pub use crate::engine::WmedState;
 use crate::engine::{EngineCtx, LaneReader, MAX_PLANES};
+use crate::rows::{RowCtx, WIDE_PLANES};
 use crate::stats::ErrorStats;
-use crate::symbolic::SymbolicCtx;
 use apx_arith::{sign_extend, EvalBackend, Operator};
 use apx_dist::Pmf;
 use apx_gates::{Exhaustive, Netlist};
@@ -27,9 +29,11 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EvaluatorError {
     /// Operand width outside the operator's evaluable range *on the
-    /// requested backend* — `1..=10` for `mul`/`add` and `1..=4` for
-    /// `mac` on the enumeration backends, `1..=16` and `1..=8` on the
-    /// symbolic one (see [`Operator::supports_width`]).
+    /// requested backend* — the exhaustive cap (`1..=10` for `mul`/`add`,
+    /// `1..=4` for `mac`) on `scalar` and for `add`/`mac` on `bitpar`;
+    /// `1..=16` for `mul` on `bitpar`, which streams its weighted rows past
+    /// the cap; `1..=16` for `mul`/`add` and `1..=8` for `mac` on
+    /// `symbolic` (see [`Operator::supports_width`]).
     BadWidth {
         /// The operator whose budget was exceeded.
         op: Operator,
@@ -85,13 +89,19 @@ impl std::error::Error for EvaluatorError {}
 /// * simulates on one of three [`EvalBackend`]s — the bit-parallel engine
 ///   (tiled 64-lane simulation plus a bit-sliced error kernel that never
 ///   unpacks lanes), the scalar reference interpreter, or the symbolic
-///   ROBDD model counter, which skips enumeration entirely and therefore
-///   also accepts operand widths the exhaustive backends reject
-///   (12×12/16×16 multipliers, 8-bit MACs). The operand width picks the
-///   backend ([`Operator::backend`]: bit-parallel wherever enumeration
-///   fits, symbolic beyond); [`CircuitEvaluator::with_backend`] forces one
-///   for cross-checks. All produce bit-identical results at the widths
-///   they share;
+///   ROBDD model counter, which skips enumeration entirely. The operator
+///   and width pick the backend ([`Operator::backend`]: bit-parallel for
+///   every multiplier and wherever enumeration fits, symbolic for adders
+///   and MACs beyond); [`CircuitEvaluator::with_backend`] forces one for
+///   cross-checks. All produce bit-identical results at the widths they
+///   share;
+/// * past the exhaustive cap (12×12/16×16 multipliers and adders, 8-bit
+///   MACs) evaluates row by row: the bit-parallel backend streams each
+///   weighted row's blocks through the candidate and the exact seed
+///   circuit, and the symbolic one model-counts each row's BDDs. Either
+///   way the evaluator holds only the weights, the weight-sorted rows and
+///   the seed — nothing sized by the `2^inputs` domain — and both feed
+///   the same per-row f64 replay;
 /// * offers [`CircuitEvaluator::wmed_bounded`], which abandons a candidate as
 ///   soon as its running weighted error exceeds the fitness threshold
 ///   (Eq. 1 only needs the comparison, not the exact value), and an
@@ -116,7 +126,9 @@ impl std::error::Error for EvaluatorError {}
 /// The engine accumulates the inner sum per 64-lane block as an exact
 /// integer and applies `D(x)` once per block, so the only floating-point
 /// operations are one multiply-add per block — in a fixed (weight-sorted)
-/// order that every backend and the incremental path share.
+/// order that every backend and the incremental path share. Past the
+/// exhaustive cap the exact integer is a whole row's, and the one
+/// multiply-add is per row.
 ///
 /// # Examples
 ///
@@ -148,18 +160,18 @@ pub struct CircuitEvaluator {
     /// `(block index, weight of the block's x value)`, zero-weight blocks
     /// removed, sorted by decreasing weight. Empty for `free < 6` (the
     /// whole domain fits one block; weights are applied per lane instead)
-    /// and for the symbolic backend (which never materializes per-block
+    /// and for the per-row engines (which never materialize per-block
     /// state — see `ordered_x`).
     ordered_blocks: Vec<(u32, f64)>,
-    /// The symbolic backend's per-`x` twin of `ordered_blocks`:
-    /// `(raw x encoding, weight)`, zero weights removed, stable-sorted by
-    /// decreasing weight. Visiting each `x`'s blocks in ascending order
-    /// flattens to exactly the `ordered_blocks` sequence, which is what
-    /// makes the backends' accumulation orders identical. Built only for
-    /// `free >= 6` on [`EvalBackend::Symbolic`].
+    /// The per-row engines' twin of `ordered_blocks`: `(raw x encoding,
+    /// weight)`, zero weights removed, stable-sorted by decreasing weight.
+    /// Visiting each `x`'s blocks in ascending order flattens to exactly
+    /// the `ordered_blocks` sequence, which is what makes the backends'
+    /// accumulation orders identical. Built for `free >= 6` on
+    /// [`EvalBackend::Symbolic`] and past the exhaustive cap.
     ordered_x: Vec<(u32, f64)>,
-    /// The operator's exact seed circuit — the reference the symbolic
-    /// difference planes subtract. Built only alongside `ordered_x`.
+    /// The operator's exact seed circuit — the reference the per-row
+    /// engines subtract. Built only alongside `ordered_x`.
     seed: Option<Netlist>,
     /// Error-kernel planes: `out_bits + 1` (difference of an exact value
     /// and a sign-extended output always fits that many two's-complement
@@ -167,7 +179,7 @@ pub struct CircuitEvaluator {
     planes: usize,
     /// `exact_planes[block·planes + k]`: bit-plane `k` of the exact products
     /// of `block`'s 64 lanes. Precomputed only for the bit-parallel backend
-    /// at `width >= 6`; empty otherwise.
+    /// at `free >= 6` up to the exhaustive cap; empty otherwise.
     exact_planes: Vec<u64>,
     /// `exact_tiles[(tile·planes + k)·TILE + t]`: the same exact planes
     /// rearranged tile-major in weighted-position order, so the column-major
@@ -183,8 +195,8 @@ pub struct CircuitEvaluator {
 
 impl CircuitEvaluator {
     /// Creates an evaluator for `width`-bit (optionally signed) multipliers
-    /// weighted by `pmf` on the first operand, on the backend the width
-    /// picks ([`Operator::backend`]).
+    /// weighted by `pmf` on the first operand, on the backend operator and
+    /// width pick ([`Operator::backend`]: bit-parallel at every width).
     ///
     /// # Errors
     ///
@@ -195,7 +207,7 @@ impl CircuitEvaluator {
     }
 
     /// Creates an evaluator for `width`-bit circuits of an arbitrary
-    /// [`Operator`], on the backend the width picks
+    /// [`Operator`], on the backend operator and width pick
     /// ([`Operator::backend`]). This is the constructor the sweep, library
     /// and orchestrator flows share.
     ///
@@ -229,7 +241,7 @@ impl CircuitEvaluator {
     /// Creates a multiplier evaluator on an explicitly chosen
     /// [`EvalBackend`] instead of the one the width picks. This is how
     /// tests reach the reference backends (`scalar`, and `symbolic` at
-    /// exhaustive widths) to compare them with the bit-parallel one.
+    /// every width) to compare them with the bit-parallel one.
     ///
     /// # Errors
     ///
@@ -286,14 +298,16 @@ impl CircuitEvaluator {
         let free = (ni - width as usize) as u32;
         let ex = Exhaustive::new(ni);
         let weights: Vec<f64> = pmf.iter().collect();
+        let past_cap = !op.supports_exhaustive_width(width);
         let mut ordered_blocks = Vec::new();
         let mut ordered_x = Vec::new();
         let mut seed = None;
         if free >= 6 {
-            if backend == EvalBackend::Symbolic {
-                // Per-x ordering only: at wide widths the per-block list
-                // would be astronomically large, and the symbolic engine
-                // derives block sums from one BDD per x anyway.
+            if backend == EvalBackend::Symbolic || past_cap {
+                // Per-x ordering only: past the cap the per-block list
+                // would be astronomically large (2^26 blocks for a 16-bit
+                // multiplier), and both per-row engines derive block sums
+                // one row at a time anyway.
                 ordered_x = weights
                     .iter()
                     .enumerate()
@@ -315,9 +329,14 @@ impl CircuitEvaluator {
             }
         }
         let planes = out_bits as usize + 1;
-        // The bit-sliced error kernel caps its plane count; the symbolic
-        // engine has no such limit (a width-16 multiplier needs 33).
-        debug_assert!(backend == EvalBackend::Symbolic || planes <= MAX_PLANES);
+        // The per-block error kernels cap their plane count at MAX_PLANES
+        // and the streamed row kernel at WIDE_PLANES (a width-16 product
+        // needs 33); the symbolic engine has no such limit.
+        debug_assert!(match backend {
+            EvalBackend::Symbolic => true,
+            _ if past_cap => planes <= WIDE_PLANES,
+            _ => planes <= MAX_PLANES,
+        });
         let norm = 1.0 / ((1u64 << free) as f64 * (1u64 << out_bits) as f64);
         let mut eval = CircuitEvaluator {
             op,
@@ -338,7 +357,7 @@ impl CircuitEvaluator {
             input_rows: Vec::new(),
             norm,
         };
-        if free >= 6 && backend == EvalBackend::BitParallel {
+        if free >= 6 && backend == EvalBackend::BitParallel && !past_cap {
             eval.exact_planes = eval.build_exact_planes();
             eval.exact_tiles = eval.build_exact_tiles();
             eval.input_rows = eval.build_input_rows();
@@ -464,18 +483,23 @@ impl CircuitEvaluator {
         }
     }
 
-    fn sym_ctx(&self) -> SymbolicCtx<'_> {
-        SymbolicCtx {
+    fn row_ctx(&self) -> RowCtx<'_> {
+        RowCtx {
             width: self.width,
             signed: self.signed,
             out_bits: self.out_bits,
             free: self.free,
             planes: self.planes,
             ordered_x: &self.ordered_x,
-            block_exact: self.op.supports_exhaustive_width(self.width),
             weights: &self.weights,
-            seed: self.seed.as_ref().expect("symbolic evaluators always carry the seed circuit"),
+            seed: self.seed.as_ref().expect("per-row evaluators always carry the seed circuit"),
         }
+    }
+
+    /// Whether the width is past the exhaustive cap, where every
+    /// evaluation goes row by row ([`crate::rows`]).
+    fn past_cap(&self) -> bool {
+        !self.op.supports_exhaustive_width(self.width)
     }
 
     #[inline]
@@ -517,9 +541,14 @@ impl CircuitEvaluator {
         let raw_limit = if limit.is_finite() { limit / self.norm } else { f64::INFINITY };
         if self.free >= 6 {
             let total = match self.backend {
+                EvalBackend::BitParallel if self.past_cap() => {
+                    self.row_ctx().streamed_wmed_raw(netlist, raw_limit)?
+                }
                 EvalBackend::BitParallel => self.ctx().wmed_raw_bitpar(netlist, raw_limit)?,
                 EvalBackend::Scalar => self.ctx().wmed_raw_scalar(netlist, raw_limit)?,
-                EvalBackend::Symbolic => self.sym_ctx().wmed_raw(netlist, raw_limit)?,
+                EvalBackend::Symbolic => {
+                    self.row_ctx().symbolic_wmed_raw(netlist, raw_limit, !self.past_cap())?
+                }
             };
             return Some(total * self.norm);
         }
@@ -555,10 +584,12 @@ impl CircuitEvaluator {
     ///
     /// Incremental re-evaluation needs the bit-parallel backend and
     /// block-granular weighting (`free >= 6` — below that, the whole
-    /// domain is one block and a full pass is already trivial).
+    /// domain is one block and a full pass is already trivial) within the
+    /// exhaustive cap: the delta engine caches and accumulates per block,
+    /// while past the cap the contract is per row.
     #[must_use]
     pub fn supports_incremental(&self) -> bool {
-        self.free >= 6 && self.backend == EvalBackend::BitParallel
+        self.free >= 6 && self.backend == EvalBackend::BitParallel && !self.past_cap()
     }
 
     /// Heap footprint a [`WmedState`] for `netlist` would need, in bytes.
@@ -647,11 +678,12 @@ impl CircuitEvaluator {
 
     /// Full error statistics (one exhaustive pass, no skipping).
     ///
-    /// On [`EvalBackend::Symbolic`] at widths beyond the exhaustive cap
-    /// the pass is symbolic instead of enumerated; every statistic except
-    /// `mred` is still exact, and `mred` is reported as `NaN` there (the
-    /// mean *relative* error is not a weighted count over output
-    /// bit-planes — see [`ErrorStats::mred`]).
+    /// At widths beyond the exhaustive cap the pass goes row by row —
+    /// streamed on [`EvalBackend::BitParallel`], symbolic on
+    /// [`EvalBackend::Symbolic`]; every statistic except `mred` is still
+    /// exact, and `mred` is reported as `NaN` there (the mean *relative*
+    /// error is not a sum of the per-row integers — see
+    /// [`ErrorStats::mred`]).
     ///
     /// # Panics
     ///
@@ -659,8 +691,11 @@ impl CircuitEvaluator {
     #[must_use]
     pub fn stats(&self, netlist: &Netlist) -> ErrorStats {
         self.check_arity(netlist);
-        if !self.op.supports_exhaustive_width(self.width) {
-            return self.sym_ctx().wide_stats(netlist);
+        if self.past_cap() {
+            return match self.backend {
+                EvalBackend::BitParallel => self.row_ctx().streamed_stats(netlist),
+                _ => self.row_ctx().symbolic_stats(netlist),
+            };
         }
         let range = (1u64 << self.out_bits) as f64;
         let mut reader = LaneReader::new(self.backend, netlist);
@@ -736,10 +771,7 @@ impl CircuitEvaluator {
     #[must_use]
     pub fn error_matrix(&self, netlist: &Netlist) -> crate::ErrorMatrix {
         self.check_arity(netlist);
-        assert!(
-            self.op.supports_exhaustive_width(self.width),
-            "error_matrix requires an exhaustively enumerable width"
-        );
+        assert!(!self.past_cap(), "error_matrix requires an exhaustively enumerable width");
         let w = self.width;
         let mask = (1u64 << w) - 1;
         let n = 1usize << w;
@@ -956,19 +988,19 @@ mod tests {
 
     #[test]
     fn for_operator_picks_the_backend_by_width() {
-        // Bit-parallel up to the exhaustive cap, symbolic past it. A point
+        // Bit-parallel for every multiplier, and for adders and MACs up to
+        // the exhaustive cap; symbolic for adders and MACs past it. A point
         // mass keeps the widest bit-parallel evaluators cheap to build.
         let point = |w: u32| {
             let mut weights = vec![0.0; 1 << w];
             weights[1] = 1.0;
             Pmf::from_weights(w, weights).unwrap()
         };
-        for (op, widths) in [
-            (Operator::Mul, [1u32, 10, 11, 16]),
-            (Operator::Add, [1, 10, 11, 16]),
-            (Operator::Mac, [1, 4, 5, 8]),
+        for (op, widths, cap) in [
+            (Operator::Mul, [1u32, 10, 11, 16], 16),
+            (Operator::Add, [1, 10, 11, 16], 10),
+            (Operator::Mac, [1, 4, 5, 8], 4),
         ] {
-            let cap = widths[1];
             for w in widths {
                 let eval = CircuitEvaluator::for_operator(op, w, false, &point(w)).unwrap();
                 let want = if w <= cap { EvalBackend::BitParallel } else { EvalBackend::Symbolic };
@@ -977,7 +1009,7 @@ mod tests {
         }
         assert_eq!(
             CircuitEvaluator::new(12, false, &point(12)).unwrap().backend(),
-            EvalBackend::Symbolic
+            EvalBackend::BitParallel
         );
     }
 
@@ -1037,6 +1069,36 @@ mod tests {
         assert!(!eval.supports_incremental());
         let eval = CircuitEvaluator::with_backend(6, false, &pmf, EvalBackend::Symbolic).unwrap();
         assert!(!eval.supports_incremental());
+    }
+
+    #[test]
+    fn wide_bitpar_reports_no_incremental_support() {
+        // Past the cap the contract is per row, and the delta engine
+        // accumulates per block: wide offspring are scored statelessly.
+        let mut weights = vec![0.0; 1 << 11];
+        weights[5] = 1.0;
+        let pmf = Pmf::from_weights(11, weights).unwrap();
+        let eval = CircuitEvaluator::new(11, false, &pmf).unwrap();
+        assert_eq!(eval.backend(), EvalBackend::BitParallel);
+        assert!(!eval.supports_incremental());
+        assert!(CircuitEvaluator::new(10, false, &Pmf::uniform(10))
+            .unwrap()
+            .supports_incremental());
+    }
+
+    #[test]
+    fn w16_streamed_evaluator_holds_no_block_tables_and_aborts_early() {
+        // 2^26 blocks at width 16: the evaluator must hold nothing sized by
+        // them, and a truncated multiplier must abort at a tiny limit
+        // inside its first erring row (x = 1; row 0 is exact).
+        let eval = CircuitEvaluator::new(16, false, &Pmf::uniform(16)).unwrap();
+        assert_eq!(eval.backend(), EvalBackend::BitParallel);
+        assert!(eval.ordered_blocks.is_empty());
+        assert!(eval.exact_planes.is_empty() && eval.exact_tiles.is_empty());
+        assert!(eval.input_rows.is_empty());
+        assert_eq!(eval.ordered_x.len(), 1 << 16);
+        assert_eq!(eval.planes, 33);
+        assert_eq!(eval.wmed_bounded(&truncated_multiplier(16, 8), 1e-15), None);
     }
 
     #[test]
@@ -1115,9 +1177,7 @@ mod tests {
                         .unwrap()
                 };
                 let (fast, sym) = (build(EvalBackend::BitParallel), build(EvalBackend::Symbolic));
-                let block = sym.sym_ctx();
-                assert!(block.block_exact);
-                let wide = SymbolicCtx { block_exact: false, ..sym.sym_ctx() };
+                let rows = sym.row_ctx();
                 let broken = if signed {
                     baugh_wooley_broken(width, width - 2, 3)
                 } else {
@@ -1136,7 +1196,7 @@ mod tests {
                 for (i, nl) in candidates.iter().enumerate() {
                     let at = format!("{op} w{width} signed={signed} candidate {i}");
                     let want = fast.stats(nl);
-                    let got = wide.wide_stats(nl);
+                    let got = rows.symbolic_stats(nl);
                     assert!(i == 0 || want.max_abs_error > 1, "{at}: trivial candidate");
                     assert_eq!(got.med.to_bits(), want.med.to_bits(), "{at}: med");
                     assert_eq!(got.wmed.to_bits(), want.wmed.to_bits(), "{at}: wmed");
@@ -1145,9 +1205,74 @@ mod tests {
                     assert_eq!(got.max_abs_error, want.max_abs_error, "{at}: max_abs_error");
                     assert!(got.mred.is_nan(), "{at}: mred is NaN on the wide path");
                     assert_eq!(
-                        wide.wmed_raw(nl, f64::INFINITY).map(f64::to_bits),
-                        block.wmed_raw(nl, f64::INFINITY).map(f64::to_bits),
+                        rows.symbolic_wmed_raw(nl, f64::INFINITY, false).map(f64::to_bits),
+                        rows.symbolic_wmed_raw(nl, f64::INFINITY, true).map(f64::to_bits),
                         "{at}: wmed_raw"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Asserts two [`ErrorStats`] are equal down to the last mantissa bit,
+    /// `mred` aside (`NaN` on the per-row paths).
+    fn assert_wide_stats_identical(got: &ErrorStats, want: &ErrorStats, at: &str) {
+        assert_eq!(got.med.to_bits(), want.med.to_bits(), "{at}: med");
+        assert_eq!(got.wmed.to_bits(), want.wmed.to_bits(), "{at}: wmed");
+        assert_eq!(got.wce.to_bits(), want.wce.to_bits(), "{at}: wce");
+        assert_eq!(got.error_rate.to_bits(), want.error_rate.to_bits(), "{at}: er");
+        assert_eq!(got.max_abs_error, want.max_abs_error, "{at}: max_abs_error");
+        assert!(got.mred.is_nan(), "{at}: mred is NaN on the per-row path");
+    }
+
+    #[test]
+    fn streamed_path_matches_enumeration_and_symbolic() {
+        // The streamed row engine the bit-parallel backend runs past the
+        // cap, forced at exhaustive widths (the symbolic evaluator carries
+        // the weight-sorted rows and the seed it needs). Under uniform
+        // weights both f64 orders are exact, so it must match the
+        // per-block enumeration; under a non-dyadic PMF it must match the
+        // symbolic per-row path bit for bit, bounded verdicts included.
+        for (width, signed) in [(6u32, false), (6, true), (7, false), (7, true)] {
+            let op = Operator::Mul;
+            let broken = if signed {
+                baugh_wooley_broken(width, width - 2, 3)
+            } else {
+                broken_array_multiplier(width, width - 2, 3)
+            };
+            let candidates = [
+                op.seed_circuit(width, signed),
+                broken,
+                truncated_multiplier(width, 4),
+                rewritten_seed(op, width, signed, 3),
+            ];
+            let build = |pmf: &Pmf, backend| {
+                CircuitEvaluator::for_operator_with_backend(op, width, signed, pmf, backend)
+                    .unwrap()
+            };
+            let uniform = Pmf::uniform(width);
+            let fast = build(&uniform, EvalBackend::BitParallel);
+            let sym_uniform = build(&uniform, EvalBackend::Symbolic);
+            let lumpy = if signed {
+                Pmf::signed_normal(width, 1.0, 6.0)
+            } else {
+                Pmf::half_normal(width, 9.0)
+            };
+            let sym = build(&lumpy, EvalBackend::Symbolic);
+            let rows = sym.row_ctx();
+            for (i, nl) in candidates.iter().enumerate() {
+                let at = format!("w{width} signed={signed} candidate {i}");
+                let streamed = sym_uniform.row_ctx().streamed_stats(nl);
+                assert_wide_stats_identical(&streamed, &fast.stats(nl), &format!("{at} uniform"));
+                assert!(i == 0 || streamed.max_abs_error > 1, "{at}: trivial candidate");
+                let want = rows.symbolic_stats(nl);
+                assert_wide_stats_identical(&rows.streamed_stats(nl), &want, &at);
+                let full = rows.symbolic_wmed_raw(nl, f64::INFINITY, false).unwrap();
+                for limit in [f64::INFINITY, full / 3.0, full, 2.0 * full] {
+                    assert_eq!(
+                        rows.streamed_wmed_raw(nl, limit).map(f64::to_bits),
+                        rows.symbolic_wmed_raw(nl, limit, false).map(f64::to_bits),
+                        "{at}: bounded at {limit}"
                     );
                 }
             }

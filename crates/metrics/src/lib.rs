@@ -31,15 +31,19 @@
 //! bit-sliced error kernel; supports incremental re-evaluation of mutated
 //! netlists via [`WmedState`]), a **scalar** one-pair-at-a-time reference
 //! interpreter, and a **symbolic** ROBDD model-counting engine (built on
-//! `apx_bdd`) that never enumerates operand pairs and so reaches
-//! operand widths the exhaustive backends cannot (12×12/16×16
-//! multipliers, 8-bit MACs). All are bit-identical by construction at the
-//! widths they share — the per-block error sums are exact integers and the
-//! floating-point accumulation order is shared — so the slower paths serve
-//! as independent oracles for property tests. The operand width picks the
-//! backend (`apx_arith::Operator::backend`: bit-parallel wherever
-//! enumeration fits, symbolic beyond); [`CircuitEvaluator::with_backend`]
-//! forces one for cross-checks.
+//! `apx_bdd`) that never enumerates operand pairs. Past the full-domain
+//! enumeration cap (12×12/16×16 multipliers and adders, 8-bit MACs) the
+//! evaluation goes one weighted operand row at a time: the bit-parallel
+//! engine streams a multiplier's rows through the simulator, the symbolic
+//! one model-counts an adder's or MAC's rows. All are bit-identical by
+//! construction at the widths they share — the per-block (per-row past
+//! the cap) error sums are exact integers and the floating-point
+//! accumulation order is shared — so the slower paths serve as
+//! independent oracles for property tests. The operator and width pick
+//! the backend (`apx_arith::Operator::backend`: bit-parallel for every
+//! multiplier and wherever enumeration fits, symbolic for adders and MACs
+//! beyond); [`CircuitEvaluator::with_backend`] forces one for
+//! cross-checks.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -47,6 +51,7 @@
 mod engine;
 mod evaluator;
 mod heatmap;
+mod rows;
 mod stats;
 mod symbolic;
 

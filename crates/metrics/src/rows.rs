@@ -1,0 +1,384 @@
+//! Per-row evaluation: the wide statistics contract and the streamed
+//! enumeration engine.
+//!
+//! The paper's WMED (Eq. 2) weights each row `x` of the operand grid by
+//! `D(x)`, so a candidate's error is a sum of exact per-row integers, and
+//! a bounded evaluation needs only the rows with nonzero weight. Two
+//! engines produce those integers one row at a time, without ever
+//! holding a table sized by the input domain:
+//!
+//! * the symbolic engine ([`crate::symbolic`]) model-counts ROBDDs of
+//!   the row's difference planes (every operator; it serves `Add` and
+//!   `Mac` past the enumeration cap, where BDDs stay small);
+//! * **streamed enumeration** (below) simulates the row's `2^(free−6)`
+//!   blocks through the candidate and the operator's exact seed circuit
+//!   side by side, [`TILE`] blocks at a time, and reduces every tile with
+//!   a bit-sliced kernel. It is how the bit-parallel backend evaluates
+//!   multipliers past the cap, where their BDDs blow up.
+//!
+//! # The wide contract
+//!
+//! Past the exhaustive cap there is no enumeration order left to match,
+//! so the statistics are defined per row. Each engine reports a row as a
+//! [`RowErr`] (`Σ|d|`, the vectors with `d ≠ 0` and `max |d|`, exact
+//! integers), and [`RowCtx`] replays them in one fixed f64 order:
+//!
+//! * [`RowCtx::replay_stats`]: every row in ascending `x`, one f64 step
+//!   per row;
+//! * [`RowCtx::replay_wmed`]: the nonzero-weight rows (`ordered_x`) in
+//!   stable decreasing-weight order, `total += weight · row`, with an
+//!   abort check per row.
+//!
+//! Same integers, same f64 operations in the same order: the two wide
+//! engines are bit-identical. A bounded evaluation may also abort
+//! *inside* a row, once the running total plus the row's partial sum
+//! exceeds the budget. That decision is the row-granular one: every term
+//! is nonnegative and f64 rounding is monotone, so the completed row —
+//! and every later prefix — would exceed the budget too.
+
+use crate::engine::{eval_row, TILE, ZERO_TILE};
+use crate::stats::ErrorStats;
+use apx_gates::{Exhaustive, Netlist};
+
+/// Upper bound on the streamed kernel's planes: `2·16 + 1` for a 16-bit
+/// multiplier, the widest operand the bit-parallel backend reaches. The
+/// per-block kernels below the cap keep their own, smaller bound.
+pub(crate) const WIDE_PLANES: usize = 33;
+
+/// Exact error integers of one row (or of part of one).
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct RowErr {
+    /// `Σ|exact − got|` over the row's vectors.
+    pub abs: u64,
+    /// Vectors whose output differs from the exact one.
+    pub nonzero: u64,
+    /// Largest `|exact − got|`.
+    pub max_abs: u64,
+}
+
+/// Borrowed evaluator shape for one per-row call.
+pub(crate) struct RowCtx<'a> {
+    /// Operand width in bits.
+    pub width: u32,
+    /// Two's-complement interpretation of operands and outputs.
+    pub signed: bool,
+    /// Netlist output bits (`op.num_outputs(width)`).
+    pub out_bits: u32,
+    /// Non-distribution input bits (`ni − width`); must be ≥ 6 (the
+    /// evaluator routes smaller domains through the per-lane loop).
+    pub free: u32,
+    /// Error planes: `out_bits + 1`.
+    pub planes: usize,
+    /// `(x_raw, weight)`, zero weights removed, stable-sorted by
+    /// decreasing weight: the per-`x` flattening of the enumeration
+    /// backends' `ordered_blocks`.
+    pub ordered_x: &'a [(u32, f64)],
+    /// One weight per raw operand encoding (including zeros).
+    pub weights: &'a [f64],
+    /// The operator's exact seed circuit at this width/signedness — the
+    /// reference both engines subtract.
+    pub seed: &'a Netlist,
+}
+
+impl RowCtx<'_> {
+    /// [`ErrorStats`] from exact per-row integers, replayed in the wide
+    /// contract's order: ascending `x`, one f64 step per row.
+    ///
+    /// `mred` is `NaN`: the mean *relative* error is not a sum of the
+    /// per-row integers (see [`ErrorStats::mred`]).
+    pub(crate) fn replay_stats(&self, mut row: impl FnMut(u64) -> RowErr) -> ErrorStats {
+        let mut sum_abs = 0.0f64;
+        let mut sum_weighted = 0.0f64;
+        let mut nonzero = 0u64;
+        let mut max_abs = 0u64;
+        for (x, &weight) in self.weights.iter().enumerate() {
+            let r = row(x as u64);
+            sum_abs += r.abs as f64;
+            sum_weighted += weight * r.abs as f64;
+            nonzero += r.nonzero;
+            max_abs = max_abs.max(r.max_abs);
+        }
+        let total = (1u128 << (self.free + self.width)) as f64;
+        let n = (1u64 << self.free) as f64;
+        let range = (1u64 << self.out_bits) as f64;
+        ErrorStats {
+            med: sum_abs / total / range,
+            wmed: sum_weighted / n / range,
+            wce: max_abs as f64 / range,
+            error_rate: nonzero as f64 / total,
+            mred: f64::NAN,
+            max_abs_error: max_abs as i64,
+        }
+    }
+
+    /// Raw (un-normalized) bounded WMED from exact per-row sums, replayed
+    /// in the wide contract's order over `ordered_x`: `None` once the
+    /// running total exceeds `raw_limit`.
+    ///
+    /// `row(x, exceeds)` returns row `x`'s `Σ|d|`. An engine that sums a
+    /// row in parts may return `None` as soon as `exceeds(partial)` holds
+    /// for a partial sum — an abort inside the row, which the module docs
+    /// show is the same decision.
+    pub(crate) fn replay_wmed(
+        &self,
+        raw_limit: f64,
+        mut row: impl FnMut(u64, &dyn Fn(u64) -> bool) -> Option<u64>,
+    ) -> Option<f64> {
+        let mut total = 0.0f64;
+        for &(x, weight) in self.ordered_x {
+            let exceeds = |partial: u64| total + weight * partial as f64 > raw_limit;
+            let sum = row(u64::from(x), &exceeds)?;
+            total += weight * sum as f64;
+            if total > raw_limit {
+                return None;
+            }
+        }
+        Some(total)
+    }
+
+    /// Full [`ErrorStats`] by streamed enumeration of every row.
+    pub(crate) fn streamed_stats(&self, nl: &Netlist) -> ErrorStats {
+        let (mut got, mut exact) = (TileSim::new(nl), TileSim::new(self.seed));
+        self.replay_stats(|x| {
+            self.stream_row::<true>(&mut got, &mut exact, x, &|_| false)
+                .expect("an unbounded row always completes")
+        })
+    }
+
+    /// Raw bounded WMED by streamed enumeration of the support rows.
+    pub(crate) fn streamed_wmed_raw(&self, nl: &Netlist, raw_limit: f64) -> Option<f64> {
+        let (mut got, mut exact) = (TileSim::new(nl), TileSim::new(self.seed));
+        self.replay_wmed(raw_limit, |x, exceeds| {
+            self.stream_row::<false>(&mut got, &mut exact, x, exceeds).map(|r| r.abs)
+        })
+    }
+
+    /// Streams row `x` through the candidate (`got`) and the seed
+    /// (`exact`) one tile of blocks at a time. With `STATS` false only
+    /// `abs` is reduced, and the row stops with `None` as soon as
+    /// `exceeds` holds for its partial sum.
+    fn stream_row<const STATS: bool>(
+        &self,
+        got: &mut TileSim<'_>,
+        exact: &mut TileSim<'_>,
+        x: u64,
+        exceeds: &dyn Fn(u64) -> bool,
+    ) -> Option<RowErr> {
+        let blocks = 1usize << (self.free - 6);
+        let mut row = RowErr::default();
+        let mut start = 0;
+        while start < blocks {
+            let tcount = TILE.min(blocks - start);
+            self.load_inputs(&mut got.vals, x, start);
+            let inputs = (self.width + self.free) as usize * TILE;
+            exact.vals[..inputs].copy_from_slice(&got.vals[..inputs]);
+            got.run();
+            exact.run();
+            let tile = tile_err::<STATS>(
+                self.planes,
+                &exact.planes(self.signed, self.planes),
+                &got.planes(self.signed, self.planes),
+                tcount,
+            );
+            row.abs += tile.abs;
+            row.nonzero += tile.nonzero;
+            row.max_abs = row.max_abs.max(tile.max_abs);
+            if !STATS && exceeds(row.abs) {
+                return None;
+            }
+            start += tcount;
+        }
+        Some(row)
+    }
+
+    /// Writes the input rows of the tile of blocks `start..start + TILE`
+    /// of row `x` into `vals`.
+    ///
+    /// Netlist input `i < width` is bit `i` of `x`, pinned across all
+    /// lanes; every later input is free bit `i − width`, which counts up
+    /// across the lanes (bits 0–5) and the row's blocks (bits 6 and up) —
+    /// the enumeration layout of [`apx_arith::Operator::exact_value`].
+    /// Columns past the row's last block get well-formed words that no
+    /// reduction reads.
+    fn load_inputs(&self, vals: &mut [u64], x: u64, start: usize) {
+        let w = self.width as usize;
+        let free = Exhaustive::new(self.free as usize);
+        for (i, row) in vals.chunks_exact_mut(TILE).take(w + self.free as usize).enumerate() {
+            if i < w {
+                row.fill(if (x >> i) & 1 == 1 { !0 } else { 0 });
+            } else {
+                for (t, word) in row.iter_mut().enumerate() {
+                    *word = free.input_word(i - w, start + t);
+                }
+            }
+        }
+    }
+}
+
+/// One circuit's simulation grid for one tile: `vals[sig · TILE + t]` is
+/// signal `sig`'s word in tile column `t`.
+struct TileSim<'n> {
+    nl: &'n Netlist,
+    /// The nodes in the outputs' transitive fan-in, in netlist order; the
+    /// rest never reach an output plane, so they are never simulated.
+    live: Vec<usize>,
+    vals: Vec<u64>,
+}
+
+impl<'n> TileSim<'n> {
+    fn new(nl: &'n Netlist) -> Self {
+        let ni = nl.num_inputs();
+        let active = nl.active_mask();
+        let live = (0..nl.gate_count()).filter(|&k| active[ni + k]).collect();
+        TileSim { nl, live, vals: vec![0; nl.num_signals() * TILE] }
+    }
+
+    /// Simulates the live nodes over the tile (inputs already loaded).
+    fn run(&mut self) {
+        let ni = self.nl.num_inputs();
+        let nodes = self.nl.nodes();
+        for &k in &self.live {
+            let node = &nodes[k];
+            let (pre, rest) = self.vals.split_at_mut((ni + k) * TILE);
+            let a = &pre[node.a.index() * TILE..][..TILE];
+            let b = &pre[node.b.index() * TILE..][..TILE];
+            eval_row(node.kind, a, b, &mut rest[..TILE]);
+        }
+    }
+
+    /// The `planes` output planes: the outputs, then one extension plane
+    /// that replicates the top output when signed and is zero otherwise.
+    fn planes(&self, signed: bool, planes: usize) -> [&[u64]; WIDE_PLANES] {
+        let mut srcs: [&[u64]; WIDE_PLANES] = [&ZERO_TILE; WIDE_PLANES];
+        for (s, o) in srcs.iter_mut().zip(self.nl.outputs()) {
+            *s = &self.vals[o.index() * TILE..][..TILE];
+        }
+        srcs[planes - 1] = if signed { srcs[planes - 2] } else { &ZERO_TILE };
+        srcs
+    }
+}
+
+/// Bit-sliced error integers of the first `tcount` columns of one tile.
+///
+/// `exact[k]` and `got[k]` hold plane `k` of each column's 64 lanes of
+/// `planes`-bit two's-complement values. The arithmetic is the per-block
+/// kernel's (`engine::abs_err_sum`), column-major: a ripple-borrow pass
+/// finds the difference's sign planes `s`, and a second pass folds each
+/// difference plane `d_k` into `Σ|d| = pc(s) + Σ_k 2^k·pc(d_k ⊕ s)`.
+/// With `STATS` it also counts the lanes with `d ≠ 0` and finds `max |d|`
+/// over all lanes of the columns: the second pass materializes the
+/// magnitude planes `|d| = (d ⊕ s) + s` (a ripple increment with carry-in
+/// `s`), and a most-significant-first descent keeps the lanes that set
+/// each plane while any do.
+fn tile_err<const STATS: bool>(
+    planes: usize,
+    exact: &[&[u64]; WIDE_PLANES],
+    got: &[&[u64]; WIDE_PLANES],
+    tcount: usize,
+) -> RowErr {
+    debug_assert!((2..=WIDE_PLANES).contains(&planes));
+    let mut borrow = [0u64; TILE];
+    let mut s = [0u64; TILE];
+    for k in 0..planes {
+        let (e, g) = (&exact[k][..TILE], &got[k][..TILE]);
+        for t in 0..TILE {
+            let x = e[t] ^ g[t];
+            s[t] = x ^ borrow[t];
+            borrow[t] = (!e[t] & g[t]) | (!x & borrow[t]);
+        }
+    }
+    let mut sum = [0u64; TILE];
+    for t in 0..TILE {
+        sum[t] = u64::from(s[t].count_ones());
+    }
+    let mut borrow = [0u64; TILE];
+    let mut any = [0u64; TILE];
+    let mut carry = s;
+    let mut mag = [[0u64; TILE]; WIDE_PLANES];
+    for k in 0..planes {
+        let (e, g) = (&exact[k][..TILE], &got[k][..TILE]);
+        for t in 0..TILE {
+            let x = e[t] ^ g[t];
+            let d = x ^ borrow[t];
+            borrow[t] = (!e[t] & g[t]) | (!x & borrow[t]);
+            let a = d ^ s[t];
+            sum[t] += u64::from(a.count_ones()) << k;
+            if STATS {
+                any[t] |= d;
+                mag[k][t] = a ^ carry[t];
+                carry[t] &= a;
+            }
+        }
+    }
+    let mut err = RowErr { abs: sum[..tcount].iter().sum(), ..RowErr::default() };
+    if STATS {
+        err.nonzero = any[..tcount].iter().map(|a| u64::from(a.count_ones())).sum();
+        let mut lanes = [0u64; TILE];
+        lanes[..tcount].fill(!0);
+        for k in (0..planes).rev() {
+            if mag[k].iter().zip(&lanes).any(|(m, l)| m & l != 0) {
+                err.max_abs |= 1 << k;
+                for (l, m) in lanes.iter_mut().zip(&mag[k]) {
+                    *l &= m;
+                }
+            }
+        }
+    }
+    err
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Plane source table over `planes` (zero planes past its end).
+    fn srcs(planes: &[[u64; TILE]]) -> [&[u64]; WIDE_PLANES] {
+        let mut srcs: [&[u64]; WIDE_PLANES] = [&ZERO_TILE; WIDE_PLANES];
+        for (s, plane) in srcs.iter_mut().zip(planes) {
+            *s = plane;
+        }
+        srcs
+    }
+
+    #[test]
+    fn tile_err_matches_per_lane_arithmetic() {
+        // Random `planes`-bit two's-complement pairs whose difference fits
+        // `planes` bits, for every plane count and tail length: each
+        // reduction must equal the lane-by-lane integers.
+        let mut rng = apx_rng::Xoshiro256::from_seed(0x57E4);
+        for planes in 2..=WIDE_PLANES {
+            for tcount in [1, 5, TILE] {
+                let half = 1i64 << (planes - 1);
+                let mut exact = vec![[0u64; TILE]; planes];
+                let mut got = vec![[0u64; TILE]; planes];
+                let mut want = RowErr::default();
+                for t in 0..TILE {
+                    for lane in 0..64 {
+                        let e = rng.gen_range(half as usize) as i64 - half / 2;
+                        // Every fourth lane exact, so `nonzero` is tested.
+                        let g = if rng.gen_range(4) == 0 {
+                            e
+                        } else {
+                            e + (rng.gen_range(half as usize) as i64 - half / 2) / 2
+                        };
+                        if t < tcount {
+                            let d = (e - g).unsigned_abs();
+                            want.abs += d;
+                            want.nonzero += u64::from(d != 0);
+                            want.max_abs = want.max_abs.max(d);
+                        }
+                        for k in 0..planes {
+                            exact[k][t] |= (((e as u64) >> k) & 1) << lane;
+                            got[k][t] |= (((g as u64) >> k) & 1) << lane;
+                        }
+                    }
+                }
+                let (e, g) = (srcs(&exact), srcs(&got));
+                let at = format!("planes={planes} tcount={tcount}");
+                assert_eq!(tile_err::<true>(planes, &e, &g, tcount), want, "{at}");
+                let abs_only = RowErr { abs: want.abs, ..RowErr::default() };
+                assert_eq!(tile_err::<false>(planes, &e, &g, tcount), abs_only, "{at}");
+            }
+        }
+    }
+}

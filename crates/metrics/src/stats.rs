@@ -20,6 +20,9 @@ pub struct ErrorStats {
     /// Fraction of input pairs with a non-zero error.
     pub error_rate: f64,
     /// Mean relative error distance (error / max(1, |exact|), uniform).
+    /// `NaN` from `CircuitEvaluator::stats` past the exhaustive width cap:
+    /// the per-row engines there produce sums of exact per-row integers,
+    /// and the mean relative error is not one of them.
     pub mred: f64,
     /// Largest absolute error in output LSBs (un-normalized WCE).
     pub max_abs_error: i64,

@@ -1,8 +1,12 @@
 //! The symbolic (ROBDD model-counting) evaluator backend.
 //!
-//! The enumeration backends visit all `2^ni` input vectors; this engine
-//! never does. For each weighted operand value `x` it builds, over the
-//! `free` (non-distribution) input bits only:
+//! The enumeration backends visit input vectors; this engine never does.
+//! It serves `Add` and `Mac` past the enumeration cap, where their BDDs
+//! stay small, and it is the test reference for the streamed
+//! enumeration that evaluates wide multipliers (whose BDDs blow up —
+//! some output bit of an integer multiplier needs an exponential-size
+//! ROBDD under every variable order). For each weighted operand value `x`
+//! it builds, over the `free` (non-distribution) input bits only:
 //!
 //! 1. the candidate's output bit-planes and the seed circuit's exact
 //!    output bit-planes as BDDs (`x`'s bits enter as constants, so the
@@ -28,55 +32,24 @@
 //! kernel produces. A count is a number of satisfying assignments, so
 //! neither the order of the block bits among themselves (the walk pins
 //! each one where it sits) nor that of the lane bits can change it;
-//! only "block bits above lane bits" matters. The accumulation then
-//! replays the engine's contract verbatim: blocks of one `x` in
-//! ascending order, `x` values in stable decreasing-weight order
-//! (flattening to precisely the enumeration backends' `ordered_blocks`
-//! sequence), `total += weight · (sum as f64)` per block, early abort
-//! when `total` exceeds the raw budget. Same integer sums, same f64
-//! operations in the same order — bit-identical results wherever an
-//! enumeration backend can run at all. Beyond the exhaustive width cap
-//! there is no enumeration order left to match and the per-block walk
-//! would cost `2^(free−6)` descents per `x`, so there the accumulation
-//! is per `x` (one whole-row weighted count, abort check per row) — see
-//! `SymbolicCtx::block_exact`.
+//! only "block bits above lane bits" matters. At exhaustive widths the
+//! accumulation then replays the engine's contract verbatim: blocks of
+//! one `x` in ascending order, `x` values in stable decreasing-weight
+//! order (flattening to precisely the enumeration backends'
+//! `ordered_blocks` sequence), `total += weight · (sum as f64)` per
+//! block, early abort when `total` exceeds the raw budget. Same integer
+//! sums, same f64 operations in the same order — bit-identical results
+//! wherever the per-block enumeration can run at all. Past the cap the
+//! per-block walk would cost `2^(free−6)` descents per `x`, so there each
+//! row is one whole-row count fed to the wide contract's replay
+//! ([`crate::rows`]), the same replay the streamed enumeration feeds.
 
+use crate::rows::{RowCtx, RowErr};
 use crate::stats::ErrorStats;
 use apx_bdd::{opcode, Bdd, NodeId, FALSE};
 use apx_gates::Netlist;
 
-/// Borrowed evaluator shape for one symbolic call (the symbolic twin of
-/// `EngineCtx`).
-pub(crate) struct SymbolicCtx<'a> {
-    /// Operand width in bits.
-    pub width: u32,
-    /// Two's-complement interpretation of operands and outputs.
-    pub signed: bool,
-    /// Netlist output bits (`op.num_outputs(width)`).
-    pub out_bits: u32,
-    /// Non-distribution input bits (`ni − width`); must be ≥ 6 (the
-    /// evaluator routes smaller domains through the per-lane loop).
-    pub free: u32,
-    /// Error planes: `out_bits + 1`.
-    pub planes: usize,
-    /// `(x_raw, weight)`, zero weights removed, stable-sorted by
-    /// decreasing weight — the per-`x` flattening of `ordered_blocks`.
-    pub ordered_x: &'a [(u32, f64)],
-    /// Replay the enumeration backends' per-block accumulation (true at
-    /// exhaustively evaluable widths, where bit-identity is promised).
-    /// At wide widths no enumeration backend exists to match, and the
-    /// per-block walk would cost `2^(free−6)` descents per `x`, so the
-    /// accumulation is defined per `x` instead: one whole-row count,
-    /// `total += weight · row`, abort check per row.
-    pub block_exact: bool,
-    /// One weight per raw operand encoding (including zeros).
-    pub weights: &'a [f64],
-    /// The operator's exact seed circuit at this width/signedness —
-    /// the reference the difference planes subtract.
-    pub seed: &'a Netlist,
-}
-
-impl SymbolicCtx<'_> {
+impl RowCtx<'_> {
     /// Block-index variables: the high `free − 6` free bits sit on top
     /// of the order so one [`Bdd::descend`] pins a 64-lane block.
     fn block_vars(&self) -> u32 {
@@ -138,37 +111,48 @@ impl SymbolicCtx<'_> {
         (terms, s)
     }
 
+    /// Whole-row `Σ|d|`: the weighted model count of the `|d|` terms.
+    fn row_abs(bdd: &mut Bdd, terms: &[NodeId], s: NodeId) -> u64 {
+        let mut sum = bdd.count_from(s, 0);
+        for (k, &f) in terms.iter().enumerate() {
+            sum += bdd.count_from(f, 0) << k;
+        }
+        sum
+    }
+
     /// Raw (un-normalized) bounded WMED — the symbolic twin of
-    /// `EngineCtx::wmed_raw_bitpar` / `wmed_raw_scalar`, bit-identical
-    /// to both by the accumulation argument in the module docs.
-    pub(crate) fn wmed_raw(&self, nl: &Netlist, raw_limit: f64) -> Option<f64> {
-        let t_vars = self.block_vars();
+    /// `EngineCtx::wmed_raw_bitpar` / `wmed_raw_scalar` when `block_exact`
+    /// (the exhaustive widths, where bit-identity with them is promised),
+    /// and of [`RowCtx::streamed_wmed_raw`] otherwise: one whole-row count
+    /// per `x` through [`RowCtx::replay_wmed`].
+    pub(crate) fn symbolic_wmed_raw(
+        &self,
+        nl: &Netlist,
+        raw_limit: f64,
+        block_exact: bool,
+    ) -> Option<f64> {
         let mut bdd = Bdd::new(self.free);
+        if !block_exact {
+            return self.replay_wmed(raw_limit, |x, _| {
+                bdd.clear();
+                let (terms, s) = self.abs_terms(&mut bdd, nl, x);
+                Some(Self::row_abs(&mut bdd, &terms, s))
+            });
+        }
+        let t_vars = self.block_vars();
         let mut total = 0.0f64;
         for &(x_raw, weight) in self.ordered_x {
             bdd.clear();
             let (terms, s) = self.abs_terms(&mut bdd, nl, u64::from(x_raw));
-            if self.block_exact {
-                for block in 0..1u64 << t_vars {
-                    let pin = |v: u32| (block >> (t_vars - 1 - v)) & 1 == 1;
-                    let mut sum = 0u64;
-                    for (k, &f) in terms.iter().enumerate() {
-                        let node = bdd.descend(f, t_vars, pin);
-                        sum += bdd.count_from(node, t_vars) << k;
-                    }
-                    let node = bdd.descend(s, t_vars, pin);
-                    sum += bdd.count_from(node, t_vars);
-                    total += weight * sum as f64;
-                    if total > raw_limit {
-                        return None;
-                    }
-                }
-            } else {
+            for block in 0..1u64 << t_vars {
+                let pin = |v: u32| (block >> (t_vars - 1 - v)) & 1 == 1;
                 let mut sum = 0u64;
                 for (k, &f) in terms.iter().enumerate() {
-                    sum += bdd.count_from(f, 0) << k;
+                    let node = bdd.descend(f, t_vars, pin);
+                    sum += bdd.count_from(node, t_vars) << k;
                 }
-                sum += bdd.count_from(s, 0);
+                let node = bdd.descend(s, t_vars, pin);
+                sum += bdd.count_from(node, t_vars);
                 total += weight * sum as f64;
                 if total > raw_limit {
                     return None;
@@ -179,59 +163,34 @@ impl SymbolicCtx<'_> {
     }
 
     /// Full [`ErrorStats`] for widths beyond the exhaustive cap, where
-    /// the per-lane statistics loop cannot run.
+    /// the per-lane statistics loop cannot run, through
+    /// [`RowCtx::replay_stats`].
     ///
-    /// Every field except `mred` is derived from exact integer counts:
-    /// per-`x` absolute error sums (weighted and unweighted), a
-    /// satisfiability count of "any difference plane set" for the error
-    /// rate, and a greedy most-significant-bit-first descent over the
-    /// absolute-value planes for the worst case. The mean *relative*
-    /// error distance is not a weighted count over output bit-planes —
-    /// it needs the joint value of `|d|` and `|exact|` per vector — so
-    /// the wide path reports `NaN` for it (documented on
-    /// [`ErrorStats::mred`]).
-    pub(crate) fn wide_stats(&self, nl: &Netlist) -> ErrorStats {
+    /// Each row's integers are exact counts: the weighted count of the
+    /// `|d|` terms, a satisfiability count of "any difference plane set"
+    /// for the error rate, and a greedy most-significant-bit-first
+    /// descent over the absolute-value planes for the worst case.
+    pub(crate) fn symbolic_stats(&self, nl: &Netlist) -> ErrorStats {
         let mut bdd = Bdd::new(self.free);
-        let mut sum_abs = 0.0f64;
-        let mut sum_weighted = 0.0f64;
-        let mut nonzero = 0u64;
-        let mut max_abs = 0i64;
-        for x_raw in 0..self.weights.len() {
+        self.replay_stats(|x| {
             bdd.clear();
-            let (terms, s) = self.abs_terms(&mut bdd, nl, x_raw as u64);
-            let mut row_abs = 0u64;
-            for (k, &f) in terms.iter().enumerate() {
-                row_abs += bdd.count_from(f, 0) << k;
-            }
-            row_abs += bdd.count_from(s, 0);
-            sum_abs += row_abs as f64;
-            sum_weighted += self.weights[x_raw] * row_abs as f64;
+            let (terms, s) = self.abs_terms(&mut bdd, nl, x);
+            let abs = Self::row_abs(&mut bdd, &terms, s);
             // d ≠ 0 ⟺ some difference plane is set ⟺ some |d| term or the
             // sign plane is set ((d ⊕ s) + s = 0 only when d = 0).
             let mut any = s;
             for &f in &terms {
                 any = bdd.or(any, f);
             }
-            nonzero += bdd.count_from(any, 0);
-            max_abs = max_abs.max(self.row_max_abs(&mut bdd, &terms, s));
-        }
-        let total = (1u128 << (self.free + self.width)) as f64;
-        let n = (1u64 << self.free) as f64;
-        let range = (1u64 << self.out_bits) as f64;
-        ErrorStats {
-            med: sum_abs / total / range,
-            wmed: sum_weighted / n / range,
-            wce: max_abs as f64 / range,
-            error_rate: nonzero as f64 / total,
-            mred: f64::NAN,
-            max_abs_error: max_abs,
-        }
+            let nonzero = bdd.count_from(any, 0);
+            RowErr { abs, nonzero, max_abs: self.row_max_abs(&mut bdd, &terms, s) }
+        })
     }
 
     /// Maximum `|d|` over one `x` row: materialize the absolute-value
     /// planes `Y = (d ⊕ s) + s` (ripple increment with carry-in `s`),
     /// then take their [`Bdd::max_value`].
-    fn row_max_abs(&self, bdd: &mut Bdd, terms: &[NodeId], s: NodeId) -> i64 {
+    fn row_max_abs(&self, bdd: &mut Bdd, terms: &[NodeId], s: NodeId) -> u64 {
         let mut y = Vec::with_capacity(self.planes);
         let mut carry = s;
         for &t in terms {
@@ -241,7 +200,7 @@ impl SymbolicCtx<'_> {
         // Top |d| plane: the (planes−1)-th term is identically false, so
         // Y_{planes−1} is just the remaining carry.
         y.push(carry);
-        bdd.max_value(&y) as i64
+        bdd.max_value(&y)
     }
 }
 

@@ -1,6 +1,8 @@
 //! Property-based tests on error-metric invariants.
 
-use apx_arith::{OpTable, Operator};
+use apx_arith::{
+    baugh_wooley_broken, broken_array_multiplier, truncated_multiplier, OpTable, Operator,
+};
 use apx_dist::Pmf;
 use apx_gates::{GateKind, Netlist, Node, SignalId};
 use apx_metrics::{table_stats, CircuitEvaluator, ErrorStats, EvalBackend};
@@ -306,7 +308,7 @@ proptest! {
     ) {
         let op = [Operator::Mul, Operator::Add, Operator::Mac][op_idx];
         // Clamp to the width range *all* backends support (mac: 2..=4).
-        let width = width_raw.min(op.max_width(EvalBackend::BitParallel));
+        let width = width_raw.min(op.max_width(EvalBackend::Scalar));
         let pmf = pmf_flavor(width, signed, flavor, seed);
         let fast =
             CircuitEvaluator::for_operator_with_backend(op, width, signed, &pmf, EvalBackend::BitParallel)
@@ -335,15 +337,52 @@ proptest! {
     }
 }
 
-/// Appends a `Const0` node and routes output bit 0 through it — the
-/// canonical one-bit truncation whose WMED has a closed form.
-fn zero_output_bit0(nl: &Netlist) -> Netlist {
+proptest! {
+    // Each symbolic width-11 evaluation builds BDDs for every weighted row;
+    // few cases and few spikes keep the suite fast in debug builds.
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Past the cap the width puts multipliers on the streamed bit-parallel
+    /// engine; the symbolic engine is its reference there. On rewritten
+    /// seeds under a few-spike PMF both must return the same WMED bits and
+    /// the same bounded verdicts, whether a row completes or the streamed
+    /// walk aborts inside it.
+    #[test]
+    fn streamed_wide_wmed_matches_symbolic(
+        signed in any::<bool>(),
+        mutations in 1usize..6,
+        seed in any::<u64>(),
+        limit_scale in 0.0f64..2.0,
+    ) {
+        let (op, width) = (Operator::Mul, 11);
+        prop_assert_eq!(op.backend(width), EvalBackend::BitParallel);
+        let pmf = pmf_flavor(width, signed, 2, seed);
+        let fast = CircuitEvaluator::for_operator(op, width, signed, &pmf).unwrap();
+        let sym =
+            CircuitEvaluator::for_operator_with_backend(op, width, signed, &pmf, EvalBackend::Symbolic)
+                .unwrap();
+        let nl = mutated_seed(op, width, signed, mutations, seed);
+        let want = sym.wmed(&nl);
+        prop_assert_eq!(fast.wmed(&nl).to_bits(), want.to_bits());
+        for limit in [limit_scale * want, want, want / 2.0] {
+            prop_assert_eq!(
+                fast.wmed_bounded(&nl, limit).map(f64::to_bits),
+                sym.wmed_bounded(&nl, limit).map(f64::to_bits),
+                "bounded at {}", limit
+            );
+        }
+    }
+}
+
+/// Appends a `Const0` node and routes output `bit` through it — the
+/// canonical one-bit truncation (bit 0's WMED has a closed form).
+fn zero_output_bit(nl: &Netlist, bit: usize) -> Netlist {
     let ni = nl.num_inputs();
     let mut nodes = nl.nodes().to_vec();
     let zero = SignalId((ni + nodes.len()) as u32);
     nodes.push(Node { kind: GateKind::Const0, a: SignalId(0), b: SignalId(0) });
     let mut outputs = nl.outputs().to_vec();
-    outputs[0] = zero;
+    outputs[bit] = zero;
     Netlist::new(ni, nodes, outputs).expect("appending a node preserves validity")
 }
 
@@ -365,7 +404,7 @@ fn symbolic_wide_multiplier_matches_closed_form() {
     let eval = CircuitEvaluator::with_backend(12, false, &pmf, EvalBackend::Symbolic).unwrap();
     let seed = Operator::Mul.seed_circuit(12, false);
     assert_eq!(eval.wmed(&seed), 0.0);
-    let truncated = zero_output_bit0(&seed);
+    let truncated = zero_output_bit(&seed, 0);
     let expect = (0.25f64) / (1u64 << 24) as f64;
     assert_eq!(eval.wmed(&truncated).to_bits(), expect.to_bits());
     // The bounded analogue aborts below the closed form and completes
@@ -390,7 +429,7 @@ fn symbolic_wide_multiplier_matches_closed_form() {
 fn symbolic_wide_multiplier_uniform_full_pass() {
     let pmf = Pmf::uniform(12);
     let eval = CircuitEvaluator::with_backend(12, false, &pmf, EvalBackend::Symbolic).unwrap();
-    let truncated = zero_output_bit0(&Operator::Mul.seed_circuit(12, false));
+    let truncated = zero_output_bit(&Operator::Mul.seed_circuit(12, false), 0);
     let expect = (0.25f64) / (1u64 << 24) as f64;
     assert_eq!(eval.wmed(&truncated).to_bits(), expect.to_bits());
     let stats = eval.stats(&truncated);
@@ -398,6 +437,66 @@ fn symbolic_wide_multiplier_uniform_full_pass() {
     assert_eq!(stats.max_abs_error, 1);
     assert_eq!(stats.error_rate, 0.25);
     assert!(stats.mred.is_nan(), "mred is NaN on the wide-stats path");
+}
+
+/// The full-domain `stats()` walk past the cap on both wide engines: the
+/// streamed bit-parallel one (which the width picks for multipliers) and
+/// the symbolic reference. Truncated, zeroed-bit and broken multipliers at
+/// width 11 (signed and unsigned) and width 12, under a non-dyadic PMF,
+/// must give the same statistics bit for bit (`mred` is `NaN` on both).
+/// Release only: the symbolic side takes seconds per candidate optimized.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "slow without optimizations; CI runs it in the step \
+              `cargo test --release -p apx_metrics --test prop_metrics symbolic_wide`"
+)]
+fn symbolic_wide_stats_match_streamed_bitpar() {
+    for (width, signed) in [(11u32, false), (11, true), (12, false)] {
+        let (op, half) = (Operator::Mul, f64::from(1u32 << (width - 1)));
+        let (pmf, candidates) = if signed {
+            let seed = op.seed_circuit(width, true);
+            (
+                Pmf::signed_normal(width, 1.0, half / 4.0),
+                [
+                    baugh_wooley_broken(width, width, width - 3),
+                    zero_output_bit(&seed, width as usize),
+                    baugh_wooley_broken(width, width - 3, 4),
+                ],
+            )
+        } else {
+            let seed = op.seed_circuit(width, false);
+            (
+                Pmf::half_normal(width, half / 3.0),
+                [
+                    truncated_multiplier(width, width - 3),
+                    zero_output_bit(&seed, width as usize),
+                    broken_array_multiplier(width, width - 3, 4),
+                ],
+            )
+        };
+        let fast = CircuitEvaluator::for_operator(op, width, signed, &pmf).unwrap();
+        assert_eq!(fast.backend(), EvalBackend::BitParallel);
+        let sym = CircuitEvaluator::for_operator_with_backend(
+            op,
+            width,
+            signed,
+            &pmf,
+            EvalBackend::Symbolic,
+        )
+        .unwrap();
+        let want = sym.stats_batch(&candidates, candidates.len());
+        for (i, (got, want)) in fast.stats_batch(&candidates, 1).iter().zip(&want).enumerate() {
+            let at = format!("w{width} signed={signed} candidate {i}");
+            assert!(want.max_abs_error > 1, "{at}: trivial candidate");
+            assert_eq!(got.med.to_bits(), want.med.to_bits(), "{at}: med");
+            assert_eq!(got.wmed.to_bits(), want.wmed.to_bits(), "{at}: wmed");
+            assert_eq!(got.wce.to_bits(), want.wce.to_bits(), "{at}: wce");
+            assert_eq!(got.error_rate.to_bits(), want.error_rate.to_bits(), "{at}: er");
+            assert_eq!(got.max_abs_error, want.max_abs_error, "{at}: max_abs_error");
+            assert!(got.mred.is_nan() && want.mred.is_nan(), "{at}: mred");
+        }
+    }
 }
 
 /// Same closed form for the adder: output bit 0 of `x + y` is `x0 ⊕ y0`,
@@ -412,7 +511,7 @@ fn symbolic_wide_adder_matches_closed_form() {
             .unwrap();
     let seed = op.seed_circuit(12, false);
     assert_eq!(eval.wmed(&seed), 0.0);
-    let truncated = zero_output_bit0(&seed);
+    let truncated = zero_output_bit(&seed, 0);
     let expect = 0.5f64 / (1u64 << 13) as f64;
     assert_eq!(eval.wmed(&truncated).to_bits(), expect.to_bits());
     let stats = eval.stats(&truncated);

@@ -7,8 +7,9 @@
 //! one candidate per task. [`scope_map`] runs such a batch on scoped
 //! threads:
 //!
-//! * **Chunked work stealing**: an atomic cursor hands out index ranges;
-//!   fast workers automatically absorb the slack of slow ones.
+//! * **One-task claims**: an atomic cursor hands out one task index per
+//!   claim, so fast workers absorb the slack of slow ones down to the
+//!   last task and no thread finishes a batch alone on a claimed backlog.
 //! * **Per-slot result writes**: every task writes its result into its own
 //!   slot — no shared lock on the result vector, and results come back in
 //!   task order regardless of scheduling (deterministic output).
@@ -87,9 +88,6 @@ where
         return Ok(Vec::new());
     }
     let threads = threads.clamp(1, n);
-    // ~4 chunks per thread balances stealing granularity against cursor
-    // traffic; tiny batches degrade to one task per claim.
-    let chunk = (n / (threads * 4)).max(1);
     // Each task and each result sits behind its own lock, taken once by
     // the one thread that claimed the index, so no lock is ever contended.
     let tasks: Vec<Mutex<Option<T>>> = tasks.into_iter().map(|t| Mutex::new(Some(t))).collect();
@@ -99,20 +97,18 @@ where
     // their locks and the scope's join, so `Relaxed` suffices.
     let cursor = AtomicUsize::new(0);
     let drain = || loop {
-        let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-        if start >= n {
+        let i = cursor.fetch_add(1, Ordering::Relaxed);
+        if i >= n {
             return;
         }
-        for i in start..(start + chunk).min(n) {
-            let task = tasks[i]
-                .lock()
-                .expect("a task lock is never held across a panic")
-                .take()
-                .expect("each task index is claimed exactly once");
-            let result = catch_unwind(AssertUnwindSafe(|| worker(i, task)))
-                .map_err(|payload| TaskPanic { index: i, message: panic_message(payload) });
-            *slots[i].lock().expect("a result lock is never held across a panic") = Some(result);
-        }
+        let task = tasks[i]
+            .lock()
+            .expect("a task lock is never held across a panic")
+            .take()
+            .expect("each task index is claimed exactly once");
+        let result = catch_unwind(AssertUnwindSafe(|| worker(i, task)))
+            .map_err(|payload| TaskPanic { index: i, message: panic_message(payload) });
+        *slots[i].lock().expect("a result lock is never held across a panic") = Some(result);
     };
     std::thread::scope(|scope| {
         for _ in 1..threads {

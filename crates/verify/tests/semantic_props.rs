@@ -126,9 +126,9 @@ fn both_rules(members: &[(Operator, u32, bool, &Netlist)]) -> (Vec<usize>, Vec<u
 
 #[test]
 fn past_the_cap_every_member_is_digested() {
-    // Width-11 multipliers are symbolic-only: no table hash, so the rule
-    // is the digest rule itself, padded copies collapsing onto their
-    // originals.
+    // Width-11 multipliers are past the enumeration cap: no table hash,
+    // so the rule is the digest rule itself, padded copies collapsing
+    // onto their originals.
     let (op, width) = (Operator::Mul, 11);
     assert!(!op.supports_exhaustive_width(width));
     let mut pool = Vec::new();
