@@ -45,6 +45,14 @@ impl Chromosome {
         if ni == 0 || no == 0 || cols == 0 {
             return Err(parse_err("dimensions must be positive"));
         }
+        // Every signal (inputs, then one per column) is addressed by a
+        // `u32` gene, and the gene count must be representable: a header
+        // past either is damage, not a genome.
+        let gene_count = cols.checked_mul(3).and_then(|g| g.checked_add(no));
+        let signals = ni.checked_add(cols).and_then(|n| u32::try_from(n).ok());
+        let (Some(expected), Some(_)) = (gene_count, signals) else {
+            return Err(parse_err("dimensions overflow the gene count or the u32 signal space"));
+        };
 
         let funcs_line = lines.next().ok_or_else(|| parse_err("missing funcs line"))?;
         let mut fparts = funcs_line.split_whitespace();
@@ -62,7 +70,6 @@ impl Chromosome {
         }
         let genes: Result<Vec<u32>, _> = gparts.map(str::parse).collect();
         let genes = genes.map_err(|e| parse_err(&format!("bad gene: {e}")))?;
-        let expected = 3 * cols + no;
         if genes.len() != expected {
             return Err(parse_err(&format!("expected {expected} genes, found {}", genes.len())));
         }
@@ -130,6 +137,15 @@ mod tests {
         assert!(Chromosome::from_text("cgp 2 1 1\nfuncs and\ngenes 5 0 0 2").is_err());
         // Zero dimensions.
         assert!(Chromosome::from_text("cgp 0 1 1\nfuncs and\ngenes 0 0 0 0").is_err());
+        // A gene count `3·cols + no` or signal count `ni + cols` that
+        // overflows `usize`, and one that fits `usize` but not the `u32`
+        // gene values (every bound would wrap to a small number).
+        for header in
+            ["cgp 16 16 18446744073709551615", "cgp 18446744073709551615 1 1", "cgp 4294967297 1 1"]
+        {
+            let text = format!("{header}\nfuncs and\ngenes 0 0 0 1");
+            assert!(Chromosome::from_text(&text).is_err(), "`{header}` accepted");
+        }
         // Trailing content (two concatenated chromosomes, stray line).
         let valid = "cgp 2 1 1\nfuncs and\ngenes 0 1 0 2\n";
         assert!(Chromosome::from_text(valid).is_ok());

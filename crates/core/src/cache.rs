@@ -98,7 +98,9 @@
 //! components under the live
 //! distributions (what autoAx-style library reuse could still take), and
 //! drop dominated historical entries, corrupt files and stale temp
-//! litter. See [`GcConfig`] / [`GcReport`].
+//! litter. An entry every reader refuses (an error-severity component
+//! lint finding) counts as corrupt, live key or not. See [`GcConfig`] /
+//! [`GcReport`].
 //!
 //! The sweep driver decides *where* the cache lives
 //! ([`SweepConfig::cache_dir`](crate::SweepConfig)); the figure binaries
@@ -246,8 +248,7 @@ impl SweepCache {
         // Exact replay hands the netlist straight to figures and
         // evaluators, so every build lints it against its declared
         // component contract first.
-        let diags = apx_verify::lint_component(&e.circuit.netlist, e.op, e.width);
-        (!apx_verify::has_errors(&diags)).then_some(e.circuit)
+        (!is_refused(&e)).then_some(e.circuit)
     }
 
     /// Atomically stores `entry` under `key`: the bytes are written to a
@@ -299,6 +300,15 @@ impl SweepCache {
     pub fn scan(&self) -> Vec<ScannedEntry> {
         walk_dir(&self.dir).map(|walk| walk.entries).unwrap_or_default()
     }
+}
+
+/// The reader gate: whether `e`'s netlist has an error-severity
+/// `apx_verify::lint_component` finding against its declared component
+/// (for instance an output count that contradicts its `op` line).
+/// [`SweepCache::load`], [`gc_cache_dir`] and
+/// [`ComponentLibrary::ingest_scanned`] all refuse such an entry.
+fn is_refused(e: &ScannedEntry) -> bool {
+    apx_verify::has_errors(&apx_verify::lint_component(&e.circuit.netlist, e.op, e.width))
 }
 
 /// One entry harvested by [`SweepCache::scan`].
@@ -431,7 +441,12 @@ fn is_tmp_litter(name: &str) -> bool {
 ///
 /// Survival is the union of two rules; everything else in the directory
 /// that belongs to the cache (entries, corrupt files, stale temp litter)
-/// is deleted:
+/// is deleted. An entry every reader refuses — one with an
+/// error-severity `apx_verify::lint_component` finding, which
+/// [`SweepCache::load`] replays as a miss and
+/// [`ComponentLibrary::ingest_scanned`] rejects — counts as corrupt
+/// before either rule runs: it is deleted even under a live key, and its
+/// stored statistics never stand on a front.
 ///
 /// * **live keys** — every intact entry whose [`CacheKey`] is in `keep`
 ///   survives untouched. Callers pass the content-addressed keys of the
@@ -480,7 +495,9 @@ impl Default for GcConfig {
 /// What one [`gc_cache_dir`] pass did.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct GcReport {
-    /// Intact entries found before collection.
+    /// Intact entries found before collection: parseable and accepted
+    /// by the reader gate (a refused entry counts under
+    /// [`corrupt_removed`](GcReport::corrupt_removed) instead).
     pub entries_before: usize,
     /// Entries kept because their key is in [`GcConfig::keep`].
     pub kept_live: usize,
@@ -488,8 +505,9 @@ pub struct GcReport {
     pub kept_pareto: usize,
     /// Dominated historical entries deleted.
     pub evicted: usize,
-    /// Corrupt / stale-format `*.sweep` files deleted (they are treated
-    /// as misses by every reader, so removal is always safe).
+    /// Corrupt / stale-format `*.sweep` files and entries the reader gate
+    /// refuses, deleted (every reader treats them as misses, so removal
+    /// is always safe).
     pub corrupt_removed: usize,
     /// Stale writer temp files deleted.
     pub tmp_removed: usize,
@@ -547,9 +565,20 @@ pub fn gc_cache_dir(dir: &Path, cfg: &GcConfig) -> io::Result<GcReport> {
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(report),
         Err(e) => return Err(e),
     };
-    // The walk yields entries in key order: survivor selection (and dedup
-    // provenance) must not depend on filesystem enumeration order.
-    let scanned = walk.entries;
+    // The reader gate comes first: an entry every reader refuses is
+    // corrupt, whatever its key or stored statistics. The walk yields
+    // entries in key order: survivor selection (and dedup provenance)
+    // must not depend on filesystem enumeration order.
+    let cache = SweepCache::new(dir);
+    let mut corrupt = walk.corrupt;
+    let mut scanned = Vec::with_capacity(walk.entries.len());
+    for e in walk.entries {
+        if is_refused(&e) {
+            corrupt.push(cache.path_of(e.key));
+        } else {
+            scanned.push(e);
+        }
+    }
     report.entries_before = scanned.len();
 
     let mut survivors: HashSet<CacheKey> = HashSet::new();
@@ -635,7 +664,6 @@ pub fn gc_cache_dir(dir: &Path, cfg: &GcConfig) -> io::Result<GcReport> {
     }
     report.kept_pareto = survivors.len() - report.kept_live;
 
-    let cache = SweepCache::new(dir);
     for e in &scanned {
         if !survivors.contains(&e.key)
             && remove_counted(&cache.path_of(e.key), &mut report.bytes_freed)?
@@ -643,7 +671,7 @@ pub fn gc_cache_dir(dir: &Path, cfg: &GcConfig) -> io::Result<GcReport> {
             report.evicted += 1;
         }
     }
-    for path in &walk.corrupt {
+    for path in &corrupt {
         if remove_counted(path, &mut report.bytes_freed)? {
             report.corrupt_removed += 1;
         }
@@ -1204,6 +1232,135 @@ mod tests {
         assert_eq!(again.evicted, 0);
         assert_eq!(again.entries_before, 3);
         assert_eq!(again.kept(), 3);
+    }
+
+    #[test]
+    fn gc_counts_an_entry_every_reader_refuses_as_corrupt() {
+        // Two valid `mul 3 unsigned` entries share the stored-stats front
+        // with a 4-output genotype whose stored point dominates both. Every
+        // reader refuses that genotype, so it must not stand on the front:
+        // GC deletes it as corrupt, live key or not, and keeps the others.
+        let dir = scratch("gc_refused");
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = SweepCache::new(&dir);
+        let (k1, k2, bad) = (some_key(31), some_key(32), some_key(33));
+        cache.store(k1, &pinned_entry(31, 0.10, 5.0), Operator::Mul, 3, false).unwrap();
+        cache.store(k2, &pinned_entry(32, 0.20, 4.0), Operator::Mul, 3, false).unwrap();
+        let mut refused = pinned_entry(33, 0.0, 0.5);
+        let mut rng = Xoshiro256::from_seed(33);
+        refused.chromosome = Chromosome::random(6, 4, 20, &FunctionSet::extended(), &mut rng);
+        refused.netlist = refused.chromosome.decode_active();
+        let bad_path = cache.store(bad, &refused, Operator::Mul, 3, false).unwrap();
+        let bad_bytes = std::fs::read(&bad_path).unwrap();
+        assert!(cache.load(bad).is_none(), "load refuses it");
+        let scanned = cache.scan().into_iter().find(|e| e.key == bad).expect("the codec parses it");
+        assert!(!ComponentLibrary::new().ingest_scanned(scanned), "library ingest refuses it");
+
+        for keep in [HashSet::new(), HashSet::from([bad])] {
+            std::fs::write(&bad_path, &bad_bytes).unwrap();
+            let report = gc_cache_dir(&dir, &GcConfig { keep, ..GcConfig::default() }).unwrap();
+            assert_eq!(report.entries_before, 2);
+            assert_eq!(report.corrupt_removed, 1);
+            assert_eq!((report.kept_live, report.kept_pareto, report.evicted), (0, 2, 0));
+            assert!(!bad_path.exists());
+            assert!(cache.load(k1).is_some() && cache.load(k2).is_some());
+        }
+    }
+
+    /// A real stored entry: a width-4 multiplier evolved by the flow and
+    /// written by [`SweepCache::store`], with the key it is stored under.
+    fn real_entry() -> &'static (CacheKey, Vec<u8>) {
+        static ENTRY: std::sync::OnceLock<(CacheKey, Vec<u8>)> = std::sync::OnceLock::new();
+        ENTRY.get_or_init(|| {
+            let flow = FlowConfig {
+                width: 4,
+                thresholds: vec![0.02],
+                iterations: 40,
+                threads: 1,
+                activity_blocks: 4,
+                ..FlowConfig::default()
+            };
+            let circuit = crate::evolve_circuits(&Pmf::half_normal(4, 3.0), &flow)
+                .expect("a width-4 flow runs")
+                .circuits
+                .remove(0);
+            let key = some_key(4);
+            let dir = scratch("real_entry");
+            let path = SweepCache::new(&dir).store(key, &circuit, Operator::Mul, 4, false).unwrap();
+            let bytes = std::fs::read(&path).unwrap();
+            let _ = std::fs::remove_dir_all(&dir);
+            (key, bytes)
+        })
+    }
+
+    /// Stores `bytes` as the entry for `key` in a fresh directory and runs
+    /// every cache reader over it. Each must return; a panic fails the
+    /// calling test.
+    fn run_every_reader(tag: &str, key: CacheKey, bytes: &[u8]) {
+        let dir = scratch(tag);
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("{}.sweep", key.hex()));
+        std::fs::write(&path, bytes).unwrap();
+        let cache = SweepCache::new(&dir);
+        let _ = cache.load(key);
+        let _ = cache_dir_stats(&dir);
+        let mut lib = ComponentLibrary::new();
+        for e in cache.scan() {
+            let _ = lib.ingest_scanned(e);
+        }
+        let rescore =
+            GcConfig { distributions: vec![Pmf::half_normal(4, 3.0)], ..GcConfig::default() };
+        gc_cache_dir(&dir, &rescore).expect("gc returns");
+        std::fs::write(&path, bytes).unwrap();
+        gc_cache_dir(&dir, &GcConfig::default()).expect("gc returns");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn readers_never_panic_on_overflowing_cgp_headers() {
+        // Chromosome headers whose gene count or signal count overflows,
+        // in place of a real entry's chromosome.
+        let (key, bytes) = real_entry();
+        let text = std::str::from_utf8(bytes).unwrap();
+        let genotype = text.find("\ncgp ").expect("an entry ends in its chromosome") + 1;
+        for header in ["cgp 16 16 18446744073709551615", "cgp 18446744073709551615 1 1"] {
+            let damaged = format!("{}{header}\nfuncs and\ngenes 0 0 0 1\n", &text[..genotype]);
+            run_every_reader("overflow", *key, damaged.as_bytes());
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn readers_never_panic_on_a_corrupted_entry(
+            edits in proptest::collection::vec((0u8..3, any::<u64>(), any::<u16>()), 1..=3),
+        ) {
+            // Substitute, insert or delete 1–3 bytes of a real entry. Half
+            // the new bytes come from the format's own alphabet, so damage
+            // often still parses and reaches the deeper checks.
+            const ALPHABET: &[u8] = b"0123456789abcdef \n";
+            let (key, bytes) = real_entry();
+            let mut bytes = bytes.clone();
+            for (kind, at, pick) in edits {
+                let byte = if pick & 1 == 0 {
+                    ALPHABET[usize::from(pick >> 1) % ALPHABET.len()]
+                } else {
+                    (pick >> 8) as u8
+                };
+                let at = (at % (bytes.len() as u64 + 1)) as usize;
+                match kind {
+                    0 if at < bytes.len() => bytes[at] = byte,
+                    1 => bytes.insert(at, byte),
+                    _ if at < bytes.len() => {
+                        bytes.remove(at);
+                    }
+                    _ => bytes.push(byte),
+                }
+            }
+            run_every_reader("mutated", *key, &bytes);
+        }
     }
 
     #[test]

@@ -223,9 +223,9 @@ impl ComponentLibrary {
     /// directory scan.
     ///
     /// Every entry passes the `apx_verify` static gate first: a netlist
-    /// violating its structural or declared-component contract is
-    /// recorded under [`rejected`](Self::rejected) with its named
-    /// diagnostics and ingested as neither candidate nor exact replay.
+    /// violating its declared-component contract is recorded under
+    /// [`rejected`](Self::rejected) with its named diagnostics and
+    /// ingested as neither candidate nor exact replay.
     pub fn ingest_scanned(&mut self, scanned: ScannedEntry) -> bool {
         let diags = lint_component(&scanned.circuit.netlist, scanned.op, scanned.width);
         if has_errors(&diags) {

@@ -1,71 +1,10 @@
-//! Structural and statistical netlist analysis.
+//! Switching-activity analysis.
 //!
-//! [`NetlistStats`] summarizes structure (gate histogram, depth, fan-out);
 //! [`ActivityReport`] estimates per-node switching activity from sampled
 //! stimuli, which the technology library turns into dynamic power.
 
-use crate::{BlockSim, GateKind, Netlist};
+use crate::{BlockSim, Netlist};
 use apx_rng::Xoshiro256;
-
-/// Structural summary of a netlist.
-#[derive(Debug, Clone, PartialEq)]
-pub struct NetlistStats {
-    /// Gates by kind (index = `GateKind` discriminant order in [`GateKind::ALL`]).
-    pub kind_counts: [usize; GateKind::ALL.len()],
-    /// Gates in the live output cone.
-    pub active_gates: usize,
-    /// All gates, including dead genetic material.
-    pub total_gates: usize,
-    /// Logic depth of the deepest output (unit delays).
-    pub depth: u32,
-    /// Maximum fan-out over all signals.
-    pub max_fanout: usize,
-}
-
-impl NetlistStats {
-    /// Computes statistics for `netlist` (only *active* gates are counted in
-    /// `kind_counts` — dead nodes cost nothing in hardware).
-    #[must_use]
-    pub fn of(netlist: &Netlist) -> Self {
-        let active = netlist.active_mask();
-        let ni = netlist.num_inputs();
-        let mut kind_counts = [0usize; GateKind::ALL.len()];
-        let mut fanout = vec![0usize; netlist.num_signals()];
-        for (k, node) in netlist.nodes().iter().enumerate() {
-            if !active[ni + k] {
-                continue;
-            }
-            let idx =
-                GateKind::ALL.iter().position(|&g| g == node.kind).expect("every kind is in ALL");
-            kind_counts[idx] += 1;
-            match node.kind.arity() {
-                0 => {}
-                1 => fanout[node.a.index()] += 1,
-                _ => {
-                    fanout[node.a.index()] += 1;
-                    fanout[node.b.index()] += 1;
-                }
-            }
-        }
-        for out in netlist.outputs() {
-            fanout[out.index()] += 1;
-        }
-        NetlistStats {
-            kind_counts,
-            active_gates: netlist.active_gate_count(),
-            total_gates: netlist.gate_count(),
-            depth: netlist.depth(),
-            max_fanout: fanout.into_iter().max().unwrap_or(0),
-        }
-    }
-
-    /// Count of active gates of `kind`.
-    #[must_use]
-    pub fn count(&self, kind: GateKind) -> usize {
-        let idx = GateKind::ALL.iter().position(|&g| g == kind).unwrap();
-        self.kind_counts[idx]
-    }
-}
 
 /// Per-node switching-activity estimate.
 ///
@@ -162,34 +101,6 @@ mod tests {
         let c = b.and(x, y);
         b.outputs(&[s, c]);
         b.finish().unwrap()
-    }
-
-    #[test]
-    fn stats_count_kinds_and_depth() {
-        let nl = xor_and_netlist();
-        let stats = NetlistStats::of(&nl);
-        assert_eq!(stats.count(GateKind::Xor), 1);
-        assert_eq!(stats.count(GateKind::And), 1);
-        assert_eq!(stats.count(GateKind::Or), 0);
-        assert_eq!(stats.depth, 1);
-        assert_eq!(stats.active_gates, 2);
-        assert_eq!(stats.total_gates, 2);
-        // inputs 0 and 1 each feed two gates.
-        assert_eq!(stats.max_fanout, 2);
-    }
-
-    #[test]
-    fn stats_ignore_dead_gates() {
-        let mut b = NetlistBuilder::new(2);
-        let (x, y) = (b.input(0), b.input(1));
-        let live = b.and(x, y);
-        let _dead = b.xor(x, y);
-        b.outputs(&[live]);
-        let nl = b.finish().unwrap();
-        let stats = NetlistStats::of(&nl);
-        assert_eq!(stats.count(GateKind::Xor), 0);
-        assert_eq!(stats.active_gates, 1);
-        assert_eq!(stats.total_gates, 2);
     }
 
     #[test]

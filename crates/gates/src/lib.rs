@@ -46,7 +46,7 @@ mod level;
 mod netlist;
 mod sim;
 
-pub use analysis::{ActivityReport, NetlistStats};
+pub use analysis::ActivityReport;
 pub use blif::to_blif;
 pub use dot::to_dot;
 pub use error::NetlistError;

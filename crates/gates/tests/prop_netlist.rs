@@ -1,6 +1,6 @@
 //! Property-based tests on netlist invariants.
 
-use apx_gates::{Exhaustive, GateKind, Netlist, NetlistBuilder, NetlistStats, SignalId};
+use apx_gates::{Exhaustive, GateKind, Netlist, NetlistBuilder, SignalId};
 use proptest::prelude::*;
 
 /// Strategy: an arbitrary valid netlist with `ni` inputs.
@@ -40,11 +40,18 @@ proptest! {
 
     #[test]
     fn active_mask_is_consistent_with_stats(nl in arb_netlist(5, 20)) {
-        let stats = NetlistStats::of(&nl);
-        prop_assert_eq!(stats.active_gates, nl.active_gate_count());
-        let kind_total: usize = stats.kind_counts.iter().sum();
-        prop_assert_eq!(kind_total, stats.active_gates);
-        prop_assert!(stats.active_gates <= stats.total_gates);
+        // The mask is closed under fan-in: outputs are active, and so is
+        // every operand an active gate reads.
+        let active = nl.active_mask();
+        prop_assert!(nl.outputs().iter().all(|o| active[o.index()]));
+        for (k, node) in nl.nodes().iter().enumerate() {
+            if active[nl.num_inputs() + k] {
+                let reads = [node.a, node.b];
+                prop_assert!(reads[..node.kind.arity()].iter().all(|s| active[s.index()]));
+            }
+        }
+        prop_assert!(nl.active_gate_count() <= nl.gate_count());
+        prop_assert_eq!(nl.compact().gate_count(), nl.active_gate_count());
     }
 
     #[test]

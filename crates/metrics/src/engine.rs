@@ -25,8 +25,6 @@ use apx_arith::{EvalBackend, Operator};
 use apx_gates::{fanout_cone, unpack_lanes, BlockSim, Exhaustive, Netlist};
 use apx_gates::{GateKind, SignalId};
 
-use crate::symbolic::compile;
-
 /// Simulation blocks processed per tile in the bounded-WMED hot path.
 ///
 /// Small enough that an early abort (most CGP offspring bust the error
@@ -784,18 +782,15 @@ impl ScalarSim {
 /// paths (`stats`, `error_matrix`, the small-width WMED loop).
 ///
 /// Fills a lane buffer with the packed output value of every lane of a
-/// block; all backends produce identical buffers, which is what makes the
-/// statistics surfaces backend-agnostic bit for bit. The symbolic backend
-/// contributes a monolithic-BDD lane oracle: the netlist is converted to
-/// output BDDs over its raw inputs once, then each lane is a constant-time
-/// descent — functionally just another interpreter here (these paths are
-/// exhaustive by definition), but exercising the same gate-to-BDD
-/// translation the wide-width engine relies on.
+/// block; both interpreters produce identical buffers, which is what makes
+/// the statistics surfaces backend-agnostic bit for bit. The scalar
+/// backend reads lanes one vector at a time; every other backend reads
+/// them with [`BlockSim`] — these paths are exhaustive by definition, so
+/// the symbolic backend has nothing to model-count here.
 pub(crate) struct LaneReader {
     backend: EvalBackend,
     sim: BlockSim,
     scalar: ScalarSim,
-    sym: Option<(apx_bdd::Bdd, Vec<apx_bdd::NodeId>)>,
     inputs: Vec<u64>,
 }
 
@@ -805,13 +800,6 @@ impl LaneReader {
             backend,
             sim: BlockSim::new(nl),
             scalar: ScalarSim::default(),
-            sym: (backend == EvalBackend::Symbolic).then(|| {
-                // One BDD variable per netlist input, in input order.
-                let mut bdd = apx_bdd::Bdd::new(nl.num_inputs() as u32);
-                let vars: Vec<_> = (0..nl.num_inputs() as u32).map(|i| bdd.var(i)).collect();
-                let planes = compile(&mut bdd, nl, &vars);
-                (bdd, planes)
-            }),
             inputs: vec![0u64; nl.num_inputs()],
         }
     }
@@ -830,7 +818,7 @@ impl LaneReader {
         let free = ni - w;
         let lanes = ex.lanes_per_block();
         match self.backend {
-            EvalBackend::BitParallel => {
+            EvalBackend::BitParallel | EvalBackend::Symbolic => {
                 for i in 0..ni {
                     let ebit = if i < w { free + i } else { i - w };
                     self.inputs[i] = ex.input_word(ebit, block);
@@ -842,24 +830,6 @@ impl LaneReader {
                 for (lane, slot) in lane_buf.iter_mut().enumerate().take(lanes) {
                     let v = (block * 64 + lane) as u64;
                     *slot = self.scalar.run_packed(nl, width, v);
-                }
-            }
-            EvalBackend::Symbolic => {
-                let (bdd, planes) = self.sym.as_ref().expect("symbolic readers carry BDD planes");
-                for (lane, slot) in lane_buf.iter_mut().enumerate().take(lanes) {
-                    let v = (block * 64 + lane) as u64;
-                    // Netlist input i reads the same enumeration bit the
-                    // other backends assign it (see `ScalarSim::run_packed`).
-                    let assign = |i: u32| {
-                        let i = i as usize;
-                        let ebit = if i < w { free + i } else { i - w };
-                        (v >> ebit) & 1 == 1
-                    };
-                    *slot = planes
-                        .iter()
-                        .enumerate()
-                        .map(|(j, &p)| u64::from(bdd.eval(p, assign)) << j)
-                        .sum();
                 }
             }
         }

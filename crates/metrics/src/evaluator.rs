@@ -89,12 +89,16 @@ impl std::error::Error for EvaluatorError {}
 /// * simulates on one of three [`EvalBackend`]s — the bit-parallel engine
 ///   (tiled 64-lane simulation plus a bit-sliced error kernel that never
 ///   unpacks lanes), the scalar reference interpreter, or the symbolic
-///   ROBDD model counter, which skips enumeration entirely. The operator
-///   and width pick the backend ([`Operator::backend`]: bit-parallel for
-///   every multiplier and wherever enumeration fits, symbolic for adders
-///   and MACs beyond); [`CircuitEvaluator::with_backend`] forces one for
-///   cross-checks. All produce bit-identical results at the widths they
-///   share;
+///   ROBDD model counter, which skips enumeration for WMED wherever a
+///   weighted row fills whole blocks (`free >= 6`). Within the exhaustive
+///   cap the per-lane surfaces (full [`CircuitEvaluator::stats`],
+///   [`CircuitEvaluator::error_matrix`], WMED at `free < 6`) enumerate on
+///   every backend, the symbolic one reading lanes like the bit-parallel
+///   one. The operator and width pick the backend ([`Operator::backend`]:
+///   bit-parallel for every multiplier and wherever enumeration fits,
+///   symbolic for adders and MACs beyond);
+///   [`CircuitEvaluator::with_backend`] forces one for cross-checks. All
+///   produce bit-identical results at the widths they share;
 /// * past the exhaustive cap (12×12/16×16 multipliers and adders, 8-bit
 ///   MACs) evaluates row by row: the bit-parallel backend streams each
 ///   weighted row's blocks through the candidate and the exact seed
@@ -552,8 +556,8 @@ impl CircuitEvaluator {
             };
             return Some(total * self.norm);
         }
-        // Small domain: weights vary per lane inside the block(s); both
-        // backends feed the same per-lane loop via `LaneReader`.
+        // Small domain: weights vary per lane inside the block(s); every
+        // backend feeds the same per-lane loop via `LaneReader`.
         let lanes = self.ex.lanes_per_block();
         let mut reader = LaneReader::new(self.backend, netlist);
         let mut lane_buf = vec![0u64; 64];
@@ -678,8 +682,11 @@ impl CircuitEvaluator {
 
     /// Full error statistics (one exhaustive pass, no skipping).
     ///
-    /// At widths beyond the exhaustive cap the pass goes row by row —
-    /// streamed on [`EvalBackend::BitParallel`], symbolic on
+    /// Within the exhaustive cap the pass reads every lane through
+    /// `LaneReader` (the scalar interpreter on [`EvalBackend::Scalar`],
+    /// the bit-parallel simulator on the other two backends). At widths
+    /// beyond the cap the pass goes row by row — streamed on
+    /// [`EvalBackend::BitParallel`], symbolic on
     /// [`EvalBackend::Symbolic`]; every statistic except `mred` is still
     /// exact, and `mred` is reported as `NaN` there (the mean *relative*
     /// error is not a sum of the per-row integers — see
@@ -1128,19 +1135,6 @@ mod tests {
                 assert_eq!(a.map(f64::to_bits), b.map(f64::to_bits), "limit {limit}");
             }
         }
-    }
-
-    #[test]
-    fn symbolic_small_domain_uses_lane_path() {
-        // free < 6: the per-lane loop serves all backends, symbolic via a
-        // monolithic BDD lane oracle.
-        let pmf = Pmf::half_normal(4, 3.0);
-        let fast =
-            CircuitEvaluator::with_backend(4, false, &pmf, EvalBackend::BitParallel).unwrap();
-        let sym = CircuitEvaluator::with_backend(4, false, &pmf, EvalBackend::Symbolic).unwrap();
-        let nl = broken_array_multiplier(4, 3, 2);
-        assert_eq!(fast.wmed(&nl).to_bits(), sym.wmed(&nl).to_bits());
-        assert_eq!(fast.stats(&nl), sym.stats(&nl));
     }
 
     /// `op`'s exact circuit with `rewrites` random node rewrites (random

@@ -291,10 +291,14 @@ proptest! {
 
     /// The tentpole contract of the symbolic backend: on every operator,
     /// width, signedness and PMF family the exhaustive backends can reach,
-    /// the ROBDD model counter returns the same `ErrorStats`, the same
-    /// WMED and the same bounded verdict down to the last mantissa bit —
-    /// on garbage random netlists and realistic seed-circuit mutants
-    /// alike.
+    /// a symbolic evaluator returns the same `ErrorStats`, the same WMED
+    /// and the same bounded verdict as the enumeration backends down to
+    /// the last mantissa bit — on garbage random netlists and realistic
+    /// seed-circuit mutants alike. Its column exercises the ROBDD model
+    /// counter only where a weighted row fills whole blocks (`free >= 6`,
+    /// WMED and bounded verdicts); full `stats()` and WMED at `free < 6`
+    /// read lanes with the bit-parallel simulator on every backend but
+    /// `scalar`.
     #[test]
     fn symbolic_is_bit_identical_to_enumeration(
         op_idx in 0usize..3,

@@ -1,25 +1,24 @@
 //! Static netlist analysis: lint, dataflow and provable error bounds.
 //!
 //! The sweep pipeline ingests netlists from places it does not control —
-//! cache directories written by other runs, harvested library candidates,
-//! eventually foreign BLIF designs. Parse-level checks catch torn files,
-//! but a well-formed file can still encode a netlist that violates the
-//! contracts downstream code relies on (operand indices out of range,
-//! wrong arity for its declared operator, …). This crate is the static
+//! cache directories written by other runs and harvested library
+//! candidates. Structural validity is the IR's own invariant: every
+//! [`Netlist`] comes from a validating constructor (`Netlist::new`,
+//! `NetlistBuilder::finish`) or from `Netlist::compact` of one, and
+//! `Chromosome::from_text` rejects every gene past its bound on each
+//! cache read, so operand and output bounds need no second check here.
+//! A well-formed netlist can still contradict the component it claims to
+//! be (wrong arity for its declared operator). This crate is the static
 //! gate in front of that trust boundary, in three passes:
 //!
-//! 1. **Structural lint** ([`lint_parts`], [`lint_netlist`],
-//!    [`lint_component`]): node-index bounds (which, over a
-//!    topologically ordered node list, *is* acyclicity), output wiring
-//!    and per-[`Operator`] width contracts — each violation a named,
-//!    span-carrying [`Diagnostic`] instead of a bare "corrupt". Raw CGP
-//!    genomes need no pass here: `Chromosome::from_text` already rejects
-//!    every gene past its bound on each cache read.
-//! 2. **Dataflow** ([`propagate_constants`], [`constant_signals`]):
-//!    ternary constant propagation over the gate list, reporting
-//!    provably-constant (stuck-at) outputs and dead nodes as warnings,
-//!    plus [`structural_hash`] — the canonical digest the component
-//!    library dedups by.
+//! 1. **Component lint** ([`lint_component`]): the per-[`Operator`]
+//!    width and arity contract, each violation a named [`Diagnostic`]
+//!    instead of a bare "corrupt".
+//! 2. **Dataflow** ([`lint_netlist`], [`propagate_constants`],
+//!    [`constant_signals`]): ternary constant propagation over the gate
+//!    list, reporting provably-constant (stuck-at) outputs and dead nodes
+//!    as warnings, plus [`structural_hash`] — the canonical digest the
+//!    component library dedups by.
 //! 3. **Bound analysis** ([`wmed_bounds`]): per-output ternary interval
 //!    analysis, yielding a provable `[lo, hi]` bracket on the circuit's
 //!    WMED without scoring the candidate. No workspace code calls it: at
@@ -42,13 +41,13 @@ mod semantic;
 
 pub use bounds::{wmed_bounds, wmed_bounds_weighted, ErrorBounds};
 pub use semantic::{
-    class_representatives, functional_digest, functional_digest_with_budget, prove_equiv,
-    prove_equiv_with_budget, prove_seed, prove_seed_with_budget, Equiv, SEMANTIC_NODE_BUDGET,
+    class_representatives, functional_digest, functional_digest_with_budget, prove_seed,
+    prove_seed_with_budget, Equiv, SEMANTIC_NODE_BUDGET,
 };
 
 use apx_arith::{EvalBackend, Operator};
 use apx_dist::{fnv1a64, FNV1A64_OFFSET};
-use apx_gates::{Netlist, Node, SignalId};
+use apx_gates::Netlist;
 use std::fmt::{self, Write as _};
 
 /// How bad a [`Diagnostic`] is.
@@ -60,43 +59,9 @@ pub enum Severity {
     Error,
 }
 
-/// Where in the netlist a [`Diagnostic`] points.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Span {
-    /// The netlist as a whole.
-    Netlist,
-    /// Node `k` of the node list (signal `num_inputs + k`).
-    Node(usize),
-    /// Output slot `k` of the output list.
-    Output(usize),
-}
-
 /// One named finding of the static analyzer.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Diagnostic {
-    /// A node reads a signal at or above its own position — a forward
-    /// (or self) reference, impossible in a topologically ordered list.
-    OperandOutOfRange {
-        /// Offending node index.
-        node: usize,
-        /// Which operand slot (`'a'` or `'b'`).
-        operand: char,
-        /// The out-of-range signal id.
-        signal: u32,
-        /// Exclusive bound the operand had to stay under.
-        limit: u32,
-    },
-    /// An output slot points past the last signal of the netlist.
-    OutputOutOfRange {
-        /// Offending output slot.
-        output: usize,
-        /// The out-of-range signal id.
-        signal: u32,
-        /// Exclusive bound (the netlist's signal count).
-        limit: u32,
-    },
-    /// The netlist declares no outputs at all.
-    NoOutputs,
     /// The declared operand width is outside the operator's evaluable
     /// range, so no arity contract even exists to check against.
     UnsupportedWidth {
@@ -146,9 +111,6 @@ impl Diagnostic {
     #[must_use]
     pub fn name(&self) -> &'static str {
         match self {
-            Diagnostic::OperandOutOfRange { .. } => "operand-out-of-range",
-            Diagnostic::OutputOutOfRange { .. } => "output-out-of-range",
-            Diagnostic::NoOutputs => "no-outputs",
             Diagnostic::UnsupportedWidth { .. } => "unsupported-width",
             Diagnostic::InputArity { .. } => "input-arity",
             Diagnostic::OutputArity { .. } => "output-arity",
@@ -166,37 +128,11 @@ impl Diagnostic {
             _ => Severity::Error,
         }
     }
-
-    /// The location the finding points at.
-    #[must_use]
-    pub fn span(&self) -> Span {
-        match *self {
-            Diagnostic::OperandOutOfRange { node, .. } | Diagnostic::DeadNode { node } => {
-                Span::Node(node)
-            }
-            Diagnostic::OutputOutOfRange { output, .. }
-            | Diagnostic::StuckOutput { output, .. } => Span::Output(output),
-            Diagnostic::NoOutputs
-            | Diagnostic::UnsupportedWidth { .. }
-            | Diagnostic::InputArity { .. }
-            | Diagnostic::OutputArity { .. } => Span::Netlist,
-        }
-    }
 }
 
 impl fmt::Display for Diagnostic {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match *self {
-            Diagnostic::OperandOutOfRange { node, operand, signal, limit } => write!(
-                f,
-                "operand-out-of-range: node {node} operand {operand} reads signal {signal} \
-                 (must be < {limit})"
-            ),
-            Diagnostic::OutputOutOfRange { output, signal, limit } => write!(
-                f,
-                "output-out-of-range: output {output} reads signal {signal} (must be < {limit})"
-            ),
-            Diagnostic::NoOutputs => write!(f, "no-outputs: the netlist declares no outputs"),
             Diagnostic::UnsupportedWidth { op, width } => {
                 write!(f, "unsupported-width: {op} does not support operand width {width}")
             }
@@ -225,59 +161,13 @@ pub fn has_errors(diags: &[Diagnostic]) -> bool {
     diags.iter().any(|d| d.severity() == Severity::Error)
 }
 
-/// Structural lint over the raw parts of a netlist — the checks
-/// [`Netlist::new`] enforces by construction, re-run here over data that
-/// never went through the constructor (decoded cache text, foreign
-/// formats) and reported as named diagnostics instead of one error.
-///
-/// Over a topologically ordered node list the operand bound `signal <
-/// num_inputs + k` *is* the acyclicity proof: no node can reach itself.
-#[must_use]
-pub fn lint_parts(num_inputs: usize, nodes: &[Node], outputs: &[SignalId]) -> Vec<Diagnostic> {
-    let mut diags = Vec::new();
-    if outputs.is_empty() {
-        diags.push(Diagnostic::NoOutputs);
-    }
-    for (k, node) in nodes.iter().enumerate() {
-        let limit = (num_inputs + k) as u32;
-        if node.a.0 >= limit {
-            diags.push(Diagnostic::OperandOutOfRange {
-                node: k,
-                operand: 'a',
-                signal: node.a.0,
-                limit,
-            });
-        }
-        if node.b.0 >= limit {
-            diags.push(Diagnostic::OperandOutOfRange {
-                node: k,
-                operand: 'b',
-                signal: node.b.0,
-                limit,
-            });
-        }
-    }
-    let limit = (num_inputs + nodes.len()) as u32;
-    for (k, out) in outputs.iter().enumerate() {
-        if out.0 >= limit {
-            diags.push(Diagnostic::OutputOutOfRange { output: k, signal: out.0, limit });
-        }
-    }
-    diags
-}
-
-/// Full lint of a constructed [`Netlist`]: the structural pass plus — on
-/// structurally clean netlists — the dataflow warnings (stuck-at outputs
-/// via ternary constant propagation, dead nodes via reachability).
-///
-/// Structural errors suppress the dataflow pass: propagating through a
-/// netlist with out-of-range operands would read unrelated signals.
+/// Dataflow lint of a [`Netlist`]: stuck-at outputs (via ternary
+/// constant propagation) and dead nodes (via reachability), both
+/// warnings. Structural validity needs no check here: the constructors
+/// enforce it.
 #[must_use]
 pub fn lint_netlist(netlist: &Netlist) -> Vec<Diagnostic> {
-    let mut diags = lint_parts(netlist.num_inputs(), netlist.nodes(), netlist.outputs());
-    if has_errors(&diags) {
-        return diags;
-    }
+    let mut diags = Vec::new();
     let vals = constant_signals(netlist);
     for (k, out) in netlist.outputs().iter().enumerate() {
         if let Some(value) = vals[out.index()] {
@@ -414,42 +304,6 @@ mod tests {
     }
 
     #[test]
-    fn each_structural_diagnostic_fires_on_a_minimally_broken_netlist() {
-        let nl = adder();
-        let (ni, nodes, outputs) = (nl.num_inputs(), nl.nodes().to_vec(), nl.outputs().to_vec());
-
-        // Minimal break 1: first node reads itself (forward reference).
-        let mut bad = nodes.clone();
-        bad[0].a = SignalId(ni as u32);
-        let diags = lint_parts(ni, &bad, &outputs);
-        assert_eq!(diags.len(), 1);
-        assert_eq!(diags[0].name(), "operand-out-of-range");
-        assert_eq!(diags[0].severity(), Severity::Error);
-        assert_eq!(diags[0].span(), Span::Node(0));
-
-        // Minimal break 2: the `b` slot of a later node jumps ahead.
-        let mut bad = nodes.clone();
-        bad[3].b = SignalId((ni + nodes.len()) as u32);
-        let diags = lint_parts(ni, &bad, &outputs);
-        assert_eq!(diags.len(), 1);
-        assert!(matches!(diags[0], Diagnostic::OperandOutOfRange { node: 3, operand: 'b', .. }));
-
-        // Minimal break 3: one output past the last signal.
-        let mut bad = outputs.clone();
-        bad[2] = SignalId(nl.num_signals() as u32);
-        let diags = lint_parts(ni, &nodes, &bad);
-        assert_eq!(diags.len(), 1);
-        assert_eq!(diags[0].name(), "output-out-of-range");
-        assert_eq!(diags[0].span(), Span::Output(2));
-
-        // Minimal break 4: no outputs at all.
-        let diags = lint_parts(ni, &nodes, &[]);
-        assert_eq!(diags.len(), 1);
-        assert_eq!(diags[0], Diagnostic::NoOutputs);
-        assert_eq!(diags[0].span(), Span::Netlist);
-    }
-
-    #[test]
     fn width_contract_diagnostics_fire() {
         let nl = adder(); // 8 inputs, 5 outputs
         let diags = lint_component(&nl, Operator::Mul, 4);
@@ -540,28 +394,11 @@ mod tests {
         let diags = lint_netlist(&nl);
         assert_eq!(diags, vec![Diagnostic::DeadNode { node: 1 }]);
         assert_eq!(diags[0].severity(), Severity::Warning);
-        assert_eq!(diags[0].span(), Span::Node(1));
-    }
-
-    #[test]
-    fn structural_errors_suppress_the_dataflow_pass() {
-        // `lint_netlist` on a valid netlist never sees raw broken parts
-        // (the constructor rejects them), so exercise the guard through
-        // `lint_parts` + the documented contract: errors short-circuit.
-        let nl = adder();
-        let mut bad = nl.nodes().to_vec();
-        bad[0].a = SignalId(500);
-        let diags = lint_parts(nl.num_inputs(), &bad, nl.outputs());
-        assert!(has_errors(&diags));
-        assert!(diags.iter().all(|d| d.severity() == Severity::Error));
     }
 
     #[test]
     fn display_names_match_diagnostic_names() {
         let samples = [
-            Diagnostic::OperandOutOfRange { node: 0, operand: 'a', signal: 9, limit: 4 },
-            Diagnostic::OutputOutOfRange { output: 1, signal: 9, limit: 4 },
-            Diagnostic::NoOutputs,
             Diagnostic::UnsupportedWidth { op: Operator::Mac, width: 9 },
             Diagnostic::InputArity { op: Operator::Mul, width: 4, expected: 8, got: 7 },
             Diagnostic::OutputArity { op: Operator::Mul, width: 4, expected: 8, got: 7 },

@@ -1,19 +1,11 @@
-//! Semantic verification on ROBDD planes: equivalence proofs and
-//! canonical function identity.
+//! Semantic verification on ROBDD planes: canonical function identity
+//! and seed-circuit proofs.
 //!
-//! The structural passes of this crate answer "is this netlist
-//! well-formed"; this module answers "what function does it compute",
-//! using `apx_bdd` as the reasoning engine. Two capabilities:
+//! The component lint of this crate answers "does this netlist fit its
+//! declared component"; this module answers "what function does it
+//! compute", using `apx_bdd` as the reasoning engine. Two capabilities:
 //!
-//! 1. **Equivalence checking** ([`prove_equiv`]): both netlists compile
-//!    to per-output-bit BDD planes under one shared manager; canonicity
-//!    makes node-id equality *function* equality, so the comparison is a
-//!    constant-time id check per output. Inequality yields a concrete
-//!    counterexample input ([`Equiv::Differs`]); diagrams that outgrow
-//!    the node budget degrade to [`Equiv::Unknown`] instead of blowing
-//!    up (multiplier BDDs are exponential in operand width under any
-//!    variable order).
-//! 2. **Canonical functional digest** ([`functional_digest`]): a hash of
+//! 1. **Canonical functional digest** ([`functional_digest`]): a hash of
 //!    the canonically renumbered plane subgraph under the fixed input-
 //!    index variable order. Two netlists get the same digest iff they
 //!    compute the same output function vector — invariant under wiring
@@ -22,16 +14,21 @@
 //!    by it past the enumeration cap (at enumerable widths it hashes a
 //!    simulation of every input vector instead); the component library's
 //!    `dedup_semantic` stage, the cache GC's equivalence-class collapse
-//!    and `netlist_lint`'s census all call that one rule.
-//!
-//! [`prove_seed`] closes the loop on the generators themselves: every
-//! [`Operator::seed_circuit`] is proved equivalent to an *independent*
-//! plane-arithmetic rendering of the reference function (ripple/shift-add
-//! directly on BDD planes, not on `apx_arith` gate structures). To stay
-//! tractable at symbolic-only widths it pins each weighted-operand value
-//! and proves the `2^width` residual cofactors separately — constant ×
-//! operand planes stay polynomial where the monolithic multiplier
-//! diagram explodes.
+//!    and `netlist_lint`'s census all call that one rule. Diagrams that
+//!    outgrow the node budget degrade to `None` instead of blowing up
+//!    (multiplier BDDs are exponential in operand width under any
+//!    variable order).
+//! 2. **Seed proofs** ([`prove_seed`]) close the loop on the generators
+//!    themselves: every [`Operator::seed_circuit`] is proved equivalent
+//!    to an *independent* plane-arithmetic rendering of the reference
+//!    function (ripple/shift-add directly on BDD planes, not on
+//!    `apx_arith` gate structures). To stay tractable at symbolic-only
+//!    widths it pins each weighted-operand value and proves the
+//!    `2^width` residual cofactors separately — constant × operand
+//!    planes stay polynomial where the monolithic multiplier diagram
+//!    explodes. Canonicity makes each comparison a constant-time id
+//!    check per output plane; a difference yields a concrete
+//!    counterexample input ([`Equiv::Differs`]).
 //!
 //! # Budget semantics
 //!
@@ -55,12 +52,12 @@ use std::fmt::Write as _;
 /// tens of megabytes before degrading to `Unknown`.
 pub const SEMANTIC_NODE_BUDGET: usize = 1 << 21;
 
-/// Verdict of an equivalence proof.
+/// Verdict of an equivalence proof ([`prove_seed`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Equiv {
-    /// The two netlists compute identical output function vectors.
+    /// The two sides compute identical output function vectors.
     Equal,
-    /// The netlists differ; `witness` is one input assignment (netlist
+    /// The two sides differ; `witness` is one input assignment (netlist
     /// input order) on which their outputs disagree.
     Differs {
         /// Counterexample input assignment, one `bool` per netlist input.
@@ -81,72 +78,6 @@ fn compile(bdd: &mut Bdd, nl: &Netlist, inputs: &[NodeId], budget: usize) -> Opt
         (bdd.num_nodes() <= budget).then(|| bdd.apply(a, b, kind.truth_table()))
     })?;
     (bdd.num_nodes() <= budget).then_some(planes)
-}
-
-/// Asserts the arity half of the component contract — the same
-/// preconditions the bounds pass and the evaluator enforce.
-fn assert_component_arity(nl: &Netlist, op: Operator, width: u32, role: &str) {
-    assert!(
-        op.supports_width(width, EvalBackend::Symbolic),
-        "operand width {width} outside {op}'s evaluable range"
-    );
-    let ni = op.num_inputs(width);
-    assert_eq!(nl.num_inputs(), ni, "{role}: a width-{width} {op} netlist must have {ni} inputs");
-    let no = op.num_outputs(width);
-    assert_eq!(nl.num_outputs(), no, "{role}: a width-{width} {op} netlist must have {no} outputs");
-}
-
-/// Proves or refutes functional equivalence of two `width`-bit `op`
-/// netlists under the default [`SEMANTIC_NODE_BUDGET`].
-///
-/// # Panics
-///
-/// Panics if `width` is unsupported or either netlist's arity
-/// contradicts the operator contract.
-#[must_use]
-pub fn prove_equiv(a: &Netlist, b: &Netlist, op: Operator, width: u32) -> Equiv {
-    prove_equiv_with_budget(a, b, op, width, SEMANTIC_NODE_BUDGET)
-}
-
-/// [`prove_equiv`] under an explicit node budget.
-///
-/// Both netlists compile into *one* manager over the shared input
-/// variables (variable `i` = netlist input `i`), so ROBDD canonicity
-/// reduces the miter to an id comparison per output plane; a genuine
-/// difference XORs the first differing planes and extracts a model as
-/// the counterexample.
-///
-/// # Panics
-///
-/// Same contract as [`prove_equiv`].
-#[must_use]
-pub fn prove_equiv_with_budget(
-    a: &Netlist,
-    b: &Netlist,
-    op: Operator,
-    width: u32,
-    budget: usize,
-) -> Equiv {
-    assert_component_arity(a, op, width, "left operand");
-    assert_component_arity(b, op, width, "right operand");
-    let ni = op.num_inputs(width);
-    let mut bdd = Bdd::new(ni as u32);
-    let vars: Vec<NodeId> = (0..ni).map(|i| bdd.var(i as u32)).collect();
-    let Some(pa) = compile(&mut bdd, a, &vars, budget) else {
-        return Equiv::Unknown { budget };
-    };
-    let Some(pb) = compile(&mut bdd, b, &vars, budget) else {
-        return Equiv::Unknown { budget };
-    };
-    for (&fa, &fb) in pa.iter().zip(&pb) {
-        if fa != fb {
-            let miter = bdd.xor(fa, fb);
-            let witness =
-                bdd.some_model(miter).expect("distinct canonical planes differ somewhere");
-            return Equiv::Differs { witness };
-        }
-    }
-    Equiv::Equal
 }
 
 /// Canonical 128-bit digest of the *function* a netlist computes, under
@@ -405,43 +336,17 @@ mod tests {
     fn seed_is_equivalent_to_itself_and_to_its_padded_form() {
         for op in Operator::ALL {
             let nl = op.seed_circuit(3, false);
-            assert_eq!(prove_equiv(&nl, &nl, op, 3), Equiv::Equal);
-            let padded = with_dead_padding(&nl, 7);
-            assert_eq!(prove_equiv(&nl, &padded, op, 3), Equiv::Equal, "{op}");
-            assert_eq!(functional_digest(&nl), functional_digest(&padded), "{op}");
+            let digest = functional_digest(&nl);
+            assert!(digest.is_some(), "{op}: a width-3 seed fits the budget");
+            assert_eq!(functional_digest(&nl), digest, "{op}: a fresh manager");
+            assert_eq!(functional_digest(&with_dead_padding(&nl, 7)), digest, "{op}");
         }
-    }
-
-    #[test]
-    fn differs_returns_a_genuine_counterexample() {
-        let op = Operator::Add;
-        let width = 4u32;
-        let exact = op.seed_circuit(width, false);
-        let mut outputs = exact.outputs().to_vec();
-        // Truncate the LSB to a constant: differs on any odd-sum input.
-        let mut nodes = exact.nodes().to_vec();
-        let zero = apx_gates::SignalId((exact.num_inputs() + nodes.len()) as u32);
-        nodes.push(apx_gates::Node {
-            kind: GateKind::Const0,
-            a: apx_gates::SignalId(0),
-            b: apx_gates::SignalId(0),
-        });
-        outputs[0] = zero;
-        let broken = Netlist::new(exact.num_inputs(), nodes, outputs).unwrap();
-        match prove_equiv(&exact, &broken, op, width) {
-            Equiv::Differs { witness } => {
-                assert_ne!(exact.eval_bool(&witness), broken.eval_bool(&witness));
-            }
-            other => panic!("expected Differs, got {other:?}"),
-        }
-        assert_ne!(functional_digest(&exact), functional_digest(&broken));
     }
 
     #[test]
     fn budget_exhaustion_degrades_to_unknown() {
         let op = Operator::Mul;
         let nl = op.seed_circuit(4, false);
-        assert_eq!(prove_equiv_with_budget(&nl, &nl, op, 4, 8), Equiv::Unknown { budget: 8 });
         assert_eq!(functional_digest_with_budget(&nl, 8), None);
         assert_eq!(prove_seed_with_budget(op, 4, false, 8), Equiv::Unknown { budget: 8 });
     }

@@ -1,6 +1,6 @@
 //! Property-based contract: every netlist the pipeline itself produces —
 //! arithmetic generators, random CGP genomes, mutation chains, operator
-//! seed circuits — passes the structural lint with zero errors.
+//! seed circuits — passes the lint with zero errors.
 
 use apx_arith::Operator;
 use apx_cgp::{mutate, Chromosome, FunctionSet};
