@@ -173,6 +173,19 @@ impl Chromosome {
         self.genes.iter().enumerate().all(|(i, &g)| g < self.gene_bound(i))
     }
 
+    /// Node `k` of the grid, as [`Chromosome::decode_full`] decodes it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k >= self.cols()` or the node's function gene is out of
+    /// range.
+    #[must_use]
+    pub fn node(&self, k: usize) -> Node {
+        assert!(k < self.cols, "node {k} out of range");
+        let g = &self.genes[3 * k..3 * k + 3];
+        Node { kind: self.funcs.kind(g[2] as usize), a: SignalId(g[0]), b: SignalId(g[1]) }
+    }
+
     /// Decodes the full grid into a netlist (inactive nodes included).
     ///
     /// # Panics
@@ -181,13 +194,7 @@ impl Chromosome {
     /// this crate's APIs).
     #[must_use]
     pub fn decode_full(&self) -> Netlist {
-        let nodes: Vec<Node> = (0..self.cols)
-            .map(|k| Node {
-                kind: self.funcs.kind(self.genes[3 * k + 2] as usize),
-                a: SignalId(self.genes[3 * k]),
-                b: SignalId(self.genes[3 * k + 1]),
-            })
-            .collect();
+        let nodes: Vec<Node> = (0..self.cols).map(|k| self.node(k)).collect();
         let outputs: Vec<SignalId> =
             self.genes[3 * self.cols..].iter().map(|&g| SignalId(g)).collect();
         Netlist::new(self.ni, nodes, outputs).expect("chromosome encodes a valid netlist")

@@ -334,9 +334,10 @@ pub struct ScannedEntry {
 pub struct CacheDirStats {
     /// `*.sweep` files present.
     pub files: usize,
-    /// Files that parse as intact entries.
+    /// Files that parse as intact entries the reader gate accepts.
     pub entries: usize,
-    /// Files rejected by the strict loader (torn, foreign, stale format).
+    /// Files rejected by the strict loader (torn, foreign, stale format)
+    /// or by the reader gate (a netlist that contradicts its `op` line).
     pub corrupt: usize,
     /// Total size of all `*.sweep` files in bytes.
     pub total_bytes: u64,
@@ -352,20 +353,27 @@ pub struct CacheDirStats {
 
 /// Walks `dir` and summarizes its `*.sweep` population: file and intact
 /// entry counts, total bytes, and per-`(operator, width, signedness)`
-/// entry counts. A missing directory reports all zeros.
+/// entry counts. An entry the reader gate refuses counts as corrupt, as
+/// [`gc_cache_dir`] counts (and deletes) it. A missing directory reports
+/// all zeros.
 #[must_use]
 pub fn cache_dir_stats(dir: &Path) -> CacheDirStats {
     let Ok(walk) = walk_dir(dir) else {
         return CacheDirStats::default();
     };
     let mut per_op = std::collections::BTreeMap::new();
+    let mut refused = 0;
     for e in &walk.entries {
-        *per_op.entry((e.op, e.width, e.signed)).or_insert(0) += 1;
+        if is_refused(e) {
+            refused += 1;
+        } else {
+            *per_op.entry((e.op, e.width, e.signed)).or_insert(0) += 1;
+        }
     }
     CacheDirStats {
         files: walk.entries.len() + walk.corrupt.len(),
-        entries: walk.entries.len(),
-        corrupt: walk.corrupt.len(),
+        entries: walk.entries.len() - refused,
+        corrupt: walk.corrupt.len() + refused,
         total_bytes: walk.sweep_bytes,
         tmp_litter: walk.litter.len(),
         per_op,
@@ -1239,7 +1247,8 @@ mod tests {
         // Two valid `mul 3 unsigned` entries share the stored-stats front
         // with a 4-output genotype whose stored point dominates both. Every
         // reader refuses that genotype, so it must not stand on the front:
-        // GC deletes it as corrupt, live key or not, and keeps the others.
+        // the directory stats count it corrupt, and GC deletes it as
+        // corrupt, live key or not, and keeps the others.
         let dir = scratch("gc_refused");
         let _ = std::fs::remove_dir_all(&dir);
         let cache = SweepCache::new(&dir);
@@ -1255,6 +1264,9 @@ mod tests {
         assert!(cache.load(bad).is_none(), "load refuses it");
         let scanned = cache.scan().into_iter().find(|e| e.key == bad).expect("the codec parses it");
         assert!(!ComponentLibrary::new().ingest_scanned(scanned), "library ingest refuses it");
+        let stats = cache_dir_stats(&dir);
+        assert_eq!((stats.files, stats.entries, stats.corrupt), (3, 2, 1), "stats refuse it");
+        assert_eq!(stats.per_op.get(&(Operator::Mul, 3, false)), Some(&2));
 
         for keep in [HashSet::new(), HashSet::from([bad])] {
             std::fs::write(&bad_path, &bad_bytes).unwrap();

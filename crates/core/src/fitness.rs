@@ -2,6 +2,7 @@
 
 use apx_cgp::{Chromosome, FitnessFn};
 use apx_dist::Pmf;
+use apx_gates::{Netlist, NetlistError, SignalId};
 use apx_metrics::{CircuitEvaluator, WmedState};
 use apx_techlib::{area_of, TechLibrary};
 use std::cell::RefCell;
@@ -10,6 +11,9 @@ use std::sync::Arc;
 /// Cap on the cached-simulation footprint before the incremental protocol
 /// is declined (the CGP inner loop then falls back to full evaluation).
 const MAX_STATE_BYTES: usize = 32 << 20;
+
+/// Nodes whose genes the offspring diff compares at once.
+const DIFF_NODES: usize = 16;
 
 /// Cached incremental-evaluation context: the most recently rebased parent
 /// and the simulation state describing it.
@@ -20,13 +24,104 @@ struct IncrSlot {
     /// shortcuts diff offspring against this base, which yields the same
     /// exact scores.
     base: Chromosome,
-    /// Cached full-grid signal rows for `base.decode_full()`.
+    /// `base.decode_full()`. An offspring is scored on this netlist
+    /// patched along its changed nodes and output genes — which makes it
+    /// exactly the offspring's own full decode — and the patch is undone
+    /// before the score is returned.
+    net: Netlist,
+    /// Cached full-grid signal rows for `net`.
     state: WmedState,
     /// Per-signal activity of the base (`ni + k` for node `k`): mutations
     /// confined to inactive nodes cannot change the phenotype.
     base_active: Vec<bool>,
     /// The base's own fitness, for neutral-mutation shortcuts.
     base_fit: f64,
+    /// The nodes whose gene triple differs from `base` in the chromosome
+    /// last passed to [`IncrSlot::diff`] (a buffer reused across calls).
+    changed: Vec<u32>,
+}
+
+impl IncrSlot {
+    /// Gene-level diff of `child` against the base into `changed`: the
+    /// node indices whose gene triple differs (a safe superset of the
+    /// functionally changed nodes — e.g. the unused second operand of a
+    /// unary gate counts too). Returns whether any output gene differs, or
+    /// `None` on a shape mismatch (inputs, grid or function set), which
+    /// forces the stateless path.
+    fn diff(&mut self, child: &Chromosome) -> Option<bool> {
+        let base = &self.base;
+        if base.num_inputs() != child.num_inputs()
+            || base.cols() != child.cols()
+            || base.len() != child.len()
+            || base.function_set() != child.function_set()
+        {
+            return None;
+        }
+        let (bg, bo) = base.genes().split_at(3 * base.cols());
+        let (cg, co) = child.genes().split_at(3 * base.cols());
+        self.changed.clear();
+        // A mutation redraws a handful of genes, so nearly every chunk is
+        // equal and costs one fixed-length (vectorized) xor-or; only a
+        // differing chunk, and the ragged tail, are searched node by node.
+        let (mut bc, mut cc) = (bg.chunks_exact(3 * DIFF_NODES), cg.chunks_exact(3 * DIFF_NODES));
+        for (c, (b, x)) in (&mut bc).zip(&mut cc).enumerate() {
+            let (b, x): (&[u32; 3 * DIFF_NODES], &[u32; 3 * DIFF_NODES]) =
+                (b.try_into().expect("exact chunk"), x.try_into().expect("exact chunk"));
+            if b.iter().zip(x).fold(0, |acc, (p, q)| acc | (p ^ q)) != 0 {
+                Self::diff_chunk(c * DIFF_NODES, b, x, &mut self.changed);
+            }
+        }
+        let tail = base.cols() / DIFF_NODES * DIFF_NODES;
+        Self::diff_chunk(tail, bc.remainder(), cc.remainder(), &mut self.changed);
+        Some(bo != co)
+    }
+
+    /// Appends to `changed` the nodes of one gene chunk, the first being
+    /// node `first`, whose gene triple differs.
+    fn diff_chunk(first: usize, base: &[u32], child: &[u32], changed: &mut Vec<u32>) {
+        for (j, (b, x)) in base.chunks_exact(3).zip(child.chunks_exact(3)).enumerate() {
+            if (b[0] ^ x[0]) | (b[1] ^ x[1]) | (b[2] ^ x[2]) != 0 {
+                changed.push((first + j) as u32);
+            }
+        }
+    }
+
+    /// Whether the last diffed chromosome changed only nodes that are
+    /// inactive in the base, outputs untouched. Inactive nodes are never
+    /// read by the backward activity walk, so its phenotype — and hence
+    /// its fitness — is exactly the base's.
+    fn is_neutral(&self, outputs_changed: bool) -> bool {
+        let ni = self.base.num_inputs();
+        !outputs_changed && self.changed.iter().all(|&k| !self.base_active[ni + k as usize])
+    }
+
+    /// Patches `net` into `child`'s full decode along the last diff, each
+    /// node and output checked as `Netlist::validate` would. Whatever the
+    /// outcome, [`IncrSlot::unpatch`] restores the base.
+    fn patch(&mut self, child: &Chromosome, outputs_changed: bool) -> Result<(), NetlistError> {
+        for &k in &self.changed {
+            self.net.set_node(k as usize, child.node(k as usize))?;
+        }
+        if outputs_changed {
+            for (j, &g) in child.genes()[3 * child.cols()..].iter().enumerate() {
+                self.net.set_output(j, SignalId(g))?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Undoes [`IncrSlot::patch`]: `net` is the base's full decode again.
+    fn unpatch(&mut self, outputs_changed: bool) {
+        const BASE: &str = "the base decodes to a valid netlist";
+        for &k in &self.changed {
+            self.net.set_node(k as usize, self.base.node(k as usize)).expect(BASE);
+        }
+        if outputs_changed {
+            for (j, &g) in self.base.genes()[3 * self.base.cols()..].iter().enumerate() {
+                self.net.set_output(j, SignalId(g)).expect(BASE);
+            }
+        }
+    }
 }
 
 /// The paper's fitness function (Eq. 1):
@@ -54,11 +149,13 @@ struct IncrSlot {
 /// the current CGP parent (installed by [`FitnessFn::rebase`], which
 /// `apx_cgp`'s evolution loop calls on every parent change). Offspring
 /// are then scored by re-simulating only the mutated nodes' fanout cones
-/// ([`CircuitEvaluator::wmed_bounded_delta`]), and mutations confined to
-/// inactive genes short-circuit to the parent's fitness without touching
-/// the simulator at all. Every score is bit-identical to the stateless
-/// [`Eq1Fitness::of`], so search trajectories — and therefore sweep
-/// caches — do not depend on whether the shortcut was available.
+/// ([`CircuitEvaluator::wmed_bounded_delta`]) on the parent's full decode
+/// patched along the changed genes (no per-offspring decode), and
+/// mutations confined to inactive genes short-circuit to the parent's
+/// fitness without touching the simulator at all. Every score is
+/// bit-identical to the stateless [`Eq1Fitness::of`], so search
+/// trajectories — and therefore sweep caches — do not depend on whether
+/// the shortcut was available.
 #[derive(Debug)]
 pub struct Eq1Fitness {
     evaluator: Arc<CircuitEvaluator>,
@@ -137,24 +234,6 @@ impl Eq1Fitness {
     pub fn evaluator(&self) -> &CircuitEvaluator {
         &self.evaluator
     }
-
-    /// Gene-level diff against `base`: the node indices whose gene triple
-    /// differs (a safe superset of the functionally changed nodes —
-    /// e.g. the unused second operand of a unary gate counts too), plus
-    /// whether any output gene differs. Returns `None` on a shape
-    /// mismatch, which forces the stateless path.
-    fn diff_nodes(base: &Chromosome, child: &Chromosome) -> Option<(Vec<u32>, bool)> {
-        if base.cols() != child.cols() || base.genes().len() != child.genes().len() {
-            return None;
-        }
-        let (bg, cg) = (base.genes(), child.genes());
-        let changed: Vec<u32> = (0..base.cols())
-            .filter(|&k| bg[3 * k..3 * k + 3] != cg[3 * k..3 * k + 3])
-            .map(|k| k as u32)
-            .collect();
-        let outputs_changed = bg[3 * base.cols()..] != cg[3 * base.cols()..];
-        Some((changed, outputs_changed))
-    }
 }
 
 impl FitnessFn for Eq1Fitness {
@@ -165,25 +244,20 @@ impl FitnessFn for Eq1Fitness {
     fn eval(&self, chromosome: &Chromosome) -> f64 {
         let mut guard = self.incr.borrow_mut();
         let Some(slot) = guard.as_mut() else { return self.of(chromosome) };
-        let Some((changed, outputs_changed)) = Self::diff_nodes(&slot.base, chromosome) else {
+        let Some(outputs_changed) = slot.diff(chromosome) else {
             return self.of(chromosome);
         };
-        if !outputs_changed {
-            // Inactive nodes are never read by the backward activity walk,
-            // so mutating only them leaves the phenotype — and hence the
-            // fitness — exactly the parent's.
-            let ni = chromosome.num_inputs();
-            if changed.iter().all(|&k| !slot.base_active[ni + k as usize]) {
-                return slot.base_fit;
-            }
+        if slot.is_neutral(outputs_changed) {
+            return slot.base_fit;
         }
-        let full = chromosome.decode_full();
-        match self.evaluator.wmed_bounded_delta(&mut slot.state, &full, &changed, self.threshold) {
-            // `area_of` prices the active cone only, in grid order — the
-            // same terms, in the same order, as `of`'s compacted decode.
-            Some(_) => area_of(&full, &self.tech),
-            None => f64::INFINITY,
+        if let Err(e) = slot.patch(chromosome, outputs_changed) {
+            slot.unpatch(outputs_changed);
+            panic!("chromosome encodes a valid netlist: {e}");
         }
+        debug_assert_eq!(slot.net, chromosome.decode_full(), "the patch is the full decode");
+        let fit = self.rescore(&mut slot.state, &slot.net, &slot.changed);
+        slot.unpatch(outputs_changed);
+        fit
     }
 
     /// Installs (or rebases) the cached simulation state onto `parent`,
@@ -221,15 +295,12 @@ impl Eq1Fitness {
             *guard = None;
             return;
         }
-        let state = match guard.take() {
+        let (state, changed) = match guard.take() {
             // Rebase the existing state: re-simulate the changed cone in
             // place instead of rebuilding every cached row.
-            Some(mut slot) => match Self::diff_nodes(&slot.base, parent) {
-                Some((changed, outputs_changed)) => {
-                    let ni = parent.num_inputs();
-                    if !outputs_changed
-                        && changed.iter().all(|&k| !slot.base_active[ni + k as usize])
-                    {
+            Some(mut slot) => match slot.diff(parent) {
+                Some(outputs_changed) => {
+                    if slot.is_neutral(outputs_changed) {
                         // Neutral drift: the promotion changed only nodes
                         // that are inactive in the slot base, so the active
                         // cone — and with it `base_fit`/`base_active` — is
@@ -241,31 +312,36 @@ impl Eq1Fitness {
                         *guard = Some(slot);
                         return;
                     }
-                    self.evaluator.commit_state(&mut slot.state, &full, &changed);
-                    slot.state
+                    self.evaluator.commit_state(&mut slot.state, &full, &slot.changed);
+                    (slot.state, slot.changed)
                 }
-                None => self.evaluator.new_state(&full),
+                None => (self.evaluator.new_state(&full), slot.changed),
             },
-            None => self.evaluator.new_state(&full),
+            None => (self.evaluator.new_state(&full), Vec::new()),
         };
         let mut slot = IncrSlot {
             base: parent.clone(),
-            state,
             base_active: full.active_mask(),
+            net: full,
+            state,
             base_fit: f64::INFINITY,
+            changed,
         };
         slot.base_fit = match known_fit {
             // The promotion's own score — bit-identical to what a re-score
             // from the (freshly committed) cache would produce.
             Some(fit) => fit,
-            None => self.rescore(&mut slot.state, &full, &[]),
+            None => self.rescore(&mut slot.state, &slot.net, &[]),
         };
         *guard = Some(slot);
     }
 
-    /// Scores `full` from the cached state without perturbing it.
-    fn rescore(&self, state: &mut WmedState, full: &apx_gates::Netlist, changed: &[u32]) -> f64 {
+    /// Scores `full`, whose nodes differ from the state's base only in
+    /// `changed`, from the cached state without perturbing it.
+    fn rescore(&self, state: &mut WmedState, full: &Netlist, changed: &[u32]) -> f64 {
         match self.evaluator.wmed_bounded_delta(state, full, changed, self.threshold) {
+            // `area_of` prices the active cone only, in grid order — the
+            // same terms, in the same order, as `of`'s compacted decode.
             Some(_) => area_of(full, &self.tech),
             None => f64::INFINITY,
         }
@@ -356,6 +432,38 @@ mod tests {
         assert!(clone.incr.borrow().is_none());
         // … and the clone still scores identically through the full path.
         assert_eq!(fit.eval(&parent).to_bits(), clone.of(&parent).to_bits());
+    }
+
+    #[test]
+    fn offspring_diff_lists_exactly_the_changed_nodes() {
+        // Grids on and off a multiple of the diff's chunk, so both the
+        // chunked comparison and the ragged tail run.
+        use apx_cgp::mutate;
+        use apx_rng::Xoshiro256;
+        let nl = array_multiplier(6);
+        let fit = Eq1Fitness::new(6, false, &Pmf::uniform(6), TechLibrary::unit(), 0.01).unwrap();
+        let mut rng = Xoshiro256::from_seed(21);
+        for spare in [0, 1, 5, 16, 23] {
+            let cols = nl.gate_count() + spare;
+            let parent = Chromosome::from_netlist(&nl, &FunctionSet::extended(), cols).unwrap();
+            fit.rebase(&parent);
+            let mut guard = fit.incr.borrow_mut();
+            let slot = guard.as_mut().expect("width 6 runs incrementally");
+            for h in [1, 5, 40, 400] {
+                let mut child = parent.clone();
+                mutate(&mut child, h, &mut rng);
+                let (pg, cg) = (parent.genes(), child.genes());
+                let want: Vec<u32> = (0..cols)
+                    .filter(|&k| pg[3 * k..3 * k + 3] != cg[3 * k..3 * k + 3])
+                    .map(|k| k as u32)
+                    .collect();
+                assert_eq!(slot.diff(&child), Some(pg[3 * cols..] != cg[3 * cols..]));
+                assert_eq!(slot.changed, want, "cols={cols} h={h}");
+            }
+            // Same grid, another function set: the genes mean other gates.
+            let other = Chromosome::from_netlist(&nl, &FunctionSet::standard(), cols).unwrap();
+            assert_eq!(slot.diff(&other), None);
+        }
     }
 
     #[test]

@@ -10,20 +10,26 @@
 
 use crate::Netlist;
 
-/// Forward closure of a set of changed nodes.
+/// Forward closure of a set of changed nodes, into caller-owned buffers.
 ///
-/// Returns the sorted node indices whose output word can change when the
-/// definitions of `sources` change: the sources themselves plus every node
-/// that transitively reads one of them. Because a [`Netlist`] is
-/// topologically ordered this is a single forward scan — no reverse
-/// adjacency is ever materialized.
+/// Fills `cone` with the sorted node indices whose output word can change
+/// when the definitions of `sources` change: the sources themselves plus
+/// every node that transitively reads one of them. Because a [`Netlist`]
+/// is topologically ordered this is a single forward scan from the first
+/// source — no reverse adjacency is ever materialized.
+///
+/// `marks` is per-signal scratch (`netlist.num_signals()` flags) that must
+/// be all `false` on entry. Only the cone's flags are set, and they are
+/// cleared again before return, so a caller that keeps both buffers
+/// across calls allocates nothing and never clears the whole array.
 ///
 /// Nodes whose gate ignores an operand slot (unary gates, constants) do
 /// not propagate taint through the ignored slot.
 ///
 /// # Panics
 ///
-/// Panics if a source index is out of range.
+/// Panics if a source index is out of range or `marks` has the wrong
+/// length.
 ///
 /// # Examples
 ///
@@ -38,38 +44,46 @@ use crate::Netlist;
 /// b.outputs(&[o, s]);
 /// let nl = b.finish().unwrap();
 ///
-/// assert_eq!(fanout_cone(&nl, &[0]), vec![0, 2]);
-/// assert_eq!(fanout_cone(&nl, &[1]), vec![1]);
+/// let mut marks = vec![false; nl.num_signals()];
+/// let mut cone = Vec::new();
+/// fanout_cone(&nl, &[0], &mut marks, &mut cone);
+/// assert_eq!(cone, [0, 2]);
+/// fanout_cone(&nl, &[1], &mut marks, &mut cone);
+/// assert_eq!(cone, [1]);
+/// assert!(marks.iter().all(|&m| !m), "the scratch flags are left clear");
 /// ```
-#[must_use]
-pub fn fanout_cone(netlist: &Netlist, sources: &[u32]) -> Vec<u32> {
+pub fn fanout_cone(netlist: &Netlist, sources: &[u32], marks: &mut [bool], cone: &mut Vec<u32>) {
     let ni = netlist.num_inputs();
-    let mut dirty = vec![false; netlist.num_signals()];
+    assert_eq!(marks.len(), netlist.num_signals(), "one scratch flag per signal");
+    cone.clear();
     let mut first = usize::MAX;
     for &s in sources {
         let k = s as usize;
         assert!(k < netlist.gate_count(), "source node {k} out of range");
-        dirty[ni + k] = true;
+        marks[ni + k] = true;
         first = first.min(k);
     }
-    let mut cone = Vec::new();
     if first == usize::MAX {
-        return cone;
+        return;
     }
-    for (k, node) in netlist.nodes().iter().enumerate().skip(first) {
-        let sig = ni + k;
-        let tainted = dirty[sig]
-            || match node.kind.arity() {
-                0 => false,
-                1 => dirty[node.a.index()],
-                _ => dirty[node.a.index()] || dirty[node.b.index()],
-            };
-        if tainted {
-            dirty[sig] = true;
-            cone.push(k as u32);
-        }
+    // Branch-free taint: every scanned node is written to the next cone
+    // slot, and the slot is kept only when the node is tainted.
+    let tail = &netlist.nodes()[first..];
+    cone.resize(tail.len(), 0);
+    let mut len = 0;
+    for (k, node) in (first..).zip(tail) {
+        let arity = node.kind.arity();
+        let tainted = marks[ni + k]
+            | (marks[node.a.index()] & (arity >= 1))
+            | (marks[node.b.index()] & (arity >= 2));
+        marks[ni + k] = tainted;
+        cone[len] = k as u32;
+        len += usize::from(tainted);
     }
-    cone
+    cone.truncate(len);
+    for &k in cone.iter() {
+        marks[ni + k as usize] = false;
+    }
 }
 
 #[cfg(test)]
@@ -93,30 +107,43 @@ mod tests {
         b.finish().unwrap()
     }
 
+    /// The cone of `sources` through fresh buffers.
+    fn cone_of(nl: &Netlist, sources: &[u32]) -> Vec<u32> {
+        let mut marks = vec![false; nl.num_signals()];
+        let mut cone = vec![7; 3];
+        fanout_cone(nl, sources, &mut marks, &mut cone);
+        assert!(marks.iter().all(|&m| !m), "scratch flags left set");
+        cone
+    }
+
     #[test]
     fn fanout_cone_matches_brute_force_resimulation() {
         // A node belongs to the cone of {s} iff flipping s's definition can
         // change it; over-approximation is structural, so check the cone is
         // closed and sound: every node outside the cone reads only clean
-        // signals.
+        // signals, and every cone node is a source or reads a cone node
+        // through a slot its gate uses. One pair of buffers serves every
+        // call, as in the incremental engine.
         let mut rng = Xoshiro256::from_seed(13);
-        for _ in 0..20 {
+        let mut marks = vec![false; 4 + 30];
+        let mut cone = Vec::new();
+        for _ in 0..40 {
             let nl = random_netlist(&mut rng, 4, 30);
-            let src = rng.gen_range(nl.gate_count()) as u32;
-            let cone = fanout_cone(&nl, &[src]);
-            assert!(cone.contains(&src));
+            let sources: Vec<u32> =
+                (0..1 + rng.gen_range(5)).map(|_| rng.gen_range(nl.gate_count()) as u32).collect();
+            fanout_cone(&nl, &sources, &mut marks, &mut cone);
+            assert!(marks.iter().all(|&m| !m), "scratch flags left set");
+            assert!(sources.iter().all(|s| cone.contains(s)));
             assert!(cone.windows(2).all(|w| w[0] < w[1]), "sorted, deduped");
             let in_cone = |s: SignalId| {
                 s.index() >= nl.num_inputs()
                     && cone.contains(&((s.index() - nl.num_inputs()) as u32))
             };
             for (k, node) in nl.nodes().iter().enumerate() {
-                if cone.contains(&(k as u32)) {
-                    continue;
-                }
-                let arity = node.kind.arity();
-                assert!(arity == 0 || !in_cone(node.a), "clean node {k} reads dirty a");
-                assert!(arity < 2 || !in_cone(node.b), "clean node {k} reads dirty b");
+                let reads = [node.a, node.b];
+                let tainted = reads[..node.kind.arity()].iter().any(|&s| in_cone(s));
+                let member = cone.contains(&(k as u32));
+                assert_eq!(member, tainted || sources.contains(&(k as u32)), "node {k}");
             }
         }
     }
@@ -125,7 +152,7 @@ mod tests {
     fn fanout_cone_of_nothing_is_empty() {
         let mut rng = Xoshiro256::from_seed(14);
         let nl = random_netlist(&mut rng, 4, 10);
-        assert!(fanout_cone(&nl, &[]).is_empty());
+        assert!(cone_of(&nl, &[]).is_empty());
     }
 
     #[test]
@@ -138,6 +165,6 @@ mod tests {
         let n1 = b.push(GateKind::Not, x, n0);
         b.outputs(&[n1]);
         let nl = b.finish().unwrap();
-        assert_eq!(fanout_cone(&nl, &[0]), vec![0], "Not's b slot is dead");
+        assert_eq!(cone_of(&nl, &[0]), vec![0], "Not's b slot is dead");
     }
 }

@@ -142,6 +142,51 @@ impl Netlist {
         Ok(())
     }
 
+    /// Replaces node `k`'s definition, checking it as
+    /// [`Netlist::validate`] would, and returns the previous one.
+    ///
+    /// This is how an incremental caller turns one netlist into a
+    /// same-shape neighbour (and back) without rebuilding it.
+    ///
+    /// # Errors
+    ///
+    /// [`NetlistError::ForwardReference`] if an operand is not strictly
+    /// earlier than the node; the netlist is then left unchanged.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k >= self.gate_count()`.
+    pub fn set_node(&mut self, k: usize, node: Node) -> Result<Node, NetlistError> {
+        let limit = (self.num_inputs + k) as u32;
+        let slot = &mut self.nodes[k];
+        for operand in [node.a, node.b] {
+            if operand.0 >= limit {
+                return Err(NetlistError::ForwardReference { node: k, operand });
+            }
+        }
+        Ok(std::mem::replace(slot, node))
+    }
+
+    /// Redirects output `j` to `signal`, checking it as
+    /// [`Netlist::validate`] would, and returns the previous signal.
+    ///
+    /// # Errors
+    ///
+    /// [`NetlistError::InvalidOutput`] if `signal` does not exist; the
+    /// netlist is then left unchanged.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `j >= self.num_outputs()`.
+    pub fn set_output(&mut self, j: usize, signal: SignalId) -> Result<SignalId, NetlistError> {
+        let total = self.num_signals() as u32;
+        let slot = &mut self.outputs[j];
+        if signal.0 >= total {
+            return Err(NetlistError::InvalidOutput { output: j, signal });
+        }
+        Ok(std::mem::replace(slot, signal))
+    }
+
     /// Marks signals in the transitive fan-in of the outputs.
     ///
     /// Returns one flag per signal (inputs first, then nodes). A node whose

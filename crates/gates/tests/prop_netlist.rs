@@ -1,6 +1,6 @@
 //! Property-based tests on netlist invariants.
 
-use apx_gates::{Exhaustive, GateKind, Netlist, NetlistBuilder, SignalId};
+use apx_gates::{Exhaustive, GateKind, Netlist, NetlistBuilder, NetlistError, Node, SignalId};
 use proptest::prelude::*;
 
 /// Strategy: an arbitrary valid netlist with `ni` inputs.
@@ -83,5 +83,52 @@ proptest! {
         let wrapped = b.finish().unwrap();
         let ex = Exhaustive::new(3);
         prop_assert_eq!(ex.output_table(&nl), ex.output_table(&wrapped));
+    }
+
+    #[test]
+    fn checked_patches_reject_what_validate_rejects(
+        nl in arb_netlist(4, 24),
+        pick in any::<u32>(),
+        past in 0u32..8,
+        kind in 0usize..14,
+    ) {
+        // A node patch that reads itself or a later signal, and an output
+        // patch past the last signal, fail with the error `validate`
+        // reports and leave the netlist as it was.
+        let k = pick as usize % nl.gate_count();
+        let limit = (nl.num_inputs() + k) as u32;
+        let total = nl.num_signals() as u32;
+        let mut patched = nl.clone();
+        let forward = SignalId(limit + past);
+        for (a, b) in [(forward, SignalId(0)), (SignalId(0), forward)] {
+            let node = Node { kind: GateKind::ALL[kind], a, b };
+            prop_assert_eq!(
+                patched.set_node(k, node),
+                Err(NetlistError::ForwardReference { node: k, operand: forward })
+            );
+            prop_assert_eq!(&patched, &nl);
+        }
+        let j = pick as usize % nl.num_outputs();
+        let missing = SignalId(total + past);
+        prop_assert_eq!(
+            patched.set_output(j, missing),
+            Err(NetlistError::InvalidOutput { output: j, signal: missing })
+        );
+        prop_assert_eq!(&patched, &nl);
+
+        // A legal patch yields exactly the netlist `Netlist::new` builds
+        // from the patched parts, and undoing it restores the original.
+        let (a, b) = (SignalId(pick % limit), SignalId(limit - 1));
+        let node = Node { kind: GateKind::ALL[kind], a, b };
+        let old_node = patched.set_node(k, node).unwrap();
+        let old_out = patched.set_output(j, SignalId(pick % total)).unwrap();
+        let mut nodes = nl.nodes().to_vec();
+        nodes[k] = node;
+        let mut outputs = nl.outputs().to_vec();
+        outputs[j] = SignalId(pick % total);
+        prop_assert_eq!(&patched, &Netlist::new(nl.num_inputs(), nodes, outputs).unwrap());
+        patched.set_node(k, old_node).unwrap();
+        patched.set_output(j, old_out).unwrap();
+        prop_assert_eq!(&patched, &nl);
     }
 }

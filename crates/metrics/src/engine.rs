@@ -406,7 +406,9 @@ impl EngineCtx<'_> {
             dirty: vec![false; num_signals],
             needed: vec![false; num_signals],
             def_changed: vec![false; base.gate_count()],
-            touched: Vec::new(),
+            touched: Vec::with_capacity(num_signals),
+            cone: Vec::with_capacity(base.gate_count()),
+            sim_nodes: Vec::with_capacity(base.gate_count()),
             block_err: vec![0.0; n_pos],
             // Sentinel no real output list matches, so the first commit
             // always computes the error terms.
@@ -444,6 +446,12 @@ impl EngineCtx<'_> {
     /// into the chunk grid; the cached rows are left untouched, so the
     /// state still describes the base afterwards.
     ///
+    /// Set-up scales with the cone, apart from one forward scan from the
+    /// first changed node: the cone and the simulated nodes go into the
+    /// state's reused buffers, neededness is decided over the cone alone
+    /// (see [`Self::sim_nodes`]), and every scratch flag the call sets is
+    /// cleared again before it returns, on an abort too.
+    ///
     /// The positions are walked in chunks ([`chunk_tiles`]): the first
     /// [`BULK_AFTER`] (highest-weight) chunks are one tile each so an early
     /// abort wastes little work, after which chunks double in size so the
@@ -470,37 +478,79 @@ impl EngineCtx<'_> {
         raw_limit: f64,
     ) -> Option<f64> {
         state.check_shape(child);
-        let ni = state.ni;
-        let n_pos = state.n_pos;
-        let cone = fanout_cone(child, changed);
-        state.def_changed.fill(false);
+        debug_assert!(state.flags_clear(), "a previous call left scratch flags set");
+        Self::sim_nodes(state, child, changed);
         for &k in changed {
             state.def_changed[k as usize] = true;
         }
-        state.needed.fill(false);
+        let total = self.delta_walk(state, child, raw_limit);
+        // Leave every scratch flag clear for the next call: `def_changed`
+        // as set above, and the dirty marks of the chunk an abort left.
+        for &k in changed {
+            state.def_changed[k as usize] = false;
+        }
+        for &s in &state.touched {
+            state.dirty[s as usize] = false;
+        }
+        state.touched.clear();
+        total
+    }
+
+    /// Fills `state.sim_nodes` with the nodes of `changed`'s fanout cone
+    /// (in `child`) that feed an output, in netlist order.
+    ///
+    /// Every node that reads a cone node through a slot its gate uses is
+    /// itself in the cone, so a cone node's neededness depends only on the
+    /// outputs and on other cone nodes: marking the outputs and walking
+    /// the cone once in reverse gives exactly the cone nodes a walk over
+    /// the whole netlist would mark. The walk is branch-free (every cone
+    /// node writes its list slot and keeps it only when needed), and the
+    /// `needed` flags it sets (outputs, needed cone nodes and their
+    /// operands) are cleared before it returns.
+    fn sim_nodes(state: &mut WmedState, child: &Netlist, changed: &[u32]) {
+        let ni = state.ni;
+        let nodes = child.nodes();
+        // `dirty` is all clear between calls, so it doubles as the cone
+        // scan's scratch marks.
+        fanout_cone(child, changed, &mut state.dirty, &mut state.cone);
         for o in child.outputs() {
             state.needed[o.index()] = true;
         }
-        for (k, node) in child.nodes().iter().enumerate().rev() {
-            if !state.needed[ni + k] {
-                continue;
-            }
-            match node.kind.arity() {
-                0 => {}
-                1 => state.needed[node.a.index()] = true,
-                _ => {
-                    state.needed[node.a.index()] = true;
-                    state.needed[node.b.index()] = true;
-                }
-            }
+        // Needed nodes fill the list from the back, so it ends up in
+        // netlist order.
+        let n = state.cone.len();
+        state.sim_nodes.resize(n, 0);
+        let mut start = n;
+        for &k in state.cone.iter().rev() {
+            let need = state.needed[ni + k as usize];
+            let node = &nodes[k as usize];
+            let arity = node.kind.arity();
+            state.needed[node.a.index()] |= need & (arity >= 1);
+            state.needed[node.b.index()] |= need & (arity >= 2);
+            state.sim_nodes[start - 1] = k;
+            start -= usize::from(need);
         }
-        let sim_nodes: Vec<u32> =
-            cone.iter().copied().filter(|&k| state.needed[ni + k as usize]).collect();
+        state.sim_nodes.drain(..start);
+        for o in child.outputs() {
+            state.needed[o.index()] = false;
+        }
+        for &k in &state.sim_nodes {
+            let node = &nodes[k as usize];
+            state.needed[ni + k as usize] = false;
+            state.needed[node.a.index()] = false;
+            state.needed[node.b.index()] = false;
+        }
+    }
+
+    /// The chunk walk of [`Self::wmed_raw_delta`] over `state.sim_nodes`.
+    /// Clears the dirty marks of every chunk it completes; an abort leaves
+    /// the current chunk's in `state.touched`.
+    fn delta_walk(&self, state: &mut WmedState, child: &Netlist, raw_limit: f64) -> Option<f64> {
+        let ni = state.ni;
+        let n_pos = state.n_pos;
         let outs = child.outputs();
         let terms_valid = outs.len() == state.out_sigs.len()
             && outs.iter().zip(&state.out_sigs).all(|(o, &s)| o.index() as u32 == s);
-        state.dirty.fill(false);
-        state.touched.clear();
         let mut got = [0u64; MAX_PLANES];
         let mut terms = [0.0f64; TILE];
         let mut total = 0.0f64;
@@ -511,7 +561,7 @@ impl EngineCtx<'_> {
             let chunk_end = (chunk_start + chunk_tiles(chunk) * TILE).min(n_pos);
             let rest = chunk_end - chunk_start;
             chunk += 1;
-            for &k in &sim_nodes {
+            for &k in &state.sim_nodes {
                 let k = k as usize;
                 let node = &child.nodes()[k];
                 let (a_sig, b_sig) = (node.a.index(), node.b.index());
@@ -631,12 +681,15 @@ impl EngineCtx<'_> {
     /// `changed` (dead nodes included — a stale cached row for a currently
     /// dead node would poison a later delta that reactivates it) in place,
     /// with the same equality pruning as the delta path, and refreshes the
-    /// cached per-block error terms when the outputs were affected.
+    /// cached per-block error terms when the outputs were affected. Like
+    /// the delta path it fills the state's cone buffer and leaves every
+    /// scratch flag clear.
     pub(crate) fn commit(&self, state: &mut WmedState, child: &Netlist, changed: &[u32]) {
         state.check_shape(child);
+        debug_assert!(state.flags_clear(), "a previous call left scratch flags set");
         let ni = state.ni;
         let n_pos = state.n_pos;
-        state.def_changed.fill(false);
+        fanout_cone(child, changed, &mut state.dirty, &mut state.cone);
         for &k in changed {
             state.def_changed[k as usize] = true;
         }
@@ -647,8 +700,7 @@ impl EngineCtx<'_> {
         // borrows both cleanly): the fresh value overwrites the cached row
         // while the xor against the old value detects a change, instead of
         // simulating into a scratch row, comparing, and copying back.
-        state.dirty.fill(false);
-        for &k in &fanout_cone(child, changed) {
+        for &k in &state.cone {
             let k = k as usize;
             let node = &child.nodes()[k];
             if !(state.def_changed[k] || state.dirty[node.a.index()] || state.dirty[node.b.index()])
@@ -668,6 +720,12 @@ impl EngineCtx<'_> {
         if !terms_valid || outs.iter().any(|o| state.dirty[o.index()]) {
             self.refresh_block_err(state, outs);
         }
+        for &k in changed {
+            state.def_changed[k as usize] = false;
+        }
+        for &k in &state.cone {
+            state.dirty[ni + k as usize] = false;
+        }
     }
 }
 
@@ -683,12 +741,18 @@ fn interpret(signed: bool, raw: u64, bits: u32) -> i64 {
 /// Cached full-grid simulation state for incremental WMED re-evaluation.
 ///
 /// Created by [`crate::CircuitEvaluator::new_state`] for a *base* netlist;
-/// [`crate::CircuitEvaluator::wmed_bounded_delta`] scores single-mutation
-/// children against it without touching the cache, and
+/// [`crate::CircuitEvaluator::wmed_bounded_delta`] scores children against
+/// it without touching the cache, and
 /// [`crate::CircuitEvaluator::commit_state`] rebases it when a child is
 /// promoted. The contract: the state always holds, for every signal of the
 /// base netlist and every weighted block, the exact simulation word — so a
 /// delta only ever recomputes the changed nodes' fanout cone.
+///
+/// Besides the cache, the state owns every buffer a delta or a commit
+/// needs — the chunk grid, the cone and simulated-node lists and the
+/// per-signal and per-node scratch flags — so neither allocates. The
+/// flags are all clear between calls; each call clears exactly the ones
+/// it set instead of filling whole arrays.
 pub struct WmedState {
     /// `rows[sig · n_pos + pos]`: signal `sig`'s word at weighted block
     /// position `pos` (positions index the evaluator's `ordered_blocks`).
@@ -707,6 +771,10 @@ pub struct WmedState {
     def_changed: Vec<bool>,
     /// Signals marked dirty in the current chunk (for cheap clearing).
     touched: Vec<u32>,
+    /// The fanout cone of the current call's changed nodes.
+    cone: Vec<u32>,
+    /// The cone nodes that feed an output: what the delta walk simulates.
+    sim_nodes: Vec<u32>,
     /// `weight · err` of the base at each block position — the exact `f64`
     /// terms the accumulation loop adds, so clean tiles skip the kernel.
     block_err: Vec<f64>,
@@ -721,6 +789,12 @@ impl WmedState {
         assert_eq!(nl.num_signals(), self.num_signals, "state/netlist signal count mismatch");
     }
 
+    /// Whether every scratch flag is clear, as it must be between calls.
+    fn flags_clear(&self) -> bool {
+        let clear = |flags: &[bool]| flags.iter().all(|&f| !f);
+        clear(&self.dirty) && clear(&self.needed) && clear(&self.def_changed)
+    }
+
     /// Approximate heap footprint in bytes (dominated by the cached rows).
     #[must_use]
     pub fn bytes(&self) -> usize {
@@ -729,11 +803,15 @@ impl WmedState {
 
     /// Heap footprint of a state over `num_signals` signals, `gate_count`
     /// gates and `n_pos` weighted block positions: the cached rows, the
-    /// chunk grid and the per-position error terms (8 bytes per word), plus
-    /// one flag byte per signal (`dirty`, `needed`) and per gate
-    /// (`def_changed`).
+    /// chunk grid and the per-position error terms (8 bytes per word), one
+    /// flag byte per signal (`dirty`, `needed`) and per gate
+    /// (`def_changed`), and the index lists (4 bytes per entry: `touched`
+    /// per signal, `cone` and `sim_nodes` per gate).
     pub(crate) fn footprint(num_signals: usize, gate_count: usize, n_pos: usize) -> usize {
-        (2 * num_signals * n_pos + n_pos) * 8 + 2 * num_signals + gate_count
+        (2 * num_signals * n_pos + n_pos) * 8
+            + 2 * num_signals
+            + gate_count
+            + 4 * (num_signals + 2 * gate_count)
     }
 }
 

@@ -623,11 +623,19 @@ impl CircuitEvaluator {
     /// Bounded WMED of `child` evaluated incrementally against `state`.
     ///
     /// `changed` lists the node indices whose definition differs from the
-    /// state's base netlist (`child` must have the same shape). Only the
-    /// needed part of the changed nodes' fanout cone is re-simulated; the
-    /// cached rows are not modified, so the state keeps describing the base
-    /// (call [`CircuitEvaluator::commit_state`] to rebase). An empty `changed`
-    /// re-scores the base itself straight from the cache.
+    /// state's base netlist (`child` must have the same shape; its outputs
+    /// may differ). Only the needed part of the changed nodes' fanout cone
+    /// is re-simulated; the cached rows are not modified, so the state
+    /// keeps describing the base (call [`CircuitEvaluator::commit_state`]
+    /// to rebase). An empty `changed` re-scores the base itself straight
+    /// from the cache.
+    ///
+    /// The call's set-up scales with the cone, apart from one forward scan
+    /// from the first changed node: the cone and the nodes to simulate go
+    /// into buffers the state owns, which cone nodes feed an output is
+    /// decided over the cone alone, and every scratch flag the call sets
+    /// is cleared before it returns (an early abort included). Nothing is
+    /// allocated per call.
     ///
     /// The result — including the abort decision — is bit-identical to
     /// [`CircuitEvaluator::wmed_bounded`] on `child`.

@@ -221,7 +221,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// The incremental protocol's core contract: a delta evaluation against
-    /// a cached parent state — through arbitrary chains of single-node
+    /// a cached parent state — through arbitrary chains of CGP-shaped
     /// mutations and commits — returns exactly what a from-scratch bounded
     /// evaluation of the child returns, abort decision included.
     ///
@@ -231,6 +231,13 @@ proptest! {
     /// growing chunks and a truncated last chunk. Holes in the PMF drop
     /// weighted positions, which leaves tail tiles; every step is also
     /// scored without a limit, so every chunk is walked.
+    ///
+    /// Like a CGP offspring, a step redraws 1–5 nodes (repeats allowed),
+    /// may redirect an output, and may rewire a redrawn node onto a node
+    /// that is dead in the base; `spare` appends dead nodes to the base,
+    /// as a CGP grid's spare columns do. So dead cone nodes come alive,
+    /// and the cone-local neededness and the flags each call clears are
+    /// checked against the full pass.
     #[test]
     fn delta_matches_full_over_mutation_chains(
         shape in 0usize..4,
@@ -239,6 +246,9 @@ proptest! {
         holes in any::<bool>(),
         seed in any::<u64>(),
         limit_scale in 0.0f64..2.0,
+        spare in 0usize..24,
+        redirect in 0.0f64..0.6,
+        revive in 0.0f64..0.6,
     ) {
         let (op, w) =
             [(Operator::Mul, 6u32), (Operator::Mul, 8), (Operator::Add, 8), (Operator::Mac, 4)]
@@ -258,16 +268,45 @@ proptest! {
             Operator::Mul => apx_arith::truncated_multiplier(w, trunc),
             _ => mutated_seed(op, w, signed, trunc as usize, seed),
         };
+        let mut nodes = base.nodes().to_vec();
+        for _ in 0..spare {
+            nodes.push(random_node(ni + nodes.len(), &mut rng));
+        }
+        base = Netlist::new(ni, nodes, base.outputs().to_vec()).unwrap();
         let mut state = eval.new_state(&base);
         let limit = limit_scale * (eval.wmed(&base) + 1e-4);
         for _ in 0..12 {
-            let k = rng.gen_range(base.gate_count());
+            let active = base.active_mask();
+            let dead: Vec<u32> =
+                (ni..base.num_signals()).filter(|&s| !active[s]).map(|s| s as u32).collect();
             let mut nodes = base.nodes().to_vec();
-            nodes[k] = random_node(ni + k, &mut rng);
-            let child = Netlist::new(ni, nodes, base.outputs().to_vec()).unwrap();
+            let mut outputs = base.outputs().to_vec();
+            let mut changed = Vec::new();
+            for _ in 0..1 + rng.gen_range(5) {
+                let k = rng.gen_range(base.gate_count());
+                let mut node = random_node(ni + k, &mut rng);
+                let earlier: Vec<u32> =
+                    dead.iter().copied().filter(|&s| (s as usize) < ni + k).collect();
+                if let (true, Some(&s)) = (rng.bernoulli(revive), rng.choose(&earlier)) {
+                    node.a = SignalId(s);
+                }
+                nodes[k] = node;
+                changed.push(k as u32);
+            }
+            if rng.bernoulli(redirect) {
+                // Onto a redrawn node, a dead one or any signal.
+                let j = rng.gen_range(outputs.len());
+                let redrawn = ni as u32 + *rng.choose(&changed).unwrap();
+                let target = match rng.gen_range(3) {
+                    0 => redrawn,
+                    1 => rng.choose(&dead).copied().unwrap_or(redrawn),
+                    _ => rng.gen_range(base.num_signals()) as u32,
+                };
+                outputs[j] = SignalId(target);
+            }
+            let child = Netlist::new(ni, nodes, outputs).unwrap();
             // A superset changed list (extra indices whose definition is
             // unchanged) must be harmless — equality pruning absorbs them.
-            let mut changed = vec![k as u32];
             if rng.bernoulli(0.3) {
                 changed.push(rng.gen_range(base.gate_count()) as u32);
             }
