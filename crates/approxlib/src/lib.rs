@@ -40,9 +40,10 @@
 
 use apx_arith::{
     array_multiplier, baugh_wooley_broken, baugh_wooley_multiplier, broken_array_multiplier,
-    truncated_multiplier, OpTable,
+    truncated_multiplier, OpTable, TableError,
 };
 use apx_gates::{Netlist, NetlistBuilder, SignalId};
+use std::sync::OnceLock;
 
 /// Which construction produced a library entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -74,17 +75,53 @@ pub enum Family {
     Evolved,
 }
 
-/// One multiplier of the library: gate-level + functional views.
+/// One multiplier of the library: the gate-level view, and the functional
+/// view built from it on first use.
+///
+/// The exhaustive [`OpTable`] is what the image-filter and neural-network
+/// substrates execute products through; the component library and the
+/// re-scoring passes read only the netlist. So [`LibEntry::table`] builds
+/// the table the first time it is asked for and keeps it, and an entry
+/// whose width is past the table's limit (12 bits) still exists as a
+/// netlist.
 #[derive(Debug, Clone)]
 pub struct LibEntry {
     /// Unique human-readable name, e.g. `"bam_h6_v5"`.
     pub name: String,
     /// Gate-level implementation (crate input/output conventions).
     pub netlist: Netlist,
-    /// Exhaustive functional view.
-    pub table: OpTable,
     /// Construction family.
     pub family: Family,
+    width: u32,
+    signed: bool,
+    table: OnceLock<OpTable>,
+}
+
+impl LibEntry {
+    /// Exhaustive functional view, built on the first call and kept.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TableError::BadWidth`] past the table's 12-bit limit.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use apx_approxlib::MultiplierLibrary;
+    ///
+    /// let lib = MultiplierLibrary::truncated_family(4);
+    /// assert_eq!(lib.get("exact_array").unwrap().table()?.get(7, 9), 63);
+    /// let wide = MultiplierLibrary::truncated_family(13);
+    /// assert!(wide.get("exact_array").unwrap().table().is_err());
+    /// # Ok::<(), apx_arith::TableError>(())
+    /// ```
+    pub fn table(&self) -> Result<&OpTable, TableError> {
+        if let Some(table) = self.table.get() {
+            return Ok(table);
+        }
+        let table = OpTable::from_netlist(&self.netlist, self.width, self.signed)?;
+        Ok(self.table.get_or_init(|| table))
+    }
 }
 
 /// A collection of same-width approximate multipliers.
@@ -137,18 +174,26 @@ impl MultiplierLibrary {
         self.entries.iter().find(|e| e.name == name)
     }
 
-    /// Adds an entry built from a netlist.
+    /// Adds an entry built from a netlist. Its [`OpTable`] is built only
+    /// when [`LibEntry::table`] first asks for it.
     ///
     /// # Panics
     ///
-    /// Panics if the netlist does not match the library's width/signedness
-    /// conventions or the name is already taken.
+    /// Panics if the netlist does not have the library's operand arity
+    /// ([`OpTable::check_arity`]) or the name is already taken.
     pub fn push_netlist(&mut self, name: impl Into<String>, netlist: Netlist, family: Family) {
         let name = name.into();
         assert!(self.get(&name).is_none(), "duplicate entry name {name}");
-        let table = OpTable::from_netlist(&netlist, self.width, self.signed)
-            .expect("netlist must match library conventions");
-        self.entries.push(LibEntry { name, netlist, table, family });
+        OpTable::check_arity(&netlist, self.width).expect("netlist must match library conventions");
+        let (width, signed) = (self.width, self.signed);
+        self.entries.push(LibEntry {
+            name,
+            netlist,
+            family,
+            width,
+            signed,
+            table: OnceLock::new(),
+        });
     }
 
     /// The truncated-array family: `k = 1 ..= width + width/2` dropped
@@ -317,7 +362,7 @@ mod tests {
         let lib = MultiplierLibrary::truncated_family(6);
         let mut last = -1.0;
         for k in 1..=9u32 {
-            let e = med_of_table(&lib.get(&format!("trunc_{k}")).unwrap().table);
+            let e = med_of_table(lib.get(&format!("trunc_{k}")).unwrap().table().unwrap());
             assert!(e > last, "k={k}: {e} vs {last}");
             last = e;
         }
@@ -331,7 +376,7 @@ mod tests {
             MultiplierLibrary::evoapprox_like(6),
         ] {
             let exact = lib.get("exact_array").unwrap();
-            assert_eq!(med_of_table(&exact.table), 0.0);
+            assert_eq!(med_of_table(exact.table().unwrap()), 0.0);
             assert_eq!(exact.family, Family::Exact);
         }
     }
@@ -418,12 +463,12 @@ mod tests {
         let lib = MultiplierLibrary::broken_family_signed(6);
         assert!(lib.is_signed());
         let exact = lib.get("exact_bw").unwrap();
-        assert_eq!(exact.table.get(-32, 31), -32 * 31);
+        assert_eq!(exact.table().unwrap().get(-32, 31), -32 * 31);
         let zg = MultiplierLibrary::zero_guard_family_signed(6);
         assert!(zg.len() > 5);
         for e in zg.iter() {
             if e.family == Family::ZeroGuard {
-                assert_eq!(e.table.get(0, -17), 0);
+                assert_eq!(e.table().unwrap().get(0, -17), 0);
             }
         }
     }

@@ -78,6 +78,25 @@ impl OpTable {
         if width == 0 || width > 12 {
             return Err(TableError::BadWidth(width));
         }
+        Self::check_arity(netlist, width)?;
+        let no = netlist.num_outputs();
+        let raw = Exhaustive::new(2 * width as usize).output_table(netlist);
+        let entries = raw
+            .into_iter()
+            .map(|bits| if signed { sign_extend(bits, no as u32) } else { bits as i64 })
+            .collect();
+        Ok(OpTable { width, signed, entries })
+    }
+
+    /// Checks that `netlist` has the arity a `width`-bit table reads:
+    /// `2 · width` inputs and at most 63 outputs. This is
+    /// [`OpTable::from_netlist`]'s check without the table's own width
+    /// limit, for holders of netlists that build tables only on demand.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TableError::InputArity`] or [`TableError::OutputArity`].
+    pub fn check_arity(netlist: &Netlist, width: u32) -> Result<(), TableError> {
         let expected = 2 * width as usize;
         if netlist.num_inputs() != expected {
             return Err(TableError::InputArity { actual: netlist.num_inputs(), expected });
@@ -86,12 +105,7 @@ impl OpTable {
         if no >= 64 {
             return Err(TableError::OutputArity { actual: no });
         }
-        let raw = Exhaustive::new(expected).output_table(netlist);
-        let entries = raw
-            .into_iter()
-            .map(|bits| if signed { sign_extend(bits, no as u32) } else { bits as i64 })
-            .collect();
-        Ok(OpTable { width, signed, entries })
+        Ok(())
     }
 
     /// Builds a table directly from a function of the *interpreted*

@@ -8,9 +8,20 @@ use apx_gates::GateKind;
 /// The gene value of a node's function is an index into this set, so the
 /// set's order is part of the chromosome encoding (chromosomes serialized
 /// with one set must be deserialized with the same set).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct FunctionSet {
     kinds: Vec<GateKind>,
+}
+
+impl Clone for FunctionSet {
+    fn clone(&self) -> Self {
+        FunctionSet { kinds: self.kinds.clone() }
+    }
+
+    /// Copies `source` into `self` reusing the allocation.
+    fn clone_from(&mut self, source: &Self) {
+        self.kinds.clone_from(&source.kinds);
+    }
 }
 
 impl FunctionSet {
@@ -101,6 +112,15 @@ impl Default for FunctionSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn clone_from_reuses_the_allocation() {
+        let mut target = FunctionSet::extended();
+        let kinds = target.kinds.as_ptr();
+        target.clone_from(&FunctionSet::standard());
+        assert_eq!(target, FunctionSet::standard());
+        assert_eq!(target.kinds.as_ptr(), kinds);
+    }
 
     #[test]
     fn standard_set_has_eight_gates() {

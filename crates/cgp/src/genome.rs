@@ -13,7 +13,7 @@ use apx_rng::Xoshiro256;
 /// unrepresentable by construction. Nodes not reachable from the outputs
 /// are *inactive* — they are carried along and mutated (neutral drift) but
 /// cost nothing in hardware.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct Chromosome {
     ni: usize,
     no: usize,
@@ -21,6 +21,29 @@ pub struct Chromosome {
     funcs: FunctionSet,
     /// Layout: `[a_0, b_0, f_0, a_1, b_1, f_1, …, out_0, …, out_{no-1}]`.
     genes: Vec<u32>,
+}
+
+impl Clone for Chromosome {
+    fn clone(&self) -> Self {
+        Chromosome {
+            ni: self.ni,
+            no: self.no,
+            cols: self.cols,
+            funcs: self.funcs.clone(),
+            genes: self.genes.clone(),
+        }
+    }
+
+    /// Copies `source` into `self` reusing the gene and function-set
+    /// allocations: the evolution loop overwrites its offspring buffers
+    /// with the parent every generation.
+    fn clone_from(&mut self, source: &Self) {
+        self.ni = source.ni;
+        self.no = source.no;
+        self.cols = source.cols;
+        self.funcs.clone_from(&source.funcs);
+        self.genes.clone_from(&source.genes);
+    }
 }
 
 impl Chromosome {
@@ -279,6 +302,17 @@ mod tests {
         assert_eq!(a.num_inputs(), b.num_inputs());
         let ex = Exhaustive::new(a.num_inputs());
         ex.output_table(a) == ex.output_table(b)
+    }
+
+    #[test]
+    fn clone_from_copies_into_the_existing_buffers() {
+        let mut rng = Xoshiro256::from_seed(5);
+        let source = Chromosome::random(8, 8, 120, &FunctionSet::standard(), &mut rng);
+        let mut target = Chromosome::random(8, 8, 120, &FunctionSet::extended(), &mut rng);
+        let genes = target.genes.as_ptr();
+        target.clone_from(&source);
+        assert_eq!(target, source);
+        assert_eq!(target.genes.as_ptr(), genes, "the gene buffer is reused");
     }
 
     #[test]

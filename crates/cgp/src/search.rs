@@ -110,11 +110,11 @@ impl<F: Fn(&Chromosome) -> f64> FitnessFn for F {
 
 /// Runs the `(1 + λ)` strategy from `seed_parent`, minimizing `fitness`.
 ///
-/// Each generation clones the parent λ times, mutates every clone with up
-/// to `h` gene redraws, evaluates all offspring and promotes the best
-/// offspring whose fitness is **less than or equal to** the parent's — the
-/// neutral genetic drift that CGP's redundant representation is designed
-/// for (paper §III-C).
+/// Each generation copies the parent into λ offspring buffers (reused
+/// across generations), mutates every copy with up to `h` gene redraws,
+/// evaluates all offspring and promotes the best offspring whose fitness
+/// is **less than or equal to** the parent's — the neutral genetic drift
+/// that CGP's redundant representation is designed for (paper §III-C).
 ///
 /// Offspring are scored inline, one after another on the calling thread,
 /// so `fitness` may keep unsynchronized state (a `Cell`, a `RefCell`).
@@ -189,6 +189,10 @@ where
         history.push((0, parent_fit));
     }
     let mut iterations = 0u64;
+    // λ offspring buffers, overwritten with the parent in place every
+    // generation; a promoted child swaps into the parent slot.
+    let mut children = vec![parent.clone(); config.lambda];
+    let mut fits = vec![0.0f64; config.lambda];
     for iter in 1..=config.max_iterations {
         iterations = iter;
         if let Some(target) = config.target_fitness {
@@ -197,19 +201,17 @@ where
                 break;
             }
         }
-        let mut scored: Vec<(Chromosome, f64)> = Vec::with_capacity(config.lambda);
-        for _ in 0..config.lambda {
-            let mut child = parent.clone();
-            mutate(&mut child, config.mutations, &mut rng);
-            let fit = fitness.eval(&child);
-            scored.push((child, fit));
+        for (child, fit) in children.iter_mut().zip(&mut fits) {
+            child.clone_from(&parent);
+            mutate(child, config.mutations, &mut rng);
+            *fit = fitness.eval(child);
         }
         evaluations += config.lambda as u64;
         // Best offspring; ties broken toward the earliest (deterministic).
-        let (best_idx, best_fit) = scored
+        let (best_idx, best_fit) = fits
             .iter()
+            .copied()
             .enumerate()
-            .map(|(i, (_, fit))| (i, *fit))
             .min_by(|a, b| a.1.total_cmp(&b.1))
             .expect("lambda >= 1");
         // Neutral drift: equal fitness replaces the parent.
@@ -217,7 +219,7 @@ where
             if best_fit < parent_fit && config.keep_history {
                 history.push((iter, best_fit));
             }
-            parent = scored.swap_remove(best_idx).0;
+            std::mem::swap(&mut parent, &mut children[best_idx]);
             parent_fit = best_fit;
             fitness.rebase_scored(&parent, parent_fit);
         }

@@ -290,34 +290,37 @@ impl Eq1Fitness {
             return;
         }
         let mut guard = self.incr.borrow_mut();
+        // Whether any output gene changed, when a slot of the parent's
+        // shape exists (the diff also fills the slot's `changed` list).
+        let diff = guard.as_mut().and_then(|slot| slot.diff(parent));
+        if let (Some(slot), Some(outputs_changed)) = (guard.as_ref(), diff) {
+            if slot.is_neutral(outputs_changed) {
+                // Neutral drift: the promotion changed only nodes that are
+                // inactive in the slot base, so the active cone — and with
+                // it `base_fit`/`base_active` — is untouched. The delta
+                // path diffs offspring against the slot base (not the
+                // parent), so the cached rows remain exactly right;
+                // committing here would re-simulate a dead fanout cone over
+                // every block for nothing. Keep the slot as is, and decode
+                // nothing: a slot of this shape passed the footprint check
+                // below when it was built.
+                return;
+            }
+        }
         let full = parent.decode_full();
         if self.evaluator.state_bytes(&full) > MAX_STATE_BYTES {
             *guard = None;
             return;
         }
-        let (state, changed) = match guard.take() {
+        let (state, changed) = match (guard.take(), diff) {
             // Rebase the existing state: re-simulate the changed cone in
             // place instead of rebuilding every cached row.
-            Some(mut slot) => match slot.diff(parent) {
-                Some(outputs_changed) => {
-                    if slot.is_neutral(outputs_changed) {
-                        // Neutral drift: the promotion changed only nodes
-                        // that are inactive in the slot base, so the active
-                        // cone — and with it `base_fit`/`base_active` — is
-                        // untouched. The delta path diffs offspring against
-                        // the slot base (not the parent), so the cached
-                        // rows remain exactly right; committing here would
-                        // re-simulate a dead fanout cone over every block
-                        // for nothing. Keep the slot as is.
-                        *guard = Some(slot);
-                        return;
-                    }
-                    self.evaluator.commit_state(&mut slot.state, &full, &slot.changed);
-                    (slot.state, slot.changed)
-                }
-                None => (self.evaluator.new_state(&full), slot.changed),
-            },
-            None => (self.evaluator.new_state(&full), Vec::new()),
+            (Some(mut slot), Some(_)) => {
+                self.evaluator.commit_state(&mut slot.state, &full, &slot.changed);
+                (slot.state, slot.changed)
+            }
+            (Some(slot), None) => (self.evaluator.new_state(&full), slot.changed),
+            (None, _) => (self.evaluator.new_state(&full), Vec::new()),
         };
         let mut slot = IncrSlot {
             base: parent.clone(),

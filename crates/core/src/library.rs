@@ -522,6 +522,28 @@ mod tests {
     }
 
     #[test]
+    fn conventional_families_ingest_past_the_table_width_limit() {
+        // Ingestion reads netlists only, so a family of 13-bit multipliers
+        // (past `OpTable`'s 12-bit limit) constructs and ingests like any
+        // other, and asking it for a table is an error, not a panic.
+        let unsigned = MultiplierLibrary::evoapprox_like(13);
+        let signed = MultiplierLibrary::broken_family_signed(13);
+        let mut lib = ComponentLibrary::new();
+        let added = lib.ingest_conventional(&unsigned) + lib.ingest_conventional(&signed);
+        assert!(added > 20, "expected both families' candidates, got {added}");
+        assert_eq!(
+            lib.candidates(Operator::Mul, 13, false).count()
+                + lib.candidates(Operator::Mul, 13, true).count(),
+            added
+        );
+        for e in lib.entries() {
+            assert_eq!((e.netlist.num_inputs(), e.netlist.num_outputs()), (26, 26), "{}", e.name);
+        }
+        let exact = unsigned.get("exact_array").expect("the family holds its exact entry");
+        assert_eq!(exact.table().unwrap_err(), apx_arith::TableError::BadWidth(13));
+    }
+
+    #[test]
     fn conventional_adders_land_under_the_add_operator() {
         let mut lib = evoapprox4();
         let n_mul = lib.candidates(Operator::Mul, 4, false).count();

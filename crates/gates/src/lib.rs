@@ -53,4 +53,4 @@ pub use error::NetlistError;
 pub use gate::GateKind;
 pub use level::fanout_cone;
 pub use netlist::{Netlist, NetlistBuilder, Node, SignalId};
-pub use sim::{unpack_lanes, BlockSim, Exhaustive};
+pub use sim::{eval_row, unpack_lanes, BlockSim, Exhaustive, TileSim, TILE};

@@ -3,26 +3,38 @@
 use apx_gates::{Exhaustive, GateKind, Netlist, NetlistBuilder, NetlistError, Node, SignalId};
 use proptest::prelude::*;
 
+/// Gene lists for [`netlist_from`]: one `(a, b, function)` triple per node
+/// and 1–4 output picks, each reduced modulo the signals in reach.
+type Genes = (Vec<(u32, u32, usize)>, Vec<u32>);
+
+/// Strategy: 1..=`max_nodes` node genes and 1–4 output genes.
+fn arb_genes(max_nodes: usize) -> impl Strategy<Value = Genes> {
+    (1..=max_nodes).prop_flat_map(|n| {
+        let genes = proptest::collection::vec((any::<u32>(), any::<u32>(), 0usize..14), n);
+        let outs = proptest::collection::vec(any::<u32>(), 1..=4);
+        (genes, outs)
+    })
+}
+
+/// The valid netlist with `ni` inputs that `genes` encode. Outputs pick
+/// random signals, so most netlists carry dead nodes.
+fn netlist_from(ni: usize, (genes, outs): &Genes) -> Netlist {
+    let mut b = NetlistBuilder::new(ni);
+    for (k, (a, bb, f)) in genes.iter().enumerate() {
+        let limit = (ni + k) as u32;
+        let kind = GateKind::ALL[*f];
+        b.push(kind, SignalId(a % limit), SignalId(bb % limit));
+    }
+    let total = (ni + genes.len()) as u32;
+    let outputs: Vec<SignalId> = outs.iter().map(|o| SignalId(o % total)).collect();
+    b.outputs(&outputs);
+    b.finish().expect("constructed within bounds")
+}
+
 /// Strategy: an arbitrary valid netlist with `ni` inputs.
 fn arb_netlist(ni: usize, max_nodes: usize) -> impl Strategy<Value = Netlist> {
-    let node_count = 1..=max_nodes;
-    node_count
-        .prop_flat_map(move |n| {
-            let genes = proptest::collection::vec((any::<u32>(), any::<u32>(), 0usize..14), n);
-            let outs = proptest::collection::vec(any::<u32>(), 1..=4);
-            (genes, outs).prop_map(move |(genes, outs)| {
-                let mut b = NetlistBuilder::new(ni);
-                for (k, (a, bb, f)) in genes.iter().enumerate() {
-                    let limit = (ni + k) as u32;
-                    let kind = GateKind::ALL[*f];
-                    b.push(kind, SignalId(a % limit), SignalId(bb % limit));
-                }
-                let total = (ni + genes.len()) as u32;
-                let outputs: Vec<SignalId> = outs.iter().map(|o| SignalId(o % total)).collect();
-                b.outputs(&outputs);
-                b.finish().expect("constructed within bounds")
-            })
-        })
+    arb_genes(max_nodes)
+        .prop_map(move |genes| netlist_from(ni, &genes))
         .prop_filter("non-trivial", |nl| nl.gate_count() > 0)
 }
 
@@ -55,13 +67,19 @@ proptest! {
     }
 
     #[test]
-    fn exhaustive_table_matches_bool_eval(nl in arb_netlist(4, 16)) {
-        let table = Exhaustive::new(4).output_table(&nl);
-        for (v, &table_word) in table.iter().enumerate() {
-            let bits: Vec<bool> = (0..4).map(|i| (v >> i) & 1 == 1).collect();
-            let outs = nl.eval_bool(&bits);
-            let packed: u64 = outs.iter().enumerate().map(|(k, &o)| (o as u64) << k).sum();
-            prop_assert_eq!(table_word, packed);
+    fn exhaustive_table_matches_bool_eval(genes in arb_genes(24)) {
+        // Every input count from 2 to 12: one partial block (fewer than 6
+        // inputs), 2–8 blocks (a ragged tile) and whole tiles of 16 blocks.
+        for ni in 2..=12 {
+            let nl = netlist_from(ni, &genes);
+            let table = Exhaustive::new(ni).output_table(&nl);
+            prop_assert_eq!(table.len(), 1 << ni);
+            for (v, &table_word) in table.iter().enumerate() {
+                let bits: Vec<bool> = (0..ni).map(|i| (v >> i) & 1 == 1).collect();
+                let outs = nl.eval_bool(&bits);
+                let packed: u64 = outs.iter().enumerate().map(|(k, &o)| (o as u64) << k).sum();
+                prop_assert_eq!(table_word, packed, "ni={} vector {}", ni, v);
+            }
         }
     }
 

@@ -4,9 +4,11 @@
 //! numbers (every per-block error sum is an exact `u64`, and callers share
 //! one floating-point accumulation order):
 //!
-//! * **tile evaluation** — the netlist is walked node-major over a tile of
-//!   [`TILE`] simulation blocks at once, so each gate dispatches once and
-//!   then runs a tight, auto-vectorizable loop of word ops;
+//! * **tile evaluation** — the netlist's live cone is walked node-major
+//!   over a tile of [`TILE`] simulation blocks at once
+//!   ([`apx_gates::TileSim`], shared with every other exhaustive pass), so
+//!   each gate dispatches once and then runs a tight, auto-vectorizable
+//!   loop of word ops;
 //! * a **bit-sliced error kernel** ([`abs_err_sum`] per block,
 //!   [`tile_terms`] per tile) — instead of unpacking 64 lanes and
 //!   subtracting per lane, the per-block `Σ|exact − got|` is computed
@@ -22,15 +24,8 @@
 //! paths against an independent implementation.
 
 use apx_arith::{EvalBackend, Operator};
-use apx_gates::{fanout_cone, unpack_lanes, BlockSim, Exhaustive, Netlist};
+use apx_gates::{eval_row, fanout_cone, unpack_lanes, Exhaustive, Netlist, TileSim, TILE};
 use apx_gates::{GateKind, SignalId};
-
-/// Simulation blocks processed per tile in the bounded-WMED hot path.
-///
-/// Small enough that an early abort (most CGP offspring bust the error
-/// budget within a few high-weight blocks) wastes little work, large enough
-/// that the per-gate dispatch amortizes and the inner word loops vectorize.
-pub(crate) const TILE: usize = 16;
 
 /// One-tile chunks the incremental path walks before its chunks start to
 /// grow (see [`chunk_tiles`]).
@@ -61,42 +56,6 @@ pub(crate) const MAX_PLANES: usize = 21;
 
 /// All-zero tile, the source slice for zero-extension planes.
 pub(crate) static ZERO_TILE: [u64; TILE] = [0; TILE];
-
-/// Evaluates one gate over a row of simulation words.
-///
-/// `a`/`b`/`dst` have equal length; each element is one 64-lane block.
-/// The gate function is matched once, outside the element loop.
-#[inline]
-pub(crate) fn eval_row(kind: GateKind, a: &[u64], b: &[u64], dst: &mut [u64]) {
-    macro_rules! bin {
-        ($f:expr) => {{
-            let f: fn(u64, u64) -> u64 = $f;
-            for ((d, &x), &y) in dst.iter_mut().zip(a).zip(b) {
-                *d = f(x, y);
-            }
-        }};
-    }
-    match kind {
-        GateKind::Const0 => dst.fill(0),
-        GateKind::Const1 => dst.fill(!0u64),
-        GateKind::Buf => dst.copy_from_slice(a),
-        GateKind::Not => {
-            for (d, &x) in dst.iter_mut().zip(a) {
-                *d = !x;
-            }
-        }
-        GateKind::And => bin!(|x, y| x & y),
-        GateKind::Nand => bin!(|x, y| !(x & y)),
-        GateKind::Or => bin!(|x, y| x | y),
-        GateKind::Nor => bin!(|x, y| !(x | y)),
-        GateKind::Xor => bin!(|x, y| x ^ y),
-        GateKind::Xnor => bin!(|x, y| !(x ^ y)),
-        GateKind::AndNotB => bin!(|x, y| x & !y),
-        GateKind::AndNotA => bin!(|x, y| !x & y),
-        GateKind::OrNotB => bin!(|x, y| x | !y),
-        GateKind::OrNotA => bin!(|x, y| !x | y),
-    }
-}
 
 /// Evaluates one gate over a row in place, reporting whether any word
 /// changed.
@@ -335,26 +294,19 @@ impl EngineCtx<'_> {
     /// Bit-parallel bounded WMED: raw weighted error over `ordered`, or
     /// `None` once the running total exceeds `raw_limit`.
     pub(crate) fn wmed_raw_bitpar(&self, nl: &Netlist, raw_limit: f64) -> Option<f64> {
-        let ni = nl.num_inputs();
         let outs = nl.outputs();
-        let mut vals = vec![0u64; nl.num_signals() * TILE];
+        let mut sim = TileSim::new(nl);
         let mut terms = [0.0f64; TILE];
         let mut total = 0.0f64;
         let mut pos = 0;
         let n_pos = self.ordered.len();
         while pos < n_pos {
             let tcount = TILE.min(n_pos - pos);
-            for i in 0..ni {
-                vals[i * TILE..][..tcount]
-                    .copy_from_slice(&self.input_rows[i * n_pos + pos..][..tcount]);
+            for (i, row) in sim.inputs_mut().chunks_exact_mut(TILE).enumerate() {
+                row[..tcount].copy_from_slice(&self.input_rows[i * n_pos + pos..][..tcount]);
             }
-            for (k, node) in nl.nodes().iter().enumerate() {
-                let (pre, rest) = vals.split_at_mut((ni + k) * TILE);
-                let a = &pre[node.a.index() * TILE..][..TILE];
-                let b = &pre[node.b.index() * TILE..][..TILE];
-                eval_row(node.kind, a, b, &mut rest[..TILE]);
-            }
-            let srcs = self.dense_srcs(outs, |sig| &vals[sig * TILE..][..tcount]);
+            sim.run();
+            let srcs = self.dense_srcs(outs, |sig| &sim.signal_row(sig)[..tcount]);
             self.dense_tile_terms(pos, tcount, &srcs, &mut terms);
             for &term in &terms[..tcount] {
                 total += term;
@@ -857,57 +809,64 @@ impl ScalarSim {
 }
 
 /// Backend-dispatched per-lane output reader for the exhaustive statistics
-/// paths (`stats`, `error_matrix`, the small-width WMED loop).
+/// paths (`stats`, `error_matrix`, the small-domain WMED loop).
 ///
 /// Fills a lane buffer with the packed output value of every lane of a
 /// block; both interpreters produce identical buffers, which is what makes
 /// the statistics surfaces backend-agnostic bit for bit. The scalar
-/// backend reads lanes one vector at a time; every other backend reads
-/// them with [`BlockSim`] — these paths are exhaustive by definition, so
-/// the symbolic backend has nothing to model-count here.
-pub(crate) struct LaneReader {
-    backend: EvalBackend,
-    sim: BlockSim,
+/// backend reads lanes one vector at a time. Every other backend
+/// simulates the tile of [`TILE`] blocks that holds the requested block on
+/// a [`TileSim`] and serves the tile's blocks from it, so a pass in block
+/// order dispatches each live gate once per 16 blocks. These paths are
+/// exhaustive by definition, so the symbolic backend has nothing to
+/// model-count here.
+pub(crate) struct LaneReader<'n> {
+    nl: &'n Netlist,
+    width: u32,
+    ex: Exhaustive,
+    /// The tiled simulator; `None` on the scalar backend.
+    tiles: Option<TileSim<'n>>,
+    /// First block of the tile `tiles` holds (`usize::MAX` before any).
+    first: usize,
+    /// One block's output words, unpacked into the lane buffer.
+    words: Vec<u64>,
     scalar: ScalarSim,
-    inputs: Vec<u64>,
 }
 
-impl LaneReader {
-    pub(crate) fn new(backend: EvalBackend, nl: &Netlist) -> Self {
+impl<'n> LaneReader<'n> {
+    /// A reader over the enumeration `ex` of `nl`, whose first `width`
+    /// inputs are the distribution operand (the top enumeration bits).
+    pub(crate) fn new(backend: EvalBackend, nl: &'n Netlist, ex: Exhaustive, width: u32) -> Self {
+        let tiles = (backend != EvalBackend::Scalar).then(|| TileSim::new(nl));
         LaneReader {
-            backend,
-            sim: BlockSim::new(nl),
+            nl,
+            width,
+            ex,
+            tiles,
+            first: usize::MAX,
+            words: vec![0u64; nl.num_outputs()],
             scalar: ScalarSim::default(),
-            inputs: vec![0u64; nl.num_inputs()],
         }
     }
 
     /// Reads all lanes of `block` into `lane_buf[..lanes]`.
-    pub(crate) fn read_block(
-        &mut self,
-        nl: &Netlist,
-        ex: &Exhaustive,
-        width: u32,
-        block: usize,
-        lane_buf: &mut [u64],
-    ) {
-        let w = width as usize;
-        let ni = nl.num_inputs();
-        let free = ni - w;
-        let lanes = ex.lanes_per_block();
-        match self.backend {
-            EvalBackend::BitParallel | EvalBackend::Symbolic => {
-                for i in 0..ni {
-                    let ebit = if i < w { free + i } else { i - w };
-                    self.inputs[i] = ex.input_word(ebit, block);
+    pub(crate) fn read_block(&mut self, block: usize, lane_buf: &mut [u64]) {
+        let lanes = self.ex.lanes_per_block();
+        match &mut self.tiles {
+            Some(sim) => {
+                let first = block - block % TILE;
+                if first != self.first {
+                    sim.load_blocks(&self.ex, first, self.width as usize);
+                    sim.run();
+                    self.first = first;
                 }
-                let out_words = self.sim.run(nl, &self.inputs);
-                unpack_lanes(out_words, lanes, lane_buf);
+                sim.output_column(block - first, &mut self.words);
+                unpack_lanes(&self.words, lanes, lane_buf);
             }
-            EvalBackend::Scalar => {
+            None => {
                 for (lane, slot) in lane_buf.iter_mut().enumerate().take(lanes) {
                     let v = (block * 64 + lane) as u64;
-                    *slot = self.scalar.run_packed(nl, width, v);
+                    *slot = self.scalar.run_packed(self.nl, self.width, v);
                 }
             }
         }
@@ -986,19 +945,6 @@ mod tests {
                         "planes={planes} tail={tcount} column={t}"
                     );
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn eval_row_agrees_with_eval_words() {
-        let a = [0x0123_4567_89AB_CDEFu64, !0, 0, 0xAAAA_5555_AAAA_5555];
-        let b = [0xFEDC_BA98_7654_3210u64, 0, !0, 0x0F0F_F0F0_0F0F_F0F0];
-        let mut dst = [0u64; 4];
-        for kind in GateKind::ALL {
-            eval_row(kind, &a, &b, &mut dst);
-            for t in 0..4 {
-                assert_eq!(dst[t], kind.eval_words(a[t], b[t]), "{kind} col {t}");
             }
         }
     }

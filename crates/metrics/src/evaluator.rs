@@ -372,7 +372,7 @@ impl CircuitEvaluator {
     /// Tile-major copy of the exact planes in weighted-position order (see
     /// `exact_tiles`).
     fn build_exact_tiles(&self) -> Vec<u64> {
-        use crate::engine::TILE;
+        use apx_gates::TILE;
         let n_pos = self.ordered_blocks.len();
         let n_tiles = n_pos.div_ceil(TILE);
         let mut tiles = vec![0u64; n_tiles * self.planes * TILE];
@@ -559,11 +559,11 @@ impl CircuitEvaluator {
         // Small domain: weights vary per lane inside the block(s); every
         // backend feeds the same per-lane loop via `LaneReader`.
         let lanes = self.ex.lanes_per_block();
-        let mut reader = LaneReader::new(self.backend, netlist);
+        let mut reader = LaneReader::new(self.backend, netlist, self.ex, self.width);
         let mut lane_buf = vec![0u64; 64];
         let mut total = 0.0f64;
         for block in 0..self.ex.num_blocks() {
-            reader.read_block(netlist, &self.ex, self.width, block, &mut lane_buf);
+            reader.read_block(block, &mut lane_buf);
             let base = (block * 64) as u64;
             for (lane, &out_raw) in lane_buf.iter().enumerate().take(lanes) {
                 let v = base + lane as u64;
@@ -713,7 +713,7 @@ impl CircuitEvaluator {
             };
         }
         let range = (1u64 << self.out_bits) as f64;
-        let mut reader = LaneReader::new(self.backend, netlist);
+        let mut reader = LaneReader::new(self.backend, netlist, self.ex, self.width);
         let mut lane_buf = vec![0u64; 64];
         let lanes = self.ex.lanes_per_block();
         let mut sum_abs = 0.0f64;
@@ -722,7 +722,7 @@ impl CircuitEvaluator {
         let mut nonzero = 0u64;
         let mut max_abs = 0i64;
         for block in 0..self.ex.num_blocks() {
-            reader.read_block(netlist, &self.ex, self.width, block, &mut lane_buf);
+            reader.read_block(block, &mut lane_buf);
             let base = (block * 64) as u64;
             for (lane, &out_raw) in lane_buf.iter().enumerate().take(lanes) {
                 let v = base + lane as u64;
@@ -795,11 +795,11 @@ impl CircuitEvaluator {
         // between `y` and `x` (1 for mul/add — plain assignment there).
         let multiplicity = (1u64 << (self.free - w)) as f64;
         let mut data = vec![0.0f64; n * n];
-        let mut reader = LaneReader::new(self.backend, netlist);
+        let mut reader = LaneReader::new(self.backend, netlist, self.ex, self.width);
         let mut lane_buf = vec![0u64; 64];
         let lanes = self.ex.lanes_per_block();
         for block in 0..self.ex.num_blocks() {
-            reader.read_block(netlist, &self.ex, w, block, &mut lane_buf);
+            reader.read_block(block, &mut lane_buf);
             let base = (block * 64) as u64;
             for (lane, &out_raw) in lane_buf.iter().enumerate().take(lanes) {
                 let v = base + lane as u64;

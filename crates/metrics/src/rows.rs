@@ -12,9 +12,10 @@
 //!   `Mac` past the enumeration cap, where BDDs stay small);
 //! * **streamed enumeration** (below) simulates the row's `2^(free−6)`
 //!   blocks through the candidate and the operator's exact seed circuit
-//!   side by side, [`TILE`] blocks at a time, and reduces every tile with
-//!   a bit-sliced kernel. It is how the bit-parallel backend evaluates
-//!   multipliers past the cap, where their BDDs blow up.
+//!   side by side, [`TILE`] blocks at a time on the tiled simulator every
+//!   exhaustive pass shares ([`apx_gates::TileSim`]), and reduces every
+//!   tile with a bit-sliced kernel. It is how the bit-parallel backend
+//!   evaluates multipliers past the cap, where their BDDs blow up.
 //!
 //! # The wide contract
 //!
@@ -36,9 +37,9 @@
 //! is nonnegative and f64 rounding is monotone, so the completed row —
 //! and every later prefix — would exceed the budget too.
 
-use crate::engine::{eval_row, TILE, ZERO_TILE};
+use crate::engine::ZERO_TILE;
 use crate::stats::ErrorStats;
-use apx_gates::{Exhaustive, Netlist};
+use apx_gates::{Exhaustive, Netlist, TileSim, TILE};
 
 /// Upper bound on the streamed kernel's planes: `2·16 + 1` for a 16-bit
 /// multiplier, the widest operand the bit-parallel backend reaches. The
@@ -157,6 +158,13 @@ impl RowCtx<'_> {
     /// (`exact`) one tile of blocks at a time. With `STATS` false only
     /// `abs` is reduced, and the row stops with `None` as soon as
     /// `exceeds` holds for its partial sum.
+    ///
+    /// Row `x` is the run of `2^(free − 6)` enumeration blocks starting at
+    /// block `x · 2^(free − 6)`, with the operand on the leading inputs:
+    /// netlist input `i < width` is bit `i` of `x`, pinned across all
+    /// lanes, and every later input is free bit `i − width`, which counts
+    /// up across the lanes and the row's blocks (the enumeration layout of
+    /// [`apx_arith::Operator::exact_value`]).
     fn stream_row<const STATS: bool>(
         &self,
         got: &mut TileSim<'_>,
@@ -164,20 +172,22 @@ impl RowCtx<'_> {
         x: u64,
         exceeds: &dyn Fn(u64) -> bool,
     ) -> Option<RowErr> {
-        let blocks = 1usize << (self.free - 6);
+        let (w, free) = (self.width as usize, self.free as usize);
+        let ex = Exhaustive::new(w + free);
+        let blocks = 1usize << (free - 6);
         let mut row = RowErr::default();
         let mut start = 0;
         while start < blocks {
             let tcount = TILE.min(blocks - start);
-            self.load_inputs(&mut got.vals, x, start);
-            let inputs = (self.width + self.free) as usize * TILE;
-            exact.vals[..inputs].copy_from_slice(&got.vals[..inputs]);
+            let first = x as usize * blocks + start;
+            got.load_blocks(&ex, first, w);
+            exact.load_blocks(&ex, first, w);
             got.run();
             exact.run();
             let tile = tile_err::<STATS>(
                 self.planes,
-                &exact.planes(self.signed, self.planes),
-                &got.planes(self.signed, self.planes),
+                &self.planes_of(exact),
+                &self.planes_of(got),
                 tcount,
             );
             row.abs += tile.abs;
@@ -191,69 +201,15 @@ impl RowCtx<'_> {
         Some(row)
     }
 
-    /// Writes the input rows of the tile of blocks `start..start + TILE`
-    /// of row `x` into `vals`.
-    ///
-    /// Netlist input `i < width` is bit `i` of `x`, pinned across all
-    /// lanes; every later input is free bit `i − width`, which counts up
-    /// across the lanes (bits 0–5) and the row's blocks (bits 6 and up) —
-    /// the enumeration layout of [`apx_arith::Operator::exact_value`].
-    /// Columns past the row's last block get well-formed words that no
-    /// reduction reads.
-    fn load_inputs(&self, vals: &mut [u64], x: u64, start: usize) {
-        let w = self.width as usize;
-        let free = Exhaustive::new(self.free as usize);
-        for (i, row) in vals.chunks_exact_mut(TILE).take(w + self.free as usize).enumerate() {
-            if i < w {
-                row.fill(if (x >> i) & 1 == 1 { !0 } else { 0 });
-            } else {
-                for (t, word) in row.iter_mut().enumerate() {
-                    *word = free.input_word(i - w, start + t);
-                }
-            }
-        }
-    }
-}
-
-/// One circuit's simulation grid for one tile: `vals[sig · TILE + t]` is
-/// signal `sig`'s word in tile column `t`.
-struct TileSim<'n> {
-    nl: &'n Netlist,
-    /// The nodes in the outputs' transitive fan-in, in netlist order; the
-    /// rest never reach an output plane, so they are never simulated.
-    live: Vec<usize>,
-    vals: Vec<u64>,
-}
-
-impl<'n> TileSim<'n> {
-    fn new(nl: &'n Netlist) -> Self {
-        let ni = nl.num_inputs();
-        let active = nl.active_mask();
-        let live = (0..nl.gate_count()).filter(|&k| active[ni + k]).collect();
-        TileSim { nl, live, vals: vec![0; nl.num_signals() * TILE] }
-    }
-
-    /// Simulates the live nodes over the tile (inputs already loaded).
-    fn run(&mut self) {
-        let ni = self.nl.num_inputs();
-        let nodes = self.nl.nodes();
-        for &k in &self.live {
-            let node = &nodes[k];
-            let (pre, rest) = self.vals.split_at_mut((ni + k) * TILE);
-            let a = &pre[node.a.index() * TILE..][..TILE];
-            let b = &pre[node.b.index() * TILE..][..TILE];
-            eval_row(node.kind, a, b, &mut rest[..TILE]);
-        }
-    }
-
-    /// The `planes` output planes: the outputs, then one extension plane
-    /// that replicates the top output when signed and is zero otherwise.
-    fn planes(&self, signed: bool, planes: usize) -> [&[u64]; WIDE_PLANES] {
+    /// The error planes of a simulated tile: the outputs, then one
+    /// extension plane that replicates the top output when signed and is
+    /// zero otherwise.
+    fn planes_of<'s>(&self, sim: &'s TileSim<'_>) -> [&'s [u64]; WIDE_PLANES] {
         let mut srcs: [&[u64]; WIDE_PLANES] = [&ZERO_TILE; WIDE_PLANES];
-        for (s, o) in srcs.iter_mut().zip(self.nl.outputs()) {
-            *s = &self.vals[o.index() * TILE..][..TILE];
+        for (s, o) in srcs.iter_mut().zip(sim.netlist().outputs()) {
+            *s = sim.signal_row(o.index());
         }
-        srcs[planes - 1] = if signed { srcs[planes - 2] } else { &ZERO_TILE };
+        srcs[self.planes - 1] = if self.signed { srcs[self.planes - 2] } else { &ZERO_TILE };
         srcs
     }
 }

@@ -12,7 +12,7 @@ use apx_arith::{
 };
 use apx_dist::Pmf;
 use apx_gates::{GateKind, Netlist, Node, SignalId};
-use apx_metrics::{CircuitEvaluator, ErrorStats, EvalBackend};
+use apx_metrics::{CircuitEvaluator, ErrorMatrix, ErrorStats, EvalBackend};
 use apx_rng::Xoshiro256;
 use proptest::prelude::*;
 
@@ -48,6 +48,28 @@ fn assert_stats_identical(a: &ErrorStats, b: &ErrorStats) -> Result<(), TestCase
     prop_assert_eq!(a.error_rate.to_bits(), b.error_rate.to_bits());
     prop_assert_eq!(a.mred.to_bits(), b.mred.to_bits());
     prop_assert_eq!(a.max_abs_error, b.max_abs_error);
+    Ok(())
+}
+
+/// Asserts two error matrices are equal cell for cell, to the last bit.
+fn assert_matrices_identical(
+    a: &ErrorMatrix,
+    b: &ErrorMatrix,
+    at: &str,
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(a.n(), b.n(), "{}", at);
+    for x in 0..a.n() {
+        for y in 0..a.n() {
+            prop_assert_eq!(
+                a.get(x, y).to_bits(),
+                b.get(x, y).to_bits(),
+                "{} cell ({}, {})",
+                at,
+                x,
+                y
+            );
+        }
+    }
     Ok(())
 }
 
@@ -231,8 +253,8 @@ proptest! {
 
     /// The backend seam's contract extends to every operator arity: on
     /// arbitrary netlists — dead nodes, garbage logic included — scalar
-    /// and bit-parallel stats are identical to the last bit, and so are
-    /// bounded verdicts.
+    /// and bit-parallel stats and error matrices are identical to the
+    /// last bit, and so are bounded verdicts.
     #[test]
     fn operator_backends_bit_identical_on_random_netlists(
         op_sel in 0usize..3,
@@ -249,10 +271,70 @@ proptest! {
         let pmf = Pmf::half_normal(width, f64::from(1u32 << (width - 1)));
         let (fast, slow) = both_backends(op, width, signed, &pmf);
         assert_stats_identical(&fast.stats(&nl), &slow.stats(&nl))?;
+        let at = format!("{op} w{width} signed={signed}");
+        assert_matrices_identical(&fast.error_matrix(&nl), &slow.error_matrix(&nl), &at)?;
         let limit = limit_scale * fast.stats(&nl).wmed;
         prop_assert_eq!(
             fast.wmed_bounded(&nl, limit).map(f64::to_bits),
             slow.wmed_bounded(&nl, limit).map(f64::to_bits)
         );
+    }
+}
+
+/// `op`'s exact seed with `rewrites` random node rewrites (random gate
+/// kind, operands drawn from earlier signals): a candidate whose error
+/// no conventional family produces.
+fn rewritten_seed(op: Operator, width: u32, signed: bool, rewrites: usize, seed: u64) -> Netlist {
+    let mut rng = Xoshiro256::from_seed(seed);
+    let base = op.seed_circuit(width, signed);
+    let ni = base.num_inputs();
+    let mut nodes = base.nodes().to_vec();
+    for _ in 0..rewrites {
+        let k = rng.gen_range(nodes.len());
+        nodes[k] = random_node(ni + k, &mut rng);
+    }
+    Netlist::new(ni, nodes, base.outputs().to_vec()).expect("rewrites preserve topology")
+}
+
+/// The width the library tier re-scores at, past the debug suite's
+/// random-netlist widths (2–6 for `mul` and `add`): bit-parallel `stats`
+/// and `error_matrix` against the scalar reference for the exact seed, a
+/// conventional design and a rewritten seed, for signed and unsigned
+/// multipliers and for the adder. Release only: the scalar reference
+/// interprets all 2^16 vectors one at a time.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "slow without optimizations; CI runs it in the step \
+              `cargo test --release -p apx_metrics --test prop_operators width8`"
+)]
+fn width8_bitpar_matches_the_scalar_reference() {
+    let width = 8;
+    let cases = [
+        (Operator::Mul, false, truncated_multiplier(width, 6)),
+        (Operator::Mul, true, baugh_wooley_broken(width, width - 2, 5)),
+        (Operator::Add, false, lower_or_adder(width, 4)),
+    ];
+    for (op, signed, conventional) in cases {
+        let pmf = if signed {
+            Pmf::signed_normal(width, 3.0, 20.0)
+        } else {
+            Pmf::half_normal(width, 48.0)
+        };
+        let (fast, slow) = both_backends(op, width, signed, &pmf);
+        let candidates = [
+            op.seed_circuit(width, signed),
+            conventional,
+            rewritten_seed(op, width, signed, 6, 0x0808),
+        ];
+        for (i, nl) in candidates.iter().enumerate() {
+            let at = format!("{op} w{width} signed={signed} candidate {i}");
+            let stats = fast.stats(nl);
+            assert!(i == 0 || stats.max_abs_error > 0, "{at}: the candidate is exact");
+            assert_stats_identical(&stats, &slow.stats(nl))
+                .unwrap_or_else(|e| panic!("{at}: {e:?}"));
+            assert_matrices_identical(&fast.error_matrix(nl), &slow.error_matrix(nl), &at)
+                .unwrap_or_else(|e| panic!("{e:?}"));
+        }
     }
 }

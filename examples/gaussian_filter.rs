@@ -34,7 +34,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let mut table = TextTable::new(vec!["multiplier", "PSNR [dB]", "power [mW]", "area [um2]"]);
     for entry in library.iter() {
-        let psnr = average_filter_psnr(&images, &kernel, &entry.table, 80.0);
+        let psnr = average_filter_psnr(&images, &kernel, entry.table()?, 80.0);
         let est = estimate_under_pmf(&entry.netlist, &tech, &coeff_pmf, 1000.0, 32, &mut rng);
         table.row(vec![
             entry.name.clone(),

@@ -76,7 +76,7 @@ fn pareto_front_of_library_multipliers_is_sane() {
     let points: Vec<(f64, f64)> = lib
         .iter()
         .map(|e| {
-            let stats = table_stats(&e.table, &exact, &pmf);
+            let stats = table_stats(e.table().unwrap(), &exact, &pmf);
             (stats.wmed, area_of(&e.netlist, &tech))
         })
         .collect();
