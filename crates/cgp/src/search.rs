@@ -71,6 +71,16 @@ pub struct EvolutionResult {
 /// `rebase` calls is therefore guaranteed to see a chromosome derived from
 /// the most recently rebased parent.
 ///
+/// Between two rebases the loop reads offspring scores only through their
+/// minimum (the earliest on ties) and the test of that minimum against the
+/// parent's score (`≤` promotes). So a stateful fitness may return any
+/// value above the parent's score — the one last handed to
+/// [`FitnessFn::rebase_scored`] — for an offspring that cannot be
+/// promoted, i.e. whose exact score is above it too; every score at or
+/// below the parent's must be exact. The initial parent and any
+/// warm-start seeds are scored and compared before the first rebase, so
+/// a fitness must score exactly until it is first rebased.
+///
 /// Plain closures implement the trait with a no-op `rebase`, so stateless
 /// fitnesses keep working unchanged:
 ///
@@ -463,6 +473,81 @@ mod tests {
         );
         assert_eq!(plain.best, result.best);
         assert_eq!(plain.best_fitness, result.best_fitness);
+    }
+
+    #[test]
+    fn scores_above_the_parent_only_need_to_stay_above_it() {
+        use std::cell::Cell;
+
+        /// Replaces every score above the one last handed to
+        /// `rebase_scored` with `lift(score, parent)`, another value above
+        /// the parent's.
+        struct Lifted<'a, F> {
+            inner: F,
+            lift: fn(f64, f64) -> f64,
+            parent: Cell<Option<f64>>,
+            lifted: &'a Cell<u64>,
+        }
+        impl<F: Fn(&Chromosome) -> f64> FitnessFn for Lifted<'_, F> {
+            fn eval(&self, c: &Chromosome) -> f64 {
+                let fit = (self.inner)(c);
+                match self.parent.get() {
+                    Some(parent) if fit > parent => {
+                        self.lifted.set(self.lifted.get() + 1);
+                        (self.lift)(fit, parent)
+                    }
+                    _ => fit,
+                }
+            }
+            fn rebase_scored(&self, _: &Chromosome, fit: f64) {
+                self.parent.set(Some(fit));
+            }
+        }
+
+        // Eq. 1 in miniature: an exact circuit scores its gate count, any
+        // other `∞`.
+        let exact_area = || {
+            let fitness = exactness_area_fitness(2);
+            move |c: &Chromosome| Some(fitness(c)).filter(|&f| f < 1e6).unwrap_or(f64::INFINITY)
+        };
+        let nl = array_multiplier(2);
+        let funcs = FunctionSet::standard();
+        let seed = Chromosome::from_netlist(&nl, &funcs, nl.gate_count() + 8).unwrap();
+        let config = EvolutionConfig { max_iterations: 600, seed: 17, ..Default::default() };
+        // Warm-start lists: one whose evolved seed wins, one whose seeds
+        // all lose (a tie and a broken circuit).
+        let better = evolve(&seed, exact_area(), &config).best;
+        let mut broken = seed.clone();
+        let outputs = 3 * broken.cols();
+        broken.genes_mut()[outputs] = 0;
+        let seed_lists = [
+            (vec![], None),
+            (vec![broken.clone(), better], Some(1)),
+            (vec![seed.clone(), broken], None),
+        ];
+        let bits = |r: &EvolutionResult| {
+            let history: Vec<_> = r.history.iter().map(|&(i, f)| (i, f.to_bits())).collect();
+            let fit = r.best_fitness.to_bits();
+            (r.best.clone(), fit, r.iterations, r.evaluations, history, r.initial_seed)
+        };
+        for (seeds, initial_seed) in &seed_lists {
+            let want = evolve_seeded(&seed, seeds, exact_area(), &config);
+            assert_eq!(want.initial_seed, *initial_seed);
+            // `∞`, or the score + 1 with `∞` brought down to the parent's
+            // + 1 (Eq. 1's area skip turns an `∞` into a finite area).
+            let lifts: [fn(f64, f64) -> f64; 2] = [
+                |_, _| f64::INFINITY,
+                |fit, parent| if fit.is_finite() { fit } else { parent } + 1.0,
+            ];
+            for lift in lifts {
+                let lifted = Cell::new(0);
+                let fitness =
+                    Lifted { inner: exact_area(), lift, parent: Cell::new(None), lifted: &lifted };
+                let got = evolve_seeded(&seed, seeds, fitness, &config);
+                assert_eq!(bits(&got), bits(&want), "{} seeds", seeds.len());
+                assert!(lifted.get() > 100, "most offspring score above the parent");
+            }
+        }
     }
 
     #[test]

@@ -194,7 +194,17 @@ impl Netlist {
     /// function, area or power.
     #[must_use]
     pub fn active_mask(&self) -> Vec<bool> {
-        let mut active = vec![false; self.num_signals()];
+        let mut active = Vec::new();
+        self.fill_active_mask(&mut active);
+        active
+    }
+
+    /// [`Netlist::active_mask`] into a caller-owned buffer, which is
+    /// overwritten (and resized to one flag per signal), so a caller that
+    /// refreshes the mask repeatedly allocates nothing.
+    pub fn fill_active_mask(&self, active: &mut Vec<bool>) {
+        active.clear();
+        active.resize(self.num_signals(), false);
         for out in &self.outputs {
             active[out.index()] = true;
         }
@@ -212,7 +222,6 @@ impl Netlist {
                 }
             }
         }
-        active
     }
 
     /// Number of *live* gates (transitive fan-in of the outputs).

@@ -59,8 +59,11 @@ pub struct TechLibrary {
     cells: [CellParams; NUM_KINDS],
 }
 
+/// `kind`'s slot in a cell table: its discriminant, which is its position
+/// in [`GateKind::ALL`] (`GateKind` is `#[repr(u8)]` and `ALL` lists it in
+/// declaration order).
 fn kind_index(kind: GateKind) -> usize {
-    GateKind::ALL.iter().position(|&k| k == kind).expect("every kind is in ALL")
+    kind as usize
 }
 
 impl TechLibrary {
@@ -401,6 +404,13 @@ mod tests {
             clock_mhz: 1000.0,
         };
         assert!((est.pdp_fj() - 10.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn cell_slots_follow_the_kind_list() {
+        for (i, &kind) in GateKind::ALL.iter().enumerate() {
+            assert_eq!(kind_index(kind), i, "{kind:?}");
+        }
     }
 
     #[test]
