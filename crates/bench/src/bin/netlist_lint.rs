@@ -17,8 +17,12 @@
 //! `equivalence_classes` counts the distinct functions among the intact
 //! entries, by `apx_verify::class_representatives` — the rule the
 //! library's semantic dedup and the GC's equivalence collapse use — and
-//! `semantic_duplicates` is entries minus classes. The human mode prints
-//! it as an `equivalence:` line.
+//! `semantic_duplicates` is entries minus classes. The rule separates
+//! entries by a simulation signature, and only entries whose signatures
+//! collide get an exact key (the simulated table hash at enumerable
+//! widths, the BDD digest past the cap), so a directory of distinct wide
+//! circuits builds no BDD. The human mode prints the census as an
+//! `equivalence:` line.
 //!
 //! `--json` swaps the human tables for one machine-readable JSON
 //! document: a `diagnostics` array (one object per finding), the

@@ -111,10 +111,13 @@ pub struct LibraryConfig {
     pub prune: bool,
     /// Collapse semantically equivalent candidates after the structural
     /// dedup ([`ComponentLibrary::dedup_semantic`]): entries shown by
-    /// `apx_verify`'s class rule to compute the same function (a hash of
-    /// the simulated output table at exhaustively enumerable widths, the
-    /// canonical functional digest past the cap) are reduced to the
-    /// selection-preferred member, counted as `library_semantic_dups`.
+    /// `apx_verify`'s class rule to compute the same function are reduced
+    /// to the selection-preferred member, counted as
+    /// `library_semantic_dups`. The rule separates entries by a
+    /// simulation signature on a few tiles of input vectors, and only
+    /// entries whose signatures collide get an exact key: a hash of the
+    /// simulated output table at exhaustively enumerable widths, the
+    /// canonical functional digest past the cap.
     /// Direct hits are provably unchanged (equivalent candidates
     /// re-score identically); only redundant seed slots are freed for
     /// functionally distinct candidates.

@@ -1,4 +1,4 @@
-//! Exhaustive bit-parallel simulation at enumerable widths.
+//! Bit-parallel simulation keys for the equivalence-class rule.
 //!
 //! Where [`Operator::supports_exhaustive_width`] holds — the rule by
 //! which the width already picks the evaluator backend — simulating
@@ -9,11 +9,77 @@
 //! block by block (no `2^n`-entry table is ever built). One function
 //! always gives one hash, so the equivalence-class rule keys its classes
 //! on it where [`crate::functional_digest`] serves past the cap.
+//!
+//! At every width the rule first keys members by [`signature`]: the
+//! outputs on a fixed handful of tiles, a few of the enumeration and a
+//! few pseudo-random. Equal functions share a signature, so a member
+//! whose signature no other member shares is its own class, and only
+//! members that share one need the exact key.
 
 use crate::FNV_LO_OFFSET;
 use apx_arith::Operator;
 use apx_dist::{fnv1a64, FNV1A64_OFFSET};
 use apx_gates::{Exhaustive, Netlist, TileSim, TILE};
+
+/// Tiles of the weighted-operand-major enumeration a [`signature`]
+/// simulates: block 0 (the smallest weighted values) and the middle block
+/// (the top weighted bit set).
+const SIGNATURE_ENUM_TILES: usize = 2;
+/// Pseudo-random tiles a [`signature`] simulates after those.
+const SIGNATURE_RANDOM_TILES: usize = 2;
+/// Seed of the signature's input stream: fixed, so equal functions see
+/// equal inputs.
+const SIGNATURE_SEED: u64 = 0x243F_6A88_85A3_08D3;
+
+/// SplitMix64: the signature's pseudo-random input words.
+fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// 128-bit hash of the outputs of `nl`, a `width`-bit `op` instance, on a
+/// fixed set of input vectors: [`SIGNATURE_ENUM_TILES`] tiles of the
+/// enumeration [`table_hash`] walks (weighted operand major), then
+/// [`SIGNATURE_RANDOM_TILES`] tiles of a fixed-seed SplitMix64 stream.
+///
+/// Every lane of every tile is a valid input assignment (columns past
+/// the last block and lanes past a small domain repeat earlier vectors),
+/// so the outputs are hashed unmasked, a word at a time: each word goes
+/// through a multiply-rotate step that is a bijection of the state, so
+/// two output streams that differ in one word always hash apart.
+///
+/// Netlists computing the same function hash equal. Distinct functions
+/// hash equal when they agree on every simulated vector, or by a hash
+/// collision: a signature can separate two members, never merge them.
+///
+/// The caller guarantees the operator's input arity and at most 33
+/// inputs ([`Exhaustive::new`]'s limit).
+pub(crate) fn signature(nl: &Netlist, op: Operator, width: u32) -> u128 {
+    debug_assert_eq!(nl.num_inputs(), op.num_inputs(width));
+    let ex = Exhaustive::new(nl.num_inputs());
+    let mut sim = TileSim::new(nl);
+    let outputs = nl.num_outputs() as u64;
+    let (mut hi, mut lo) = (FNV1A64_OFFSET ^ outputs, FNV_LO_OFFSET ^ outputs);
+    let mut state = SIGNATURE_SEED;
+    for tile in 0..SIGNATURE_ENUM_TILES + SIGNATURE_RANDOM_TILES {
+        if tile < SIGNATURE_ENUM_TILES {
+            sim.load_blocks(&ex, tile * ex.num_blocks() / SIGNATURE_ENUM_TILES, width as usize);
+        } else {
+            sim.inputs_mut().iter_mut().for_each(|word| *word = splitmix64(&mut state));
+        }
+        sim.run();
+        for o in nl.outputs() {
+            for &word in sim.signal_row(o.index()) {
+                hi = (hi ^ word).wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(23);
+                lo = (lo ^ word).wrapping_mul(0xD6E8_FEB8_6659_FD93).rotate_left(41);
+            }
+        }
+    }
+    (u128::from(hi) << 64) | u128::from(lo)
+}
 
 /// 128-bit hash of the full output behaviour of `nl` as a `width`-bit
 /// `op` instance: the crate's two FNV-1a-64 streams over the output

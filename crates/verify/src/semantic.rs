@@ -11,13 +11,18 @@
 //!    compute the same output function vector — invariant under wiring
 //!    permutation, dead nodes and any gate-level restructuring.
 //!    [`class_representatives`] groups netlists into equivalence classes
-//!    by it past the enumeration cap (at enumerable widths it hashes a
-//!    simulation of every input vector instead); the component library's
-//!    `dedup_semantic` stage, the cache GC's equivalence-class collapse
-//!    and `netlist_lint`'s census all call that one rule. Diagrams that
-//!    outgrow the node budget degrade to `None` instead of blowing up
-//!    (multiplier BDDs are exponential in operand width under any
-//!    variable order).
+//!    in two stages: a cheap simulation signature (a few tiles of input
+//!    vectors) separates members, and only members whose signatures
+//!    collide get an exact key — a hash of a simulation of every input
+//!    vector at enumerable widths, this digest past the cap. The
+//!    signature can only send members to the exact key, never merge
+//!    them, so the classes are those of exact keys alone. The component
+//!    library's `dedup_semantic` stage, the cache GC's equivalence-class
+//!    collapse and `netlist_lint`'s census all call that one rule.
+//!    Diagrams that outgrow the node budget degrade to `None` instead of
+//!    blowing up (multiplier BDDs are exponential in operand width under
+//!    any variable order); past the cap the signature spares them
+//!    wherever it separates.
 //! 2. **Seed proofs** ([`prove_seed`]) close the loop on the generators
 //!    themselves: every [`Operator::seed_circuit`] is proved equivalent
 //!    to an *independent* plane-arithmetic rendering of the reference
@@ -37,7 +42,7 @@
 //! wrong answer. Callers treat that as "fall back to the structural
 //! result", so the budget only trades precision, never soundness.
 
-use crate::exhaustive::table_hash;
+use crate::exhaustive::{signature, table_hash};
 use crate::fnv_u128;
 use apx_arith::{EvalBackend, Operator};
 use apx_bdd::{Bdd, NodeId, FALSE};
@@ -129,17 +134,37 @@ pub fn functional_digest_with_budget(nl: &Netlist, budget: usize) -> Option<u128
 /// netlist)`, the index of its class representative.
 ///
 /// A class is the members of one `(op, width, signed)` component class
-/// that compute the same function, however they are wired. The function
-/// identity is a 128-bit hash of the member's full output behaviour:
-/// at exhaustively enumerable widths it is simulated on every input
-/// vector (no BDD is built), and past the enumeration cap it is the
-/// [`functional_digest`]. One function gives one hash either way. A
-/// member past the cap whose planes outgrow the node budget keeps its
-/// structural identity: it is its own class. The representative is the
-/// member `prefer` orders first (`prefer(i, j)` compares members `i` and
-/// `j`): members are scanned in input order, and a later member replaces
-/// the held one only when it is strictly preferred, so ties keep the
-/// earliest.
+/// that compute the same function, however they are wired. The rule
+/// decides it in two stages:
+///
+/// 1. **Signature.** Every member gets a 128-bit simulation signature:
+///    its outputs on a fixed handful of input vectors (two tiles of the
+///    enumeration and two of a fixed-seed pseudo-random stream). A
+///    member whose `(op, width, signed, signature)` no other member
+///    shares is its own class. A member whose input count is not its
+///    operator's, or whose width is outside the operator's range, is not
+///    simulated: it shares a signature with every such member of its
+///    component class.
+/// 2. **Exact key.** Only members that share a signature get the exact
+///    function identity, a 128-bit hash of the full output behaviour: at
+///    exhaustively enumerable widths it is simulated on every input
+///    vector (no BDD is built), and past the enumeration cap it is the
+///    [`functional_digest`]. A member past the cap whose planes outgrow
+///    the node budget keeps its structural identity: it is its own
+///    class. Members of a class share the signature and the exact key.
+///
+/// The partition is the one keying every member by its exact key alone
+/// would give. Equal functions always share a signature, so they reach
+/// the exact stage together and get one key. Members a signature splits
+/// compute different functions, which their exact keys would split too:
+/// two different functions can merge only if both their signatures and
+/// their exact keys collide. The signature only spares exact keys; it
+/// never decides a merge.
+///
+/// The representative is the member `prefer` orders first (`prefer(i,
+/// j)` compares members `i` and `j`): members are scanned in input
+/// order, and a later member replaces the held one only when it is
+/// strictly preferred, so ties keep the earliest.
 ///
 /// A member is its own representative exactly when it survives a
 /// collapse of every class to one member, so the number of such members
@@ -147,23 +172,52 @@ pub fn functional_digest_with_budget(nl: &Netlist, budget: usize) -> Option<u128
 #[must_use]
 pub fn class_representatives(
     members: &[(Operator, u32, bool, &Netlist)],
-    mut prefer: impl FnMut(usize, usize) -> Ordering,
+    prefer: impl FnMut(usize, usize) -> Ordering,
 ) -> Vec<usize> {
-    /// A component class plus a 128-bit function identity.
-    type Key = (Operator, u32, bool, u128);
-    // `None` marks a member that is its own class: planes past the node
-    // budget.
-    let classes: Vec<Option<Key>> = members
+    classes_and_exact_keys(members, prefer).0
+}
+
+/// [`class_representatives`], plus how many exact keys it computed.
+fn classes_and_exact_keys(
+    members: &[(Operator, u32, bool, &Netlist)],
+    mut prefer: impl FnMut(usize, usize) -> Ordering,
+) -> (Vec<usize>, usize) {
+    /// A component class plus a signature (`None` past the input
+    /// arity).
+    type Sig = (Operator, u32, bool, Option<u128>);
+    let sigs: Vec<Sig> = members
         .iter()
         .map(|&(op, width, signed, nl)| {
-            if op.supports_exhaustive_width(width) && nl.num_inputs() == op.num_inputs(width) {
-                Some((op, width, signed, table_hash(nl, op, width)))
-            } else {
-                functional_digest(nl).map(|d| (op, width, signed, d))
-            }
+            let simulable = op.supports_width(width, EvalBackend::Symbolic)
+                && nl.num_inputs() == op.num_inputs(width);
+            (op, width, signed, simulable.then(|| signature(nl, op, width)))
         })
         .collect();
-    let mut held: HashMap<Key, usize> = HashMap::new();
+    let mut sharers: HashMap<Sig, usize> = HashMap::new();
+    for sig in &sigs {
+        *sharers.entry(*sig).or_default() += 1;
+    }
+    let mut exact_keys = 0;
+    // `None` marks a member that is its own class: a signature no other
+    // member shares, or planes past the node budget.
+    let classes: Vec<Option<(Sig, u128)>> = members
+        .iter()
+        .zip(&sigs)
+        .map(|(&(op, width, _, nl), &sig)| {
+            if sharers[&sig] == 1 {
+                return None;
+            }
+            exact_keys += 1;
+            let key =
+                if op.supports_exhaustive_width(width) && nl.num_inputs() == op.num_inputs(width) {
+                    Some(table_hash(nl, op, width))
+                } else {
+                    functional_digest(nl)
+                };
+            key.map(|k| (sig, k))
+        })
+        .collect();
+    let mut held: HashMap<(Sig, u128), usize> = HashMap::new();
     for (i, class) in classes.iter().enumerate() {
         if let Some(class) = class {
             held.entry(*class)
@@ -175,7 +229,8 @@ pub fn class_representatives(
                 .or_insert(i);
         }
     }
-    classes.iter().enumerate().map(|(i, class)| class.map_or(i, |c| held[&c])).collect()
+    let reps = classes.iter().enumerate().map(|(i, class)| class.map_or(i, |c| held[&c])).collect();
+    (reps, exact_keys)
 }
 
 /// Little-endian ripple addition of two equal-length plane vectors,
@@ -317,7 +372,12 @@ pub fn prove_seed_with_budget(op: Operator, width: u32, signed: bool, budget: us
 #[cfg(test)]
 mod tests {
     use super::*;
-    use apx_gates::GateKind;
+    use apx_arith::{
+        array_multiplier, broken_array_multiplier, lower_or_adder, ripple_carry_adder,
+        truncated_multiplier,
+    };
+    use apx_cgp::{Chromosome, FunctionSet};
+    use apx_gates::{GateKind, NetlistBuilder, SignalId};
 
     /// Rebuilds a netlist with its gate list re-derived through
     /// `compact()` plus `extra` dead XOR gates appended — same function,
@@ -330,6 +390,119 @@ mod tests {
             nodes.push(apx_gates::Node { kind: GateKind::Xor, a, b: a });
         }
         Netlist::new(ni, nodes, nl.outputs().to_vec()).expect("padding preserves validity")
+    }
+
+    /// `nl` re-encoded as a chromosome on a grid `extra` columns wider
+    /// and decoded again — same function, a padded gate list.
+    fn reencoded(nl: &Netlist, extra: usize) -> Netlist {
+        let funcs = FunctionSet::extended();
+        Chromosome::from_netlist(nl, &funcs, nl.gate_count() + extra)
+            .expect("generated circuits fit the extended function set")
+            .decode_full()
+    }
+
+    /// `nl` with output 0 flipped on the one input vector `v` (bit `i`
+    /// drives input `i`): a different function that agrees with `nl` on
+    /// every other vector.
+    fn with_flipped_vector(nl: &Netlist, v: u64) -> Netlist {
+        let ni = nl.num_inputs();
+        let mut b = NetlistBuilder::new(ni);
+        let inputs: Vec<SignalId> = (0..ni).map(|i| b.input(i)).collect();
+        let mut outs = b.embed(nl, &inputs);
+        let mut hit = b.const1();
+        for (i, &x) in inputs.iter().enumerate() {
+            hit = if (v >> i) & 1 == 1 { b.and(hit, x) } else { b.and_not(hit, x) };
+        }
+        outs[0] = b.xor(outs[0], hit);
+        b.outputs(&outs);
+        b.finish().expect("an embedded netlist plus a minterm is valid")
+    }
+
+    /// The rule over unsigned members, ties kept by input order, and the
+    /// exact keys it computed.
+    fn classes(members: &[(Operator, u32, &Netlist)]) -> (Vec<usize>, usize) {
+        let members: Vec<_> = members.iter().map(|&(op, w, nl)| (op, w, false, nl)).collect();
+        classes_and_exact_keys(&members, |_, _| Ordering::Equal)
+    }
+
+    /// Operand values `a`, `b` as a vector in netlist input order.
+    fn vector(width: u32, a: u64, b: u64) -> u64 {
+        a | b << width
+    }
+
+    #[test]
+    fn a_wide_multiplier_family_needs_no_exact_key() {
+        let family = [
+            array_multiplier(12),
+            truncated_multiplier(12, 2),
+            truncated_multiplier(12, 5),
+            truncated_multiplier(12, 9),
+            broken_array_multiplier(12, 10, 0),
+            broken_array_multiplier(12, 12, 6),
+            broken_array_multiplier(12, 8, 4),
+        ];
+        let members: Vec<_> = family.iter().map(|nl| (Operator::Mul, 12, nl)).collect();
+        assert_eq!(classes(&members), ((0..family.len()).collect(), 0));
+    }
+
+    #[test]
+    fn equal_twins_get_exact_keys_and_share_a_class() {
+        // Dead padding and the chromosome round trip keep the function, so
+        // each twin shares its original's signature and exact key (the
+        // table hash at width 8, the digest past the cap at width 12).
+        // The other members' signatures are unique: they get no key.
+        let (mul, add) = (truncated_multiplier(8, 3), lower_or_adder(12, 4));
+        let pool = [
+            (Operator::Mul, 8, mul.clone()),
+            (Operator::Mul, 8, array_multiplier(8)),
+            (Operator::Mul, 8, with_dead_padding(&mul, 5)),
+            (Operator::Add, 12, ripple_carry_adder(12)),
+            (Operator::Add, 12, add.clone()),
+            (Operator::Mul, 8, reencoded(&mul, 7)),
+            (Operator::Add, 12, with_dead_padding(&add, 3)),
+            (Operator::Mul, 8, broken_array_multiplier(8, 6, 4)),
+            (Operator::Add, 12, reencoded(&add, 9)),
+            (Operator::Add, 12, lower_or_adder(12, 2)),
+        ];
+        let members: Vec<_> = pool.iter().map(|(op, w, nl)| (*op, *w, nl)).collect();
+        assert_eq!(classes(&members), (vec![0, 1, 0, 3, 4, 0, 4, 7, 4, 9], 6));
+    }
+
+    #[test]
+    fn a_near_twin_shares_the_signature_but_not_the_class() {
+        // The near-twin differs on one vector that no signature tile
+        // covers, so the signatures collide and the exact key separates
+        // the two: the table hash at width 8, the digest past the cap.
+        let cases = [
+            (Operator::Mul, 8, array_multiplier(8), vector(8, 77, 201)),
+            (Operator::Add, 12, ripple_carry_adder(12), vector(12, 1234, 3210)),
+        ];
+        for (op, width, nl, v) in &cases {
+            let near = with_flipped_vector(nl, *v);
+            assert_eq!(signature(&near, *op, *width), signature(nl, *op, *width), "{op} w{width}");
+            assert_eq!(classes(&[(*op, *width, nl), (*op, *width, &near)]), (vec![0, 1], 2));
+        }
+    }
+
+    #[test]
+    #[ignore = "release only: each width-12 array multiplier digest runs ~1 s to the node budget"]
+    fn wide_multiplier_twins_past_the_cap() {
+        // Past the cap a multiplier's exact key is its BDD digest. A
+        // re-encoded twin and a one-vector near-twin share the original's
+        // signature, so all three get keys. Where the digest fits (a
+        // broken-array multiplier) the twin shares the class and the
+        // near-twin does not. The exact array multiplier's planes outgrow
+        // the node budget, so each of its three members stays its own
+        // class, as when every member is digested.
+        for (nl, twin_rep) in [(broken_array_multiplier(12, 6, 0), 0), (array_multiplier(12), 1)] {
+            let twin = reencoded(&nl, 5);
+            let near = with_flipped_vector(&nl, vector(12, 2741, 1591));
+            let sig = |nl| signature(nl, Operator::Mul, 12);
+            assert_eq!(sig(&near), sig(&nl), "the near-twin's vector is on no signature tile");
+            let members =
+                [(Operator::Mul, 12, &nl), (Operator::Mul, 12, &twin), (Operator::Mul, 12, &near)];
+            assert_eq!(classes(&members), (vec![0, twin_rep, 2], 3));
+        }
     }
 
     #[test]

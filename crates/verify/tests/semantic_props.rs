@@ -2,10 +2,12 @@
 //! must be invariant under dead-node padding and gate reordering on
 //! every netlist the pipeline can produce — all three operators, widths
 //! 2–6 (where enumeration stays tractable), both signednesses — and
-//! `class_representatives`, which keys its classes on a simulated table
-//! hash at enumerable widths, must return exactly the classes of
-//! digesting every member (so the digest separates exactly the
-//! functions the truth tables separate).
+//! `class_representatives`, which separates members by a simulation
+//! signature and keys only colliding ones exactly (a simulated table
+//! hash at enumerable widths, the digest past the cap), must return
+//! exactly the classes of digesting every member (so the digest
+//! separates exactly the functions the truth tables separate, and the
+//! signature never changes a class).
 
 use apx_arith::Operator;
 use apx_cgp::{Chromosome, FunctionSet};
@@ -124,10 +126,11 @@ fn both_rules(members: &[(Operator, u32, bool, &Netlist)]) -> (Vec<usize>, Vec<u
 }
 
 #[test]
-fn past_the_cap_every_member_is_digested() {
+fn past_the_cap_the_rule_equals_digesting_every_member() {
     // Width-11 multipliers are past the enumeration cap: no table hash,
-    // so the rule is the digest rule itself, padded copies collapsing
-    // onto their originals.
+    // so members whose signatures collide are digested, and the rule must
+    // give the digest rule's classes, padded copies collapsing onto their
+    // originals.
     let (op, width) = (Operator::Mul, 11);
     assert!(!op.supports_exhaustive_width(width));
     let mut pool = Vec::new();
@@ -169,16 +172,18 @@ proptest! {
 
     #[test]
     fn table_hash_classes_equal_the_digest_rule_classes(seed in any::<u64>()) {
-        // One shuffled list over every operator at widths 2–8: random
-        // components mixed with same-function copies (dead padding, the
-        // re-encoding round trip), a copy under the other signedness and
-        // single-gate mutants. Each copy is a coin flip, so a function
-        // occurs once, twice or more, in one component class or under
-        // both signednesses.
+        // One shuffled list over every operator at widths 2–8, plus `Add`
+        // at width 11, past the cap, where colliding signatures are
+        // confirmed by (cheap) adder digests: random components mixed with
+        // same-function copies (dead padding, the re-encoding round trip),
+        // a copy under the other signedness and single-gate mutants. Each
+        // copy is a coin flip, so a function occurs once, twice or more,
+        // in one component class or under both signednesses.
         let mut rng = Xoshiro256::from_seed(seed);
         let mut pool: Vec<(Operator, u32, bool, Netlist)> = Vec::new();
         for op in Operator::ALL {
-            for width in (2..=8u32).filter(|&w| op.supports_exhaustive_width(w)) {
+            let wide = (op == Operator::Add).then_some(11);
+            for width in (2..=8u32).filter(|&w| op.supports_exhaustive_width(w)).chain(wide) {
                 for _ in 0..3 {
                     let signed = rng.next_u64() % 2 == 1;
                     let nl = random_component(op, width, rng.next_u64());
