@@ -9,7 +9,11 @@
 //! The symbolic engine covers every cell, continuing alone to the 12/14/
 //! 16-bit adders and the 6/8-bit MACs (up to 33 inputs). Wherever both
 //! backends run, their WMED scores are asserted bit-identical before any
-//! timing is recorded.
+//! timing is recorded. The two backends share no reference: the
+//! bit-parallel one scores against [`Operator::exact_value`] (its streamed
+//! rows build their exact planes from it), the symbolic one against the
+//! BDDs of the exact seed circuit, so each multiplier cell also checks the
+//! seed circuit against the reference function.
 //!
 //! Each cell scores three candidates (the operator's exact seed circuit
 //! and two one-bit output truncations of it) under a measured-lumpy PMF

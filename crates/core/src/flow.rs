@@ -140,6 +140,13 @@ pub(crate) fn validate_config(pmf: &Pmf, cfg: &FlowConfig) -> Result<(), CoreErr
     if cfg.iterations == 0 {
         return Err(CoreError::BadConfig("iterations must be positive".into()));
     }
+    // The bounded WMED walk reads a NaN budget as no budget at all, and a
+    // negative one is missed by every circuit, the exact seed included.
+    if let Some(t) = cfg.thresholds.iter().find(|t| t.is_nan() || **t < 0.0) {
+        return Err(CoreError::BadConfig(format!(
+            "WMED threshold {t} is not a nonnegative number"
+        )));
+    }
     // The evaluator runs on the backend the operator and width pick —
     // past the exhaustive cap, streamed bit-parallel for multipliers and
     // symbolic for adders and MACs — so any width that backend reaches is
@@ -493,6 +500,22 @@ mod tests {
         let too_wide = FlowConfig { operator: Operator::Mac, width: 9, ..Default::default() };
         let err = validate_config(&Pmf::uniform(9), &too_wide).unwrap_err();
         assert!(matches!(err, CoreError::BadConfig(ref m) if m.contains("symbolic")), "{err}");
+    }
+
+    #[test]
+    fn validation_rejects_nan_and_negative_thresholds() {
+        let pmf = Pmf::uniform(8);
+        for bad in [f64::NAN, -1.0, -1e-9, f64::NEG_INFINITY] {
+            let cfg = FlowConfig { thresholds: vec![1e-3, bad], ..Default::default() };
+            let err = validate_config(&pmf, &cfg).unwrap_err();
+            let named = bad.to_string();
+            assert!(matches!(err, CoreError::BadConfig(ref m) if m.contains(&named)), "{err}");
+        }
+        // Zero of either sign is the exact seed's level, and +∞ no budget.
+        for good in [0.0, -0.0, 1e-3, f64::INFINITY] {
+            let cfg = FlowConfig { thresholds: vec![good], ..Default::default() };
+            assert!(validate_config(&pmf, &cfg).is_ok(), "{good}");
+        }
     }
 
     #[test]

@@ -293,8 +293,9 @@ impl SweepResult {
 /// # Errors
 ///
 /// Returns [`CoreError::BadConfig`] for an empty distribution list, a
-/// PMF/width mismatch, empty thresholds, zero iterations or an invalid
-/// shard, and [`CoreError::WorkerPanic`] if a task panicked.
+/// PMF/width mismatch, empty thresholds, a NaN or negative threshold,
+/// zero iterations or an invalid shard, and [`CoreError::WorkerPanic`] if
+/// a task panicked.
 pub fn run_sweep(cfg: &SweepConfig) -> Result<SweepResult, CoreError> {
     if cfg.distributions.is_empty() {
         return Err(CoreError::BadConfig("no distributions given".into()));
@@ -842,6 +843,19 @@ mod tests {
             let mut bad_shard = tiny_sweep();
             bad_shard.shard = Some(shard);
             assert!(matches!(run_sweep(&bad_shard), Err(CoreError::BadConfig(_))));
+        }
+    }
+
+    #[test]
+    fn sweep_rejects_nan_and_negative_thresholds() {
+        // A NaN budget would evolve as if unbounded, and a negative one would
+        // score every offspring, the exact seed included, as infeasible.
+        for bad in [f64::NAN, -1.0] {
+            let mut cfg = tiny_sweep();
+            cfg.flow.thresholds.push(bad);
+            let err = run_sweep(&cfg).unwrap_err();
+            let named = bad.to_string();
+            assert!(matches!(err, CoreError::BadConfig(ref m) if m.contains(&named)), "{err}");
         }
     }
 

@@ -101,11 +101,13 @@ impl std::error::Error for EvaluatorError {}
 ///   produce bit-identical results at the widths they share;
 /// * past the exhaustive cap (12×12/16×16 multipliers and adders, 8-bit
 ///   MACs) evaluates row by row: the bit-parallel backend streams each
-///   weighted row's blocks through the candidate and the exact seed
-///   circuit, and the symbolic one model-counts each row's BDDs. Either
-///   way the evaluator holds only the weights, the weight-sorted rows and
-///   the seed — nothing sized by the `2^inputs` domain — and both feed
-///   the same per-row f64 replay;
+///   weighted row's blocks through the candidate against exact planes it
+///   builds from [`Operator::exact_value`] (affine within a row), and the
+///   symbolic one model-counts each row's BDDs against the exact seed
+///   circuit's. Either way the evaluator holds only the weights, the
+///   weight-sorted rows and, on the symbolic backend, the seed — nothing
+///   sized by the `2^inputs` domain — and both feed the same per-row f64
+///   replay;
 /// * offers [`CircuitEvaluator::wmed_bounded`], which abandons a candidate as
 ///   soon as its running weighted error exceeds the fitness threshold
 ///   (Eq. 1 only needs the comparison, not the exact value), and an
@@ -174,8 +176,11 @@ pub struct CircuitEvaluator {
     /// accumulation orders identical. Built for `free >= 6` on
     /// [`EvalBackend::Symbolic`] and past the exhaustive cap.
     ordered_x: Vec<(u32, f64)>,
-    /// The operator's exact seed circuit — the reference the per-row
-    /// engines subtract. Built only alongside `ordered_x`.
+    /// The operator's exact seed circuit — the reference the symbolic
+    /// engine compiles next to each candidate. Built alongside `ordered_x`
+    /// on [`EvalBackend::Symbolic`] only: the streamed rows of the
+    /// bit-parallel backend take their reference from
+    /// [`Operator::exact_value`].
     seed: Option<Netlist>,
     /// Error-kernel planes: `out_bits + 1` (difference of an exact value
     /// and a sign-extended output always fits that many two's-complement
@@ -319,7 +324,9 @@ impl CircuitEvaluator {
                     .map(|(x, &w)| (x as u32, w))
                     .collect::<Vec<_>>();
                 ordered_x.sort_by(|a, b| b.1.total_cmp(&a.1));
-                seed = Some(op.seed_circuit(width, signed));
+                if backend == EvalBackend::Symbolic {
+                    seed = Some(op.seed_circuit(width, signed));
+                }
             } else {
                 let blocks_per_x = 1u32 << (free - 6);
                 for block in 0..ex.num_blocks() as u32 {
@@ -489,6 +496,7 @@ impl CircuitEvaluator {
 
     fn row_ctx(&self) -> RowCtx<'_> {
         RowCtx {
+            op: self.op,
             width: self.width,
             signed: self.signed,
             out_bits: self.out_bits,
@@ -496,7 +504,7 @@ impl CircuitEvaluator {
             planes: self.planes,
             ordered_x: &self.ordered_x,
             weights: &self.weights,
-            seed: self.seed.as_ref().expect("per-row evaluators always carry the seed circuit"),
+            seed: self.seed.as_ref(),
         }
     }
 
@@ -1227,55 +1235,122 @@ mod tests {
         assert!(got.mred.is_nan(), "{at}: mred is NaN on the per-row path");
     }
 
+    /// The streamed-path candidates of `op`: the exact seed, one or two
+    /// conventional approximations and a rewritten seed.
+    fn streamed_candidates(op: Operator, width: u32, signed: bool) -> Vec<Netlist> {
+        let seed = op.seed_circuit(width, signed);
+        let rewritten = rewritten_seed(op, width, signed, 3);
+        match op {
+            Operator::Mul => {
+                let broken = if signed {
+                    baugh_wooley_broken(width, width - 2, 3)
+                } else {
+                    broken_array_multiplier(width, width - 2, 3)
+                };
+                vec![seed, broken, truncated_multiplier(width, 4), rewritten]
+            }
+            Operator::Add => vec![seed, lower_or_adder(width, 3), rewritten],
+            Operator::Mac => {
+                let truncated = truncated_multiplier(width, width);
+                let mac = mac_unit(&truncated, width, op.acc_width(width), signed);
+                vec![seed, mac, rewritten]
+            }
+        }
+    }
+
+    /// Holds the streamed row engine to the symbolic per-row path of
+    /// `rows` (a symbolic evaluator's): full stats, and bounded WMED below,
+    /// at and above the full value, bit for bit. Returns the stats.
+    fn assert_streamed_matches_symbolic(rows: &RowCtx<'_>, nl: &Netlist, at: &str) -> ErrorStats {
+        let want = rows.symbolic_stats(nl);
+        assert_wide_stats_identical(&rows.streamed_stats(nl), &want, at);
+        let full = rows.symbolic_wmed_raw(nl, f64::INFINITY, false).unwrap();
+        for limit in [f64::INFINITY, full / 3.0, full, 2.0 * full] {
+            assert_eq!(
+                rows.streamed_wmed_raw(nl, limit).map(f64::to_bits),
+                rows.symbolic_wmed_raw(nl, limit, false).map(f64::to_bits),
+                "{at}: bounded at {limit}"
+            );
+        }
+        want
+    }
+
     #[test]
     fn streamed_path_matches_enumeration_and_symbolic() {
         // The streamed row engine the bit-parallel backend runs past the
         // cap, forced at exhaustive widths (the symbolic evaluator carries
-        // the weight-sorted rows and the seed it needs). Under uniform
-        // weights both f64 orders are exact, so it must match the
-        // per-block enumeration; under a non-dyadic PMF it must match the
-        // symbolic per-row path bit for bit, bounded verdicts included.
-        for (width, signed) in [(6u32, false), (6, true), (7, false), (7, true)] {
-            let op = Operator::Mul;
-            let broken = if signed {
-                baugh_wooley_broken(width, width - 2, 3)
-            } else {
-                broken_array_multiplier(width, width - 2, 3)
-            };
-            let candidates = [
-                op.seed_circuit(width, signed),
-                broken,
-                truncated_multiplier(width, 4),
-                rewritten_seed(op, width, signed, 3),
-            ];
-            let build = |pmf: &Pmf, backend| {
-                CircuitEvaluator::for_operator_with_backend(op, width, signed, pmf, backend)
-                    .unwrap()
-            };
-            let uniform = Pmf::uniform(width);
-            let fast = build(&uniform, EvalBackend::BitParallel);
-            let sym_uniform = build(&uniform, EvalBackend::Symbolic);
-            let lumpy = if signed {
-                Pmf::signed_normal(width, 1.0, 6.0)
-            } else {
-                Pmf::half_normal(width, 9.0)
-            };
-            let sym = build(&lumpy, EvalBackend::Symbolic);
-            let rows = sym.row_ctx();
-            for (i, nl) in candidates.iter().enumerate() {
-                let at = format!("w{width} signed={signed} candidate {i}");
-                let streamed = sym_uniform.row_ctx().streamed_stats(nl);
-                assert_wide_stats_identical(&streamed, &fast.stats(nl), &format!("{at} uniform"));
-                assert!(i == 0 || streamed.max_abs_error > 1, "{at}: trivial candidate");
-                let want = rows.symbolic_stats(nl);
-                assert_wide_stats_identical(&rows.streamed_stats(nl), &want, &at);
-                let full = rows.symbolic_wmed_raw(nl, f64::INFINITY, false).unwrap();
-                for limit in [f64::INFINITY, full / 3.0, full, 2.0 * full] {
-                    assert_eq!(
-                        rows.streamed_wmed_raw(nl, limit).map(f64::to_bits),
-                        rows.symbolic_wmed_raw(nl, limit, false).map(f64::to_bits),
-                        "{at}: bounded at {limit}"
+        // the weight-sorted rows it needs). Under uniform weights both f64
+        // orders are exact, so it must match the per-block enumeration;
+        // under a non-dyadic PMF it must match the symbolic per-row path
+        // bit for bit, bounded verdicts included. `Mac` at widths 2–4 has
+        // accumulator bits among the lanes and the blocks, and an unsigned
+        // MAC's exact value wraps modulo its output range.
+        let cases = [
+            (Operator::Mul, 6u32),
+            (Operator::Mul, 7),
+            (Operator::Add, 6),
+            (Operator::Add, 7),
+            (Operator::Mac, 2),
+            (Operator::Mac, 3),
+            (Operator::Mac, 4),
+        ];
+        for (op, width) in cases {
+            for signed in [false, true] {
+                let build = |pmf: &Pmf, backend| {
+                    CircuitEvaluator::for_operator_with_backend(op, width, signed, pmf, backend)
+                        .unwrap()
+                };
+                let uniform = Pmf::uniform(width);
+                let fast = build(&uniform, EvalBackend::BitParallel);
+                let sym_uniform = build(&uniform, EvalBackend::Symbolic);
+                let lumpy = if signed {
+                    Pmf::signed_normal(width, 1.0, 6.0)
+                } else {
+                    Pmf::half_normal(width, 9.0)
+                };
+                let sym = build(&lumpy, EvalBackend::Symbolic);
+                let rows = sym.row_ctx();
+                for (i, nl) in streamed_candidates(op, width, signed).iter().enumerate() {
+                    let at = format!("{op} w{width} signed={signed} candidate {i}");
+                    let streamed = sym_uniform.row_ctx().streamed_stats(nl);
+                    assert_wide_stats_identical(
+                        &streamed,
+                        &fast.stats(nl),
+                        &format!("{at} uniform"),
                     );
+                    assert!(i == 0 || streamed.max_abs_error > 1, "{at}: trivial candidate");
+                    assert_streamed_matches_symbolic(&rows, nl, &at);
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "slow without optimizations; CI runs it in the step \
+                  `cargo test --release -p apx_metrics --lib streamed_add_and_mac_past_the_cap`"
+    )]
+    fn streamed_add_and_mac_past_the_cap_match_symbolic() {
+        // Past the cap the width puts adders and MACs on the symbolic
+        // engine, so nothing else holds the streamed rows' exact planes to
+        // a second engine for these operators there: full stats and
+        // bounded WMED must match bit for bit under a non-dyadic PMF.
+        for (op, width) in [(Operator::Add, 11u32), (Operator::Mac, 5), (Operator::Mac, 6)] {
+            for signed in [false, true] {
+                let half = f64::from(1u32 << (width - 1));
+                let pmf = if signed {
+                    Pmf::signed_normal(width, 1.0, half / 4.0)
+                } else {
+                    Pmf::half_normal(width, half / 3.0)
+                };
+                let sym = CircuitEvaluator::for_operator(op, width, signed, &pmf).unwrap();
+                assert_eq!(sym.backend(), EvalBackend::Symbolic, "{op} w{width}");
+                let rows = sym.row_ctx();
+                for (i, nl) in streamed_candidates(op, width, signed).iter().enumerate() {
+                    let at = format!("{op} w{width} signed={signed} candidate {i}");
+                    let want = assert_streamed_matches_symbolic(&rows, nl, &at);
+                    assert!(i == 0 || want.max_abs_error > 1, "{at}: trivial candidate");
                 }
             }
         }

@@ -8,14 +8,16 @@
 //! holding a table sized by the input domain:
 //!
 //! * the symbolic engine ([`crate::symbolic`]) model-counts ROBDDs of
-//!   the row's difference planes (every operator; it serves `Add` and
-//!   `Mac` past the enumeration cap, where BDDs stay small);
+//!   the row's difference planes against the operator's exact seed
+//!   circuit (every operator; it serves `Add` and `Mac` past the
+//!   enumeration cap, where BDDs stay small);
 //! * **streamed enumeration** (below) simulates the row's `2^(free−6)`
-//!   blocks through the candidate and the operator's exact seed circuit
-//!   side by side, [`TILE`] blocks at a time on the tiled simulator every
-//!   exhaustive pass shares ([`apx_gates::TileSim`]), and reduces every
-//!   tile with a bit-sliced kernel. It is how the bit-parallel backend
-//!   evaluates multipliers past the cap, where their BDDs blow up.
+//!   blocks through the candidate, [`TILE`] blocks at a time on the tiled
+//!   simulator every exhaustive pass shares ([`apx_gates::TileSim`]),
+//!   builds the same blocks' exact planes arithmetically from
+//!   [`Operator::exact_value`], and reduces every tile with a bit-sliced
+//!   kernel. It is how the bit-parallel backend evaluates multipliers
+//!   past the cap, where their BDDs blow up.
 //!
 //! # The wide contract
 //!
@@ -36,9 +38,34 @@
 //! exceeds the budget. That decision is the row-granular one: every term
 //! is nonnegative and f64 rounding is monotone, so the completed row —
 //! and every later prefix — would exceed the budget too.
+//!
+//! # Exact planes without a reference circuit
+//!
+//! Within a row the weighted operand is a constant, and two's-complement
+//! decoding is linear in the bits, so every operator's exact value is an
+//! affine function of the free bits: `a·b` and `a + b` over the
+//! integers, and the MAC's `acc + a·b` modulo `2^n`, where it wraps.
+//! Splitting a free vector into its block bits (6 and up) and its lane
+//! bits (the low 6) then gives, for the row's first vector `v`,
+//!
+//! ```text
+//! exact(v + 64·j + l) ≡ exact(v + 64·j) + (exact(v + l) − exact(v))   (mod 2^out_bits)
+//! ```
+//!
+//! So a row costs 64 [`Operator::exact_value`] calls for its lane
+//! offsets, and each block one more call and a bit-sliced ripple add over
+//! the `out_bits` output planes. The add must stop there: an unsigned
+//! MAC's sum wraps, so a carry into the extension plane would put a set
+//! bit where the exact value has none. The extension plane is derived as
+//! the candidate's is (a copy of the top output plane when signed, zero
+//! otherwise), which is exact because every exact value fits `out_bits`
+//! bits. These are the words the exact seed circuit simulates to, the
+//! circuit the symbolic engine compiles, so both wide engines subtract
+//! the same reference.
 
 use crate::engine::ZERO_TILE;
 use crate::stats::ErrorStats;
+use apx_arith::Operator;
 use apx_gates::{Exhaustive, Netlist, TileSim, TILE};
 
 /// Upper bound on the streamed kernel's planes: `2·16 + 1` for a 16-bit
@@ -59,6 +86,9 @@ pub(crate) struct RowErr {
 
 /// Borrowed evaluator shape for one per-row call.
 pub(crate) struct RowCtx<'a> {
+    /// The operator whose [`Operator::exact_value`] the rows are scored
+    /// against.
+    pub op: Operator,
     /// Operand width in bits.
     pub width: u32,
     /// Two's-complement interpretation of operands and outputs.
@@ -77,8 +107,10 @@ pub(crate) struct RowCtx<'a> {
     /// One weight per raw operand encoding (including zeros).
     pub weights: &'a [f64],
     /// The operator's exact seed circuit at this width/signedness — the
-    /// reference both engines subtract.
-    pub seed: &'a Netlist,
+    /// reference the symbolic engine compiles next to each candidate.
+    /// Only symbolic evaluators carry it: streamed rows take their
+    /// reference from [`Operator::exact_value`].
+    pub seed: Option<&'a Netlist>,
 }
 
 impl RowCtx<'_> {
@@ -139,57 +171,57 @@ impl RowCtx<'_> {
 
     /// Full [`ErrorStats`] by streamed enumeration of every row.
     pub(crate) fn streamed_stats(&self, nl: &Netlist) -> ErrorStats {
-        let (mut got, mut exact) = (TileSim::new(nl), TileSim::new(self.seed));
+        let mut got = TileSim::new(nl);
         self.replay_stats(|x| {
-            self.stream_row::<true>(&mut got, &mut exact, x, &|_| false)
+            self.stream_row::<true>(&mut got, x, &|_| false)
                 .expect("an unbounded row always completes")
         })
     }
 
     /// Raw bounded WMED by streamed enumeration of the support rows.
     pub(crate) fn streamed_wmed_raw(&self, nl: &Netlist, raw_limit: f64) -> Option<f64> {
-        let (mut got, mut exact) = (TileSim::new(nl), TileSim::new(self.seed));
+        let mut got = TileSim::new(nl);
         self.replay_wmed(raw_limit, |x, exceeds| {
-            self.stream_row::<false>(&mut got, &mut exact, x, exceeds).map(|r| r.abs)
+            self.stream_row::<false>(&mut got, x, exceeds).map(|r| r.abs)
         })
     }
 
-    /// Streams row `x` through the candidate (`got`) and the seed
-    /// (`exact`) one tile of blocks at a time. With `STATS` false only
-    /// `abs` is reduced, and the row stops with `None` as soon as
-    /// `exceeds` holds for its partial sum.
+    /// Streams row `x` through the candidate (`got`) one tile of blocks
+    /// at a time, against exact planes built from the row's lane offsets
+    /// and one exact value per block (the module docs show why that is
+    /// exact). With `STATS` false only `abs` is reduced, and the row stops
+    /// with `None` as soon as `exceeds` holds for its partial sum.
     ///
     /// Row `x` is the run of `2^(free − 6)` enumeration blocks starting at
     /// block `x · 2^(free − 6)`, with the operand on the leading inputs:
     /// netlist input `i < width` is bit `i` of `x`, pinned across all
     /// lanes, and every later input is free bit `i − width`, which counts
     /// up across the lanes and the row's blocks (the enumeration layout of
-    /// [`apx_arith::Operator::exact_value`]).
+    /// [`Operator::exact_value`]).
     fn stream_row<const STATS: bool>(
         &self,
         got: &mut TileSim<'_>,
-        exact: &mut TileSim<'_>,
         x: u64,
         exceeds: &dyn Fn(u64) -> bool,
     ) -> Option<RowErr> {
         let (w, free) = (self.width as usize, self.free as usize);
         let ex = Exhaustive::new(w + free);
         let blocks = 1usize << (free - 6);
+        let origin = x << free;
+        let offsets = self.lane_offsets(origin);
+        let mut exact = [[0u64; TILE]; WIDE_PLANES];
         let mut row = RowErr::default();
         let mut start = 0;
         while start < blocks {
             let tcount = TILE.min(blocks - start);
-            let first = x as usize * blocks + start;
-            got.load_blocks(&ex, first, w);
-            exact.load_blocks(&ex, first, w);
+            got.load_blocks(&ex, x as usize * blocks + start, w);
             got.run();
-            exact.run();
-            let tile = tile_err::<STATS>(
-                self.planes,
-                &self.planes_of(exact),
-                &self.planes_of(got),
-                tcount,
-            );
+            for t in 0..tcount {
+                let block_exact = self.exact(origin + 64 * (start + t) as u64);
+                self.fill_exact_column(&offsets, block_exact, &mut exact, t);
+            }
+            let tile =
+                tile_err::<STATS>(self.planes, &plane_refs(&exact), &self.planes_of(got), tcount);
             row.abs += tile.abs;
             row.nonzero += tile.nonzero;
             row.max_abs = row.max_abs.max(tile.max_abs);
@@ -201,9 +233,49 @@ impl RowCtx<'_> {
         Some(row)
     }
 
-    /// The error planes of a simulated tile: the outputs, then one
-    /// extension plane that replicates the top output when signed and is
-    /// zero otherwise.
+    /// The exact value of enumeration vector `v`, as raw two's-complement
+    /// bits.
+    fn exact(&self, v: u64) -> u64 {
+        self.op.exact_value(self.width, self.signed, v) as u64
+    }
+
+    /// The output planes of `exact(origin + l) − exact(origin)` over the
+    /// 64 lanes `l` of the row starting at vector `origin`.
+    fn lane_offsets(&self, origin: u64) -> [u64; WIDE_PLANES] {
+        let base = self.exact(origin);
+        let mut planes = [0u64; WIDE_PLANES];
+        for lane in 0..64 {
+            let d = self.exact(origin + lane).wrapping_sub(base);
+            for (k, plane) in planes[..self.out_bits as usize].iter_mut().enumerate() {
+                *plane |= ((d >> k) & 1) << lane;
+            }
+        }
+        planes
+    }
+
+    /// Column `t` of a tile's exact planes: the lane `offsets` plus the
+    /// block's exact value at lane 0, a bit-sliced ripple add modulo
+    /// `2^out_bits`, then the extension plane.
+    fn fill_exact_column(
+        &self,
+        offsets: &[u64; WIDE_PLANES],
+        block_exact: u64,
+        exact: &mut [[u64; TILE]; WIDE_PLANES],
+        t: usize,
+    ) {
+        let out = self.out_bits as usize;
+        let mut carry = 0u64;
+        for (k, (plane, &o)) in exact[..out].iter_mut().zip(offsets).enumerate() {
+            let c = 0u64.wrapping_sub((block_exact >> k) & 1);
+            plane[t] = o ^ c ^ carry;
+            carry = (o & c) | (carry & (o ^ c));
+        }
+        exact[out][t] = if self.signed { exact[out - 1][t] } else { 0 };
+    }
+
+    /// The candidate's error planes in a simulated tile: the outputs, then
+    /// one extension plane that replicates the top output when signed and
+    /// is zero otherwise.
     fn planes_of<'s>(&self, sim: &'s TileSim<'_>) -> [&'s [u64]; WIDE_PLANES] {
         let mut srcs: [&[u64]; WIDE_PLANES] = [&ZERO_TILE; WIDE_PLANES];
         for (s, o) in srcs.iter_mut().zip(sim.netlist().outputs()) {
@@ -212,6 +284,15 @@ impl RowCtx<'_> {
         srcs[self.planes - 1] = if self.signed { srcs[self.planes - 2] } else { &ZERO_TILE };
         srcs
     }
+}
+
+/// Plane source table over `planes` (zero planes past its end).
+fn plane_refs(planes: &[[u64; TILE]]) -> [&[u64]; WIDE_PLANES] {
+    let mut srcs: [&[u64]; WIDE_PLANES] = [&ZERO_TILE; WIDE_PLANES];
+    for (s, plane) in srcs.iter_mut().zip(planes) {
+        *s = plane;
+    }
+    srcs
 }
 
 /// Bit-sliced error integers of the first `tcount` columns of one tile.
@@ -287,15 +368,6 @@ fn tile_err<const STATS: bool>(
 mod tests {
     use super::*;
 
-    /// Plane source table over `planes` (zero planes past its end).
-    fn srcs(planes: &[[u64; TILE]]) -> [&[u64]; WIDE_PLANES] {
-        let mut srcs: [&[u64]; WIDE_PLANES] = [&ZERO_TILE; WIDE_PLANES];
-        for (s, plane) in srcs.iter_mut().zip(planes) {
-            *s = plane;
-        }
-        srcs
-    }
-
     #[test]
     fn tile_err_matches_per_lane_arithmetic() {
         // Random `planes`-bit two's-complement pairs whose difference fits
@@ -329,7 +401,7 @@ mod tests {
                         }
                     }
                 }
-                let (e, g) = (srcs(&exact), srcs(&got));
+                let (e, g) = (plane_refs(&exact), plane_refs(&got));
                 let at = format!("planes={planes} tcount={tcount}");
                 assert_eq!(tile_err::<true>(planes, &e, &g, tcount), want, "{at}");
                 let abs_only = RowErr { abs: want.abs, ..RowErr::default() };

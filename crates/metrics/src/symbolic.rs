@@ -103,7 +103,8 @@ impl RowCtx<'_> {
     /// plane `s` and `d_k ⊕ s` for `k < planes − 1` (the top plane's
     /// term `d_{planes−1} ⊕ s` is identically false).
     fn abs_terms(&self, bdd: &mut Bdd, nl: &Netlist, x: u64) -> (Vec<NodeId>, NodeId) {
-        let exact = self.circuit_planes(bdd, self.seed, x);
+        let seed = self.seed.expect("symbolic evaluators carry the seed circuit");
+        let exact = self.circuit_planes(bdd, seed, x);
         let got = self.circuit_planes(bdd, nl, x);
         let d = Self::diff_planes(bdd, &exact, &got);
         let s = d[self.planes - 1];
