@@ -53,4 +53,4 @@ pub use error::NetlistError;
 pub use gate::GateKind;
 pub use level::fanout_cone;
 pub use netlist::{Netlist, NetlistBuilder, Node, SignalId};
-pub use sim::{eval_row, unpack_lanes, BlockSim, Exhaustive, TileSim, TILE};
+pub use sim::{eval_row, unpack_lanes, Exhaustive, TileSim, TILE};

@@ -296,7 +296,7 @@ impl Netlist {
     /// Evaluates the netlist on a single Boolean input vector.
     ///
     /// Intended for cross-checking the bit-parallel simulator and for tiny
-    /// circuits; use [`crate::Exhaustive`] / [`crate::BlockSim`] for
+    /// circuits; use [`crate::Exhaustive`] / [`crate::TileSim`] for
     /// anything performance-sensitive.
     ///
     /// # Panics

@@ -6,16 +6,12 @@
 //! `n`-input circuit block by block using the classic counting bit-planes
 //! (input bit `i` toggles with period `2^(i+1)`).
 //!
-//! Two simulators evaluate blocks:
-//!
-//! * [`TileSim`] runs every exhaustive pass: output tables, statistics
-//!   walks, table hashes and streamed rows. It simulates only the
-//!   outputs' live cone, over a *tile* of [`TILE`] blocks per gate
-//!   dispatch, so each gate's function is matched once and then runs a
-//!   tight word loop ([`eval_row`]) that auto-vectorizes.
-//! * [`BlockSim`] evaluates one block and keeps every signal, dead ones
-//!   included: switching-activity estimation needs each signal's toggles
-//!   under a streamed stimulus.
+//! One simulator, [`TileSim`], evaluates blocks for every pass: output
+//! tables, statistics walks, table hashes, streamed rows and
+//! switching-activity estimation. It simulates only the outputs' live
+//! cone, over a *tile* of [`TILE`] blocks per gate dispatch, so each
+//! gate's function is matched once and then runs a tight word loop
+//! ([`eval_row`]) that auto-vectorizes.
 
 use crate::{GateKind, Netlist};
 
@@ -141,8 +137,8 @@ impl<'n> TileSim<'n> {
     /// The netlist's first `lead` inputs drive the top `lead` enumeration
     /// bits, and the remaining inputs count up from bit 0: the leading
     /// operand varies slowest. `lead = 0` is [`Exhaustive`]'s own order
-    /// (input `i` is vector bit `i`). Columns past the last block get
-    /// well-formed words that a caller simply does not read.
+    /// (input `i` is vector bit `i`). The block index wraps modulo the
+    /// block count, so columns past the last block repeat earlier blocks.
     ///
     /// # Panics
     ///
@@ -201,78 +197,6 @@ const PATTERNS: [u64; 6] = [
     0xFFFF_0000_FFFF_0000,
     0xFFFF_FFFF_0000_0000,
 ];
-
-/// Reusable single-block simulator that keeps every signal.
-///
-/// Simulates all nodes, dead ones included, one block per call, and
-/// exposes every signal's word ([`BlockSim::signal_words`]): what
-/// switching-activity estimation needs under a streamed stimulus.
-/// Exhaustive passes run on [`TileSim`] instead. Holds a scratch buffer
-/// sized to the netlist, so repeated evaluations never reallocate.
-///
-/// # Examples
-///
-/// ```
-/// use apx_gates::{NetlistBuilder, BlockSim};
-///
-/// let mut b = NetlistBuilder::new(2);
-/// let (x, y) = (b.input(0), b.input(1));
-/// let s = b.xor(x, y);
-/// b.outputs(&[s]);
-/// let nl = b.finish().unwrap();
-///
-/// let mut sim = BlockSim::new(&nl);
-/// let out = sim.run(&nl, &[0b1010, 0b1100]).to_vec();
-/// assert_eq!(out[0] & 0xF, 0b0110);
-/// ```
-#[derive(Debug, Clone)]
-pub struct BlockSim {
-    values: Vec<u64>,
-    outputs: Vec<u64>,
-}
-
-impl BlockSim {
-    /// Creates a simulator sized for `netlist`.
-    #[must_use]
-    pub fn new(netlist: &Netlist) -> Self {
-        BlockSim { values: vec![0; netlist.num_signals()], outputs: vec![0; netlist.num_outputs()] }
-    }
-
-    /// Evaluates one 64-lane block and returns the output words.
-    ///
-    /// `inputs[i]` carries primary input `i` for all 64 lanes. The returned
-    /// slice has one word per primary output and remains valid until the
-    /// next call.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs.len() != netlist.num_inputs()` or if the simulator
-    /// was created for a differently shaped netlist.
-    pub fn run(&mut self, netlist: &Netlist, inputs: &[u64]) -> &[u64] {
-        assert_eq!(inputs.len(), netlist.num_inputs(), "input arity mismatch");
-        self.values.resize(netlist.num_signals(), 0);
-        self.outputs.resize(netlist.num_outputs(), 0);
-        self.values[..inputs.len()].copy_from_slice(inputs);
-        let ni = netlist.num_inputs();
-        for (k, node) in netlist.nodes().iter().enumerate() {
-            let a = self.values[node.a.index()];
-            let b = self.values[node.b.index()];
-            self.values[ni + k] = node.kind.eval_words(a, b);
-        }
-        for (o, out) in netlist.outputs().iter().enumerate() {
-            self.outputs[o] = self.values[out.index()];
-        }
-        &self.outputs
-    }
-
-    /// Value words of *all* signals from the latest [`BlockSim::run`] call.
-    ///
-    /// Useful for switching-activity analysis where internal nodes matter.
-    #[must_use]
-    pub fn signal_words(&self) -> &[u64] {
-        &self.values
-    }
-}
 
 /// Exhaustive input enumeration for an `n`-input circuit.
 ///
@@ -339,14 +263,6 @@ impl Exhaustive {
             !0
         } else {
             0
-        }
-    }
-
-    /// Fills `out` (length `num_inputs`) with all input words for `block`.
-    pub fn fill_inputs(&self, block: usize, out: &mut [u64]) {
-        debug_assert_eq!(out.len(), self.num_inputs);
-        for (bit, word) in out.iter_mut().enumerate() {
-            *word = self.input_word(bit, block);
         }
     }
 
@@ -516,7 +432,7 @@ mod tests {
     }
 
     #[test]
-    fn tile_sim_matches_block_sim_with_leading_inputs() {
+    fn tile_sim_matches_bool_eval_with_leading_inputs() {
         // Leading inputs drive the top enumeration bits: column `t` of the
         // tile starting at `first` is the block whose vectors put bit `i`
         // of the vector on input `(i + lead) % ni`.
@@ -536,32 +452,28 @@ mod tests {
             let ex = Exhaustive::new(ni);
             for lead in [0, 1, ni / 2, ni] {
                 let mut tiles = TileSim::new(&nl);
-                let mut block = BlockSim::new(&nl);
+                let mut words = vec![0u64; outs.len()];
                 for first in (0..ex.num_blocks()).step_by(TILE) {
                     tiles.load_blocks(&ex, first, lead);
                     tiles.run();
                     for t in 0..TILE.min(ex.num_blocks() - first) {
-                        let inputs: Vec<u64> = (0..ni)
-                            .map(|i| {
-                                let bit = if i < lead { ni - lead + i } else { i - lead };
-                                ex.input_word(bit, first + t)
-                            })
-                            .collect();
-                        let mut words = vec![0u64; outs.len()];
                         tiles.output_column(t, &mut words);
-                        assert_eq!(words, block.run(&nl, &inputs), "ni={ni} lead={lead}");
+                        for lane in 0..ex.lanes_per_block() {
+                            let v = (first + t) * 64 + lane;
+                            let bits: Vec<bool> = (0..ni)
+                                .map(|i| {
+                                    let bit = if i < lead { ni - lead + i } else { i - lead };
+                                    (v >> bit) & 1 == 1
+                                })
+                                .collect();
+                            let got: Vec<bool> =
+                                words.iter().map(|w| (w >> lane) & 1 == 1).collect();
+                            assert_eq!(got, nl.eval_bool(&bits), "ni={ni} lead={lead} v={v}");
+                        }
                     }
                 }
             }
         }
-    }
-
-    #[test]
-    fn signal_words_exposes_internal_nodes() {
-        let nl = ripple2_adder();
-        let mut sim = BlockSim::new(&nl);
-        sim.run(&nl, &[0, 0, 0, 0]);
-        assert_eq!(sim.signal_words().len(), nl.num_signals());
     }
 
     #[test]

@@ -538,19 +538,28 @@ impl CircuitEvaluator {
     ///
     /// This is the fitness primitive of Eq. 1 — most offspring violate the
     /// error budget and are rejected after a handful of high-weight blocks.
+    /// `f64::INFINITY` never aborts; `f64::NEG_INFINITY`, like any negative
+    /// limit, aborts at the first term.
     ///
     /// # Panics
     ///
-    /// Panics if the netlist does not have the operator’s input/output arity.
+    /// Panics if the netlist does not have the operator’s input/output
+    /// arity, or if `limit` is NaN.
     #[must_use]
     pub fn wmed_bounded(&self, netlist: &Netlist, limit: f64) -> Option<f64> {
         self.wmed_impl(netlist, limit)
     }
 
+    /// `limit` in normalized units -> the raw weighted-error budget the
+    /// engines compare their running totals against.
+    fn raw_limit(&self, limit: f64) -> f64 {
+        assert!(!limit.is_nan(), "WMED limit is NaN");
+        limit / self.norm
+    }
+
     fn wmed_impl(&self, netlist: &Netlist, limit: f64) -> Option<f64> {
         self.check_arity(netlist);
-        // `limit` in normalized units -> raw weighted-error budget.
-        let raw_limit = if limit.is_finite() { limit / self.norm } else { f64::INFINITY };
+        let raw_limit = self.raw_limit(limit);
         if self.free >= 6 {
             let total = match self.backend {
                 EvalBackend::BitParallel if self.past_cap() => {
@@ -650,8 +659,8 @@ impl CircuitEvaluator {
     ///
     /// # Panics
     ///
-    /// Panics on arity/shape mismatch or if the evaluator does not support
-    /// incremental evaluation.
+    /// Panics on arity/shape mismatch, if the evaluator does not support
+    /// incremental evaluation, or if `limit` is NaN.
     ///
     /// # Examples
     ///
@@ -678,7 +687,7 @@ impl CircuitEvaluator {
     ) -> Option<f64> {
         assert!(self.supports_incremental(), "incremental mode unavailable on this evaluator");
         self.check_arity(child);
-        let raw_limit = if limit.is_finite() { limit / self.norm } else { f64::INFINITY };
+        let raw_limit = self.raw_limit(limit);
         self.ctx().wmed_raw_delta(state, child, changed, raw_limit).map(|t| t * self.norm)
     }
 
@@ -899,6 +908,51 @@ mod tests {
         // A generous limit returns the exact value.
         let got = eval.wmed_bounded(&bad, true_wmed * 2.0).unwrap();
         assert!((got - true_wmed).abs() < 1e-12);
+    }
+
+    #[test]
+    fn negative_infinite_limit_aborts_and_nan_panics() {
+        // Exact seeds score 0, so any `None` comes from the limit alone:
+        // `−∞` must abort like every negative limit, on each engine, and a
+        // NaN limit must panic before any engine runs.
+        let point = |width: u32| {
+            let mut weights = vec![0.0; 1 << width];
+            weights[5] = 1.0;
+            Pmf::from_weights(width, weights).unwrap()
+        };
+        let (bitpar, symbolic) = (EvalBackend::BitParallel, EvalBackend::Symbolic);
+        let cases = [
+            ("per-block w8", Operator::Mul, 8, Pmf::half_normal(8, 48.0), bitpar),
+            ("small-domain w3", Operator::Mul, 3, Pmf::uniform(3), bitpar),
+            ("streamed Mul w11", Operator::Mul, 11, point(11), bitpar),
+            ("symbolic Add w11", Operator::Add, 11, point(11), symbolic),
+        ];
+        let nan_panics = |f: &dyn Fn() -> Option<f64>| {
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).unwrap_err();
+            err.downcast_ref::<&str>() == Some(&"WMED limit is NaN")
+        };
+        for (at, op, width, pmf, backend) in cases {
+            let eval = CircuitEvaluator::for_operator(op, width, false, &pmf).unwrap();
+            assert_eq!(eval.backend(), backend, "{at}");
+            let nl = op.seed_circuit(width, false);
+            assert_eq!(eval.wmed_bounded(&nl, f64::NEG_INFINITY), None, "{at}");
+            assert_eq!(eval.wmed_bounded(&nl, -1.0), None, "{at}");
+            assert_eq!(eval.wmed_bounded(&nl, 0.0), Some(0.0), "{at}");
+            assert_eq!(eval.wmed_bounded(&nl, f64::INFINITY), Some(0.0), "{at}");
+            assert!(nan_panics(&|| eval.wmed_bounded(&nl, f64::NAN)), "{at}");
+        }
+        let eval = CircuitEvaluator::new(8, false, &Pmf::half_normal(8, 48.0)).unwrap();
+        let nl = array_multiplier(8);
+        let mut state = eval.new_state(&nl);
+        for (limit, want) in
+            [(f64::NEG_INFINITY, None), (-1.0, None), (0.0, Some(0.0)), (f64::INFINITY, Some(0.0))]
+        {
+            assert_eq!(eval.wmed_bounded_delta(&mut state, &nl, &[], limit), want, "delta {limit}");
+        }
+        assert!(nan_panics(&|| {
+            let mut state = eval.new_state(&nl);
+            eval.wmed_bounded_delta(&mut state, &nl, &[], f64::NAN)
+        }));
     }
 
     #[test]

@@ -309,8 +309,8 @@ pub fn estimate_under_pmf(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use apx_arith::{array_multiplier, truncated_multiplier};
-    use apx_gates::NetlistBuilder;
+    use apx_arith::{array_multiplier, truncated_multiplier, Operator};
+    use apx_gates::{NetlistBuilder, Node, SignalId};
 
     fn xor_netlist() -> Netlist {
         let mut b = NetlistBuilder::new(2);
@@ -392,6 +392,70 @@ mod tests {
         let est_uniform =
             estimate_under_pmf(&nl, &lib, &Pmf::uniform(6), DEFAULT_CLOCK_MHZ, 64, &mut rng2);
         assert!(est_frozen.dynamic_uw < est_uniform.dynamic_uw);
+    }
+
+    #[test]
+    fn dynamic_power_is_pinned_bit_for_bit() {
+        // `dynamic_uw` bits at 1/4/16/17/48 stimulus blocks: (a) an 8-bit
+        // array multiplier, (b) the same gates with output 15 moved onto an
+        // appended `Const0` node, which leaves three gates dead, and (c) the
+        // 4-bit MAC seed.
+        let lib = TechLibrary::nangate45();
+        let mul = array_multiplier(8);
+        let mut nodes = mul.nodes().to_vec();
+        nodes.push(Node { kind: GateKind::Const0, a: SignalId(0), b: SignalId(0) });
+        let mut outputs = mul.outputs().to_vec();
+        outputs[15] = SignalId(mul.num_signals() as u32);
+        let rerouted = Netlist::new(mul.num_inputs(), nodes, outputs).unwrap();
+        assert_eq!(rerouted.gate_count() - rerouted.active_gate_count(), 3);
+        let mac = Operator::Mac.seed_circuit(4, false);
+        let cases = [
+            (
+                &mul,
+                Pmf::half_normal(8, 64.0),
+                [
+                    0x4060_7d41_d41d_41d3,
+                    0x4060_822e_fbc8_9567,
+                    0x4060_771a_9371_a935,
+                    0x4060_69a7_eb46_6aec,
+                    0x4060_4182_cae6_3dda,
+                ],
+            ),
+            (
+                &rerouted,
+                Pmf::half_normal(8, 64.0),
+                [
+                    0x4060_7d41_d41d_41d3,
+                    0x4060_8060_6060_6065,
+                    0x4060_754d_5354_d534,
+                    0x4060_67f5_d370_ff7c,
+                    0x4060_3ff5_dd05_9e56,
+                ],
+            ),
+            (
+                &mac,
+                Pmf::half_normal(4, 3.0),
+                [
+                    0x4042_a702_7027_026d,
+                    0x4043_4db4_1a80_e74e,
+                    0x4042_e0fe_a60f_ea62,
+                    0x4042_fb3e_20b0_59ae,
+                    0x4042_e55f_ea20_4f7d,
+                ],
+            ),
+        ];
+        for (case, (nl, pmf, pinned)) in cases.iter().enumerate() {
+            for (blocks, &bits) in [1, 4, 16, 17, 48].into_iter().zip(pinned) {
+                let mut rng = Xoshiro256::from_seed(7);
+                let est = estimate_under_pmf(nl, &lib, pmf, DEFAULT_CLOCK_MHZ, blocks, &mut rng);
+                assert_eq!(
+                    est.dynamic_uw.to_bits(),
+                    bits,
+                    "case {case}, {blocks} blocks: {} µW",
+                    est.dynamic_uw
+                );
+            }
+        }
     }
 
     #[test]
